@@ -33,7 +33,6 @@ from .words import (
     _orbit,
     commutativity_class,
     commutativity_classes,
-    has_adjacent_repeat,
     is_fc,
     is_reduced,
     power_length,
@@ -68,7 +67,7 @@ def is_cfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     shared by all its members, so each distinct element met along the way is
     settled by a single orbit search.
     """
-    if not is_reduced(g, w, cap):
+    if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
     verdict: dict[Word, bool] = {}
     for u in reduced_words(g, w, cap):
@@ -78,9 +77,9 @@ def is_cfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
                 if not verdict[r]:
                     return False
                 continue
-            orbit, truncated, bad = _orbit(g, r, cap, witness=has_adjacent_repeat)
-            if bad is not None:
-                return False  # a rotation is not even reduced
+            if not is_reduced(g, r):
+                return False
+            orbit, truncated = _orbit(g, r, cap)
             if truncated:
                 raise OrbitCapExceeded(f"braid orbit of {g.format(r)} exceeds cap {cap}")
             short = commutativity_class(g, r, cap)
@@ -152,7 +151,7 @@ class ClassificationReport:
 
 def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> ClassificationReport:
     word = g.check_word(w)
-    if not is_reduced(g, word, cap):
+    if not is_reduced(g, word):
         return ClassificationReport(
             word=word,
             reduced=False,
@@ -172,9 +171,9 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
     counts: dict = {"reducedWords": n_words, "commutativityClasses": len(classes)}
     witnesses: dict = {}
 
-    cyc_word_reduced, bad_rotation = _cyclic_word_check(g, word, cap)
+    cyc_word_reduced, bad_rotation = _cyclic_word_check(g, word)
     cyclically_reduced = cyc_word_reduced and all(
-        _cyclic_word_check(g, u, cap)[0] for u in reduced_words(g, word, cap)
+        _cyclic_word_check(g, u)[0] for u in reduced_words(g, word, cap)
     )
     if bad_rotation is not None:
         witnesses["nonReducedRotation"] = bad_rotation
@@ -207,10 +206,10 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
     )
 
 
-def _cyclic_word_check(g: CoxeterGraph, w: Word, cap: int) -> tuple[bool, Word | None]:
+def _cyclic_word_check(g: CoxeterGraph, w: Word) -> tuple[bool, Word | None]:
     for k in range(len(w)):
         r = w[k:] + w[:k]
-        if not is_reduced(g, r, cap):
+        if not is_reduced(g, r):
             return False, r
     return True, None
 
@@ -229,12 +228,12 @@ class LogProbe:
         return self.violation_at is None
 
 
-def logarithmic_probe(g: CoxeterGraph, w: Word, up_to: int, cap: int = DEFAULT_ORBIT_CAP) -> LogProbe:
+def logarithmic_probe(g: CoxeterGraph, w: Word, up_to: int) -> LogProbe:
     """First k <= up_to with l(w^k) < k*l(w), if any.
 
     Partial verification only: "holds" means no violation below the bound.
     """
-    if not is_reduced(g, w, cap):
+    if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
     if up_to < 1:
         raise ValueError("up_to must be >= 1")
@@ -242,7 +241,7 @@ def logarithmic_probe(g: CoxeterGraph, w: Word, up_to: int, cap: int = DEFAULT_O
     lengths = []
     violation = None
     for k in range(1, up_to + 1):
-        lk = power_length(g, w, k, cap)
+        lk = power_length(g, w, k)
         lengths.append(lk)
         if violation is None and lk < k * base:
             violation = k
@@ -406,7 +405,7 @@ def tfc_constructor(
     seed = g.check_word(u)
     if s in seed or t in seed:
         raise SeedWordError("seed word must avoid both spoke generators")
-    if not is_reduced(g, seed, cap):
+    if not is_reduced(g, seed):
         raise SeedWordError("seed word is not reduced")
     if not is_cfc(g, seed, cap):
         raise SeedWordError("seed word is not CFC")
@@ -464,5 +463,5 @@ def conjecture_probe(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> 
         shortened=shortened,
         seed_torically_reduced=seed_tor,
         shortened_tfc=is_tfc(g, shortened, cap),
-        shortened_cfc=is_reduced(g, shortened, cap) and is_cfc(g, shortened, cap),
+        shortened_cfc=is_reduced(g, shortened) and is_cfc(g, shortened, cap),
     )

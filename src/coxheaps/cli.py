@@ -38,6 +38,16 @@ from .errors import CoxError, ResourceCapExceeded
 SCHEMA_VERSION = 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="coxheaps", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="group", required=True)
@@ -48,9 +58,10 @@ def _parser() -> argparse.ArgumentParser:
         if word_arg:
             sp.add_argument("word", help='word, e.g. "s3 s1 s2 s1 s2" or "31212"')
         sp.add_argument("--format", choices=["json", "dot"], default="json")
-        sp.add_argument("--max-orbit", type=int, default=W.DEFAULT_ORBIT_CAP)
-        sp.add_argument("--max-class", type=int, default=T.DEFAULT_CLASS_CAP)
-        sp.add_argument("--max-extensions", type=int, default=H.DEFAULT_EXTENSION_CAP)
+        sp.add_argument("--max-orbit", type=_positive_int, default=W.DEFAULT_ORBIT_CAP,
+                        help="cap on braid-orbit listings; deciding reducedness needs none")
+        sp.add_argument("--max-class", type=_positive_int, default=T.DEFAULT_CLASS_CAP)
+        sp.add_argument("--max-extensions", type=_positive_int, default=H.DEFAULT_EXTENSION_CAP)
         for flag, kw in extra.items():
             sp.add_argument(flag, **kw)
         return sp
@@ -130,7 +141,7 @@ def _run(args) -> tuple[dict | str, int]:
         skel = coxeter_graph_skeleton(g)
         result = {"x": args.x, "y": args.y, "value": T.tutte(skel, args.x, args.y)}
     elif key == "word.reduce":
-        nf = W.normal_form(g, word, cap)
+        nf = W.normal_form(g, word)
         result = {"word": g.format(nf.word), "length": nf.length}
     elif key == "word.reduced-words":
         result = {"words": _words(g, W.reduced_words(g, word, cap))}

@@ -10,7 +10,12 @@ Generators carry a display name and a dense integer index; all word-level
 code works on indices (declaration order is the tie-break order everywhere).
 Words are plain tuples of generator indices; the empty tuple is the
 identity.  Everything in this module is immutable after construction and
-safe to share between threads.
+safe to share between threads; the only state added later is the graph's
+root data for the word problem, built on first use (``root_system``).
+
+Supported bonds: finite strengths 3 <= m <= MAX_BOND, and a ring degree
+phi(2M) / 2 <= MAX_RING_DEGREE for M the lcm of the finite bonds, which
+every graph whose finite bonds are all equal meets.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import json
 import math
 from typing import Iterable, Mapping
 
-from .errors import GraphSpecError, UnknownGenerator, WordSyntaxError
+from .errors import GraphFileError, GraphSpecError, UnknownGenerator, WordSyntaxError
 
 # Bond strength of a pair with no finite braid relation.  Kept as a real
 # infinity so comparisons like m >= 3 stay honest.
@@ -29,11 +34,16 @@ Word = tuple[int, ...]
 
 Bond = int | float  # int >= 3, or INF
 
+# The word problem computes in a ring of degree phi(2M) / 2, where M is the
+# lcm of the finite bonds; these bound its size.
+MAX_BOND = 128
+MAX_RING_DEGREE = 64
+
 
 class CoxeterGraph:
     """Immutable Coxeter graph: generator names plus symmetric bond map."""
 
-    __slots__ = ("generators", "_index", "_bonds", "_key")
+    __slots__ = ("generators", "_index", "_bonds", "_key", "_roots")
 
     def __init__(self, generators: Iterable[str], bonds: Mapping[tuple[str, str], Bond] | Iterable[tuple[str, str, Bond]] = ()):
         gens = tuple(generators)
@@ -61,11 +71,18 @@ class CoxeterGraph:
             if key in bond_map:
                 raise GraphSpecError(f"duplicate bond for pair ({s!r}, {t!r})")
             bond_map[key] = m
+        finite = sorted({m for m in bond_map.values() if m != INF})
+        degree = ring_degree(finite)
+        if degree > MAX_RING_DEGREE:
+            raise GraphSpecError(
+                f"bond strengths {finite} need a ring of degree {degree}; at most {MAX_RING_DEGREE} is supported"
+            )
 
         self.generators = gens
         self._index = index
         self._bonds = bond_map
         self._key = (gens, tuple(sorted(bond_map.items())))
+        self._roots = None
 
     # -- basic queries ------------------------------------------------
 
@@ -128,6 +145,18 @@ class CoxeterGraph:
         ]
         return CoxeterGraph(names, sub)
 
+    def root_system(self):
+        """The graph's ``roots.RootSystem``, built on first use and kept.
+
+        ``roots`` is imported here, not at module level, so that importing
+        the package and building graphs do not pay for it.
+        """
+        if self._roots is None:
+            from .roots import RootSystem
+
+            self._roots = RootSystem(self)
+        return self._roots
+
     # -- word helpers ---------------------------------------------------
 
     def check_word(self, w: Iterable[int]) -> Word:
@@ -177,6 +206,11 @@ class CoxeterGraph:
     def __hash__(self) -> int:
         return hash(self._key)
 
+    def __reduce__(self):
+        # rebuilt from names and bonds; the root data is rebuilt on first use
+        bonds = [(self.generators[i], self.generators[j], m) for i, j, m in self.bonds()]
+        return CoxeterGraph, (self.generators, bonds)
+
     def __repr__(self) -> str:
         bonds = ", ".join(
             f"({self.generators[i]},{self.generators[j]}):{m}" for (i, j), m in sorted(self._bonds.items())
@@ -193,16 +227,39 @@ def _check_bond(s, t, m) -> Bond:
         raise GraphSpecError(
             f"bond ({s!r}, {t!r}) has strength {m}; m = 2 pairs must be omitted and m = 1 is the diagonal"
         )
+    if m > MAX_BOND:
+        raise GraphSpecError(f"bond ({s!r}, {t!r}) has strength {m}; at most {MAX_BOND} is supported")
     return m
+
+
+def _totient(n: int) -> int:
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            out -= out // p
+        p += 1
+    return out - out // n if n > 1 else out
+
+
+def ring_degree(finite_bonds: Iterable[int]) -> int:
+    """Degree phi(2M) / 2 of the ring Z[2cos(pi / M)] that ``roots`` computes
+    in, for M the lcm of the finite bonds (1 if there are none)."""
+    return max(1, _totient(2 * math.lcm(*finite_bonds)) // 2)
 
 
 def load_coxeter_graph(path: str) -> CoxeterGraph:
     """Load and validate a graph file (JSON with 'generators' and 'bonds')."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphSpecError(f"not a JSON document: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphFileError(f"cannot read graph file {path!r}: {exc}") from None
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GraphSpecError(f"not a JSON document: {exc}") from None
     return CoxeterGraph.from_json(data)
 
 

@@ -80,17 +80,17 @@ def has_cyclic_repeat(word: Word) -> bool:
     return m > 1 and any(word[i] == word[(i + 1) % m] for i in range(m))
 
 
-def is_cyclically_reduced_word(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
+def is_cyclically_reduced_word(g: CoxeterGraph, w: Word) -> bool:
     """Every rotation of the word is reduced."""
     word = g.check_word(w)
-    return all(is_reduced(g, r, cap) for r in rotations(cyclic_word(word)))
+    return all(is_reduced(g, r) for r in rotations(cyclic_word(word)))
 
 
 def is_cyclically_reduced_element(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """Every reduced word for the element of w is cyclically reduced."""
-    if not is_reduced(g, w, cap):
+    if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    return all(is_cyclically_reduced_word(g, u, cap) for u in reduced_words(g, w, cap))
+    return all(is_cyclically_reduced_word(g, u) for u in reduced_words(g, w, cap))
 
 
 def toric_reduction_witness(
@@ -215,7 +215,7 @@ def torically_equivalent_elements(
     g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP
 ) -> frozenset[NormalForm]:
     """[w]: the distinct group elements named by the words of R_tor(w)."""
-    return frozenset(normal_form(g, u, cap) for u in rtor_words(g, w, cap))
+    return frozenset(normal_form(g, u) for u in rtor_words(g, w, cap))
 
 
 @dataclass(frozen=True)

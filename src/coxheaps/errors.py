@@ -19,6 +19,10 @@ class GraphSpecError(CoxError):
     """Invalid Coxeter graph description (duplicate names, bad bond, ...)."""
 
 
+class GraphFileError(CoxError):
+    """A graph file that cannot be opened or decoded."""
+
+
 class UnknownGenerator(CoxError):
     """A generator name or index that the graph does not declare."""
 

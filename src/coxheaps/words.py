@@ -1,10 +1,15 @@
-"""Word problem by braid-move search.
+"""Words, braid orbits and the word problem.
 
 A braid move replaces a factor <s,t>_{m(s,t)} by <t,s>_{m(s,t)}; moves with
 m = 2 are "short".  The closure of a word under all single braid moves is
-its braid orbit, and a word is reduced iff no orbit member contains two
-equal adjacent letters (Tits' solution to the word problem).  This is exact
-and dependency-free, and adequate at desk scale; orbit searches carry a cap
+its braid orbit, which for a reduced word is the set R(w) of all reduced
+words of its element (Matsumoto's theorem).
+
+Deciding needs no search: ``is_reduced`` and ``normal_form`` use the exact
+root-sequence criterion in ``roots``, in time polynomial in the length, so
+they and ``multiply``, ``conjugate`` and ``power_length`` take no cap.
+Braid-orbit search remains where a set must be listed (``braid_orbit``,
+``reduced_words``, the commutativity classes); those searches carry a cap
 and raise ``OrbitCapExceeded`` as an inconclusive outcome rather than ever
 guessing.
 
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .coxgraph import INF, CoxeterGraph, Word
 from .errors import NotReduced, OrbitCapExceeded
@@ -75,21 +80,9 @@ def braid_moves(g: CoxeterGraph, w: Word, short_only: bool = False) -> Iterator[
                 yield w[:i] + repl + w[i + int(m) :]
 
 
-def _orbit(
-    g: CoxeterGraph,
-    w: Word,
-    cap: int,
-    short_only: bool = False,
-    witness: Callable[[Word], bool] | None = None,
-) -> tuple[set[Word], bool, Word | None]:
-    """BFS closure under braid moves.
-
-    Returns (visited, truncated, witness_word).  When a witness predicate is
-    given, the search stops at the first word satisfying it.
-    """
+def _orbit(g: CoxeterGraph, w: Word, cap: int, short_only: bool = False) -> tuple[set[Word], bool]:
+    """BFS closure under braid moves; returns (visited, truncated)."""
     start = g.check_word(w)
-    if witness is not None and witness(start):
-        return {start}, False, start
     seen = {start}
     queue = deque([start])
     truncated = False
@@ -98,15 +91,12 @@ def _orbit(
         for nxt in braid_moves(g, cur, short_only):
             if nxt in seen:
                 continue
-            if witness is not None and witness(nxt):
-                seen.add(nxt)
-                return seen, truncated, nxt
             if len(seen) >= cap:
                 truncated = True
                 continue
             seen.add(nxt)
             queue.append(nxt)
-    return seen, truncated, None
+    return seen, truncated
 
 
 def braid_orbit(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> BraidOrbit:
@@ -114,56 +104,40 @@ def braid_orbit(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Braid
 
     Truncation is a flagged result, not an error.
     """
-    words, truncated, _ = _orbit(g, w, cap)
+    words, truncated = _orbit(g, w, cap)
     return BraidOrbit(frozenset(words), g.check_word(w), truncated)
 
 
 def commutativity_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[Word]:
     """Closure of {w} under short braid moves only (the trace of w)."""
-    words, truncated, _ = _orbit(g, w, cap, short_only=True)
+    words, truncated = _orbit(g, w, cap, short_only=True)
     if truncated:
         raise OrbitCapExceeded(f"commutativity class of {g.format(w)} exceeds cap {cap}")
     return frozenset(words)
 
 
-def is_reduced(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """True iff no braid-orbit member contains two equal adjacent letters."""
-    _, truncated, bad = _orbit(g, w, cap, witness=has_adjacent_repeat)
-    if bad is not None:
-        return False
-    if truncated:
-        raise OrbitCapExceeded(
-            f"braid orbit of {g.format(w)} exceeds cap {cap} with no witness; reducedness undecided"
-        )
-    return True
+def is_reduced(g: CoxeterGraph, w: Word) -> bool:
+    """True iff w is a reduced word: its root sequence has no beta_j = -beta_i."""
+    word = g.check_word(w)
+    return not has_adjacent_repeat(word) and g.root_system().is_reduced(word)
 
 
-def normal_form(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> NormalForm:
+def normal_form(g: CoxeterGraph, w: Word) -> NormalForm:
     """Shortlex-least reduced word for the element of w.
 
-    Deletion is deterministic: take the shortlex-least orbit member with an
-    adjacent equal pair and delete its leftmost such pair; repeat until the
-    orbit is repeat-free, then return the shortlex minimum.
+    Letters are deleted in pairs by the exchange condition until the word is
+    reduced, and the least left descent is then taken greedily
+    (``roots.RootSystem.shortlex_form``).
     """
-    word = g.check_word(w)
-    while True:
-        orbit, truncated, _ = _orbit(g, word, cap)
-        if truncated:
-            raise OrbitCapExceeded(f"braid orbit exceeds cap {cap} while reducing {g.format(w)}")
-        bad = [u for u in orbit if has_adjacent_repeat(u)]
-        if not bad:
-            least = min(orbit)
-            return NormalForm(len(least), least)
-        u = min(bad)
-        i = next(k for k in range(len(u) - 1) if u[k] == u[k + 1])
-        word = u[:i] + u[i + 2 :]
+    least = g.root_system().shortlex_form(g.check_word(w))
+    return NormalForm(len(least), least)
 
 
 def reduced_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[Word]:
     """R(w): all reduced words for the element of the reduced word w."""
-    if not is_reduced(g, w, cap):
+    if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    words, truncated, _ = _orbit(g, w, cap)
+    words, truncated = _orbit(g, w, cap)
     if truncated:
         raise OrbitCapExceeded(f"reduced-word set of {g.format(w)} exceeds cap {cap}")
     return frozenset(words)
@@ -188,9 +162,9 @@ def commutativity_classes(
 
 def is_fc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """True iff R(w) is a single commutativity class (w must be reduced)."""
-    if not is_reduced(g, w, cap):
+    if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    full, truncated, _ = _orbit(g, w, cap)
+    full, truncated = _orbit(g, w, cap)
     if truncated:
         raise OrbitCapExceeded(f"braid orbit of {g.format(w)} exceeds cap {cap}")
     short = commutativity_class(g, w, cap)
@@ -202,21 +176,21 @@ def inverse(w: Word) -> Word:
     return tuple(reversed(w))
 
 
-def multiply(g: CoxeterGraph, u: Word, v: Word, cap: int = DEFAULT_ORBIT_CAP) -> NormalForm:
-    return normal_form(g, g.check_word(u) + g.check_word(v), cap)
+def multiply(g: CoxeterGraph, u: Word, v: Word) -> NormalForm:
+    return normal_form(g, g.check_word(u) + g.check_word(v))
 
 
-def conjugate(g: CoxeterGraph, v: Word, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> NormalForm:
+def conjugate(g: CoxeterGraph, v: Word, w: Word) -> NormalForm:
     """Normal form of v^-1 w v."""
-    return normal_form(g, inverse(g.check_word(v)) + g.check_word(w) + g.check_word(v), cap)
+    return normal_form(g, inverse(g.check_word(v)) + g.check_word(w) + g.check_word(v))
 
 
-def power_length(g: CoxeterGraph, w: Word, k: int, cap: int = DEFAULT_ORBIT_CAP) -> int:
+def power_length(g: CoxeterGraph, w: Word, k: int) -> int:
     """Length of w^k, reducing incrementally so intermediate words stay short."""
     if k < 0:
         raise ValueError("k must be >= 0")
     word = g.check_word(w)
     cur: Word = ()
     for _ in range(k):
-        cur = normal_form(g, cur + word, cap).word
+        cur = normal_form(g, cur + word).word
     return len(cur)

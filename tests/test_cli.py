@@ -155,6 +155,30 @@ def test_usage_error_exit_code(graph_files):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--max-orbit", "--max-class", "--max-extensions"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_cap_is_usage_error(graph_files, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["word", "reduce", "-g", graph_files["A3"], "s1", flag, value])
+    assert exc.value.code == 2
+
+
+def test_missing_graph_file(tmp_path, capsys):
+    code, out = run(capsys, "word", "reduce", "-g", str(tmp_path / "absent.json"), "s1")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["command"] == "word.reduce"
+    assert doc["error"]["type"] == "GraphFileError"
+
+
+def test_word_reduce_needs_no_cap(graph_files, capsys):
+    # (s1 s2 s3)^8 is the identity of A3; braid search hit its cap on it
+    code, out = run(capsys, "word", "reduce", "-g", graph_files["A3"], "123" * 8,
+                    "--max-orbit", "1")
+    assert code == 0
+    assert json.loads(out)["result"] == {"word": "", "length": 0}
+
+
 def test_byte_identical_reruns(graph_files, capsys):
     outputs = set()
     for _ in range(2):

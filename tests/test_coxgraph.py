@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given
@@ -6,6 +7,7 @@ from hypothesis import given
 from conftest import small_system
 from coxheaps.coxgraph import (
     INF,
+    MAX_BOND,
     CoxeterGraph,
     format_word,
     load_coxeter_graph,
@@ -40,11 +42,23 @@ def test_rank_one_system_is_valid():
         (["s1", "s2"], [("s1", "s2", 1)]),
         (["s1", "s2"], [("s1", "s2", 3), ("s2", "s1", 4)]),  # duplicate pair
         (["s 1"], []),  # whitespace in name
+        (["s1", "s2"], [("s1", "s2", 10**9)]),  # bond above MAX_BOND
+        (["s1", "s2"], [("s1", "s2", MAX_BOND + 1)]),
+        # lcm 1001 needs a ring of degree phi(2002) / 2 = 360
+        (["s1", "s2", "s3", "s4"], [("s1", "s2", 7), ("s2", "s3", 11), ("s3", "s4", 13)]),
     ],
 )
 def test_invalid_graphs_rejected(gens, bonds):
     with pytest.raises(GraphSpecError):
         CoxeterGraph(gens, bonds)
+
+
+def test_supported_bond_range_loads():
+    # every single bond value up to MAX_BOND, and the {3, 4, 5, inf} mix of
+    # the random systems in the tests (lcm 60, ring degree 16)
+    CoxeterGraph(["a", "b"], [("a", "b", MAX_BOND)])
+    CoxeterGraph(["a", "b"], [("a", "b", 127)])
+    CoxeterGraph(["a", "b", "c", "d"], [("a", "b", 3), ("b", "c", 4), ("c", "d", 5), ("a", "d", "inf")])
 
 
 def test_inf_bond_round_trip(tmp_path):
@@ -56,6 +70,15 @@ def test_inf_bond_round_trip(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
     assert load_coxeter_graph(str(path)) == g
+
+
+def test_pickle_round_trip_after_use(b3):
+    from coxheaps.words import is_reduced
+
+    assert is_reduced(b3, b3.word("s1 s2 s1 s2"))  # builds the root data
+    copy = pickle.loads(pickle.dumps(b3))
+    assert copy == b3
+    assert is_reduced(copy, copy.word("s1 s2 s1 s2"))
 
 
 def test_commutes_examples(b3):

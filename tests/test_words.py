@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given
 
 from conftest import small_system
+from coxheaps import catalog
 from coxheaps import words as W
-from coxheaps.coxgraph import support
+from coxheaps.coxgraph import INF, CoxeterGraph, support
 from coxheaps.errors import NotReduced, OrbitCapExceeded
 from oracles import GroupOracle
 
@@ -33,9 +34,12 @@ def test_is_reduced_examples(a3, b3):
     assert W.is_reduced(b3, ())
 
 
-def test_is_reduced_inconclusive_raises(b3):
+def test_is_reduced_decides_without_cap(b3):
+    # m(s1, s2) = 4: the full braid <s1,s2>_4 is reduced, one letter more is not
+    assert W.is_reduced(b3, b3.word("s1 s2 s1 s2"))
+    assert not W.is_reduced(b3, b3.word("s1 s2 s1 s2 s1"))
     with pytest.raises(OrbitCapExceeded):
-        W.is_reduced(b3, b3.word("s1 s2 s1 s2"), cap=1)
+        W.reduced_words(b3, b3.word("s1 s2 s1 s2"), cap=1)
 
 
 def test_normal_form_examples(a3, b3):
@@ -135,7 +139,7 @@ def test_normal_form_is_orbit_invariant(gw):
     orbit = W.braid_orbit(g, w, cap=5000)
     if orbit.truncated:
         return
-    forms = {W.normal_form(g, u, cap=5000) for u in orbit.words}
+    forms = {W.normal_form(g, u) for u in orbit.words}
     assert len(forms) == 1
 
 
@@ -162,3 +166,70 @@ def test_multiply_matches_oracle(b3):
         nf = W.multiply(b3, u, v)
         assert oracle.same_element(nf.word, u + v)
         assert oracle.length(u + v) == nf.length
+
+
+# -- roots against braid search ----------------------------------------------
+# is_reduced and normal_form decide by root sequences; the braid-orbit search
+# below (Tits: reduced iff no orbit member has two equal adjacent letters)
+# is the independent route they must agree with.
+
+
+def _reduce_by_search(g, w):
+    """A reduced word for the element of w, by braid moves and deletion of
+    equal adjacent letters only."""
+    while True:
+        bad = [u for u in W.braid_orbit(g, w).words if W.has_adjacent_repeat(u)]
+        if not bad:
+            return w
+        u = min(bad)
+        i = next(k for k in range(len(u) - 1) if u[k] == u[k + 1])
+        w = u[:i] + u[i + 2 :]
+
+
+def _check_against_search(g, w):
+    orbit = W.braid_orbit(g, w)
+    assert not orbit.truncated
+    assert W.is_reduced(g, w) == (not any(W.has_adjacent_repeat(u) for u in orbit.words)), w
+    least = min(W.braid_orbit(g, _reduce_by_search(g, w)).words)
+    assert W.normal_form(g, w) == W.NormalForm(len(least), least), w
+
+
+@given(small_system())
+def test_roots_agree_with_braid_search(gw):
+    g, w = gw
+    _check_against_search(g, w)
+
+
+def test_roots_agree_with_braid_search_sqrt2_phi_mix():
+    # m = 4 and m = 5 in one graph: coordinates in Z[2cos(pi/20)], which the
+    # quadratic-ring oracle cannot represent
+    g = CoxeterGraph(["s1", "s2", "s3"], [("s1", "s2", 4), ("s2", "s3", 5), ("s1", "s3", INF)])
+    words = [()]
+    for _ in range(6):
+        words = [w + (s,) for w in words for s in range(g.rank)]
+        for w in words:
+            _check_against_search(g, w)
+
+
+@pytest.mark.parametrize("m", [7, 8, 12, 128])
+def test_dihedral_bonds_beyond_the_oracle(m):
+    g = CoxeterGraph(["s", "t"], [("s", "t", m)])
+    braid = tuple(k % 2 for k in range(m))
+    assert W.is_reduced(g, braid)
+    assert W.normal_form(g, braid).word == braid
+    assert not W.is_reduced(g, braid + (m % 2,))
+    # <s,t>_m = <t,s>_m, so one letter more shortens to m - 1 letters
+    assert W.normal_form(g, (1,) + braid).word == braid[:-1]
+
+
+def test_former_cap_cases_are_decided():
+    a3, a4, aff = (catalog.coxeter_graph(n) for n in ("A3", "A4", "A~3"))
+    assert W.normal_form(a3, a3.word("s1 s2 s3") * 8).word == ()
+    w0 = a4.word("s1 s2 s1 s3 s2 s1 s4 s3 s2 s1")
+    assert W.is_reduced(a4, w0)
+    assert W.normal_form(a4, w0 + w0).word == ()
+    # powers of Coxeter elements in infinite Coxeter groups are reduced
+    # (Speyer, 2009)
+    power = aff.word("s1 s2 s3 s4") * 25
+    assert W.is_reduced(aff, power)
+    assert W.normal_form(aff, power).length == 100
