@@ -7,9 +7,13 @@ Vocabulary (all for a fixed Coxeter system):
 * TFC: torically reduced with a single cyclic commutativity class;
 * faux CFC: TFC but not CFC.
 
-CFC implies FC and TFC; the reverse inclusions fail.  The probes
-(logarithmic, braid-shortening) are explicitly partial: they report
-evidence bounded by their inputs, never theorems.
+CFC implies FC and TFC; the reverse inclusions fail.  ``classify``
+searches each set once: R(w), as its commutativity classes; the rotations
+of R(w), in one ``cyclic.rotation_walk`` for cyclic reducedness and CFC;
+and R_tor([w]), as its cyclic commutativity classes.  The word-level toric
+search runs only to name the chain of a word that is not torically reduced.
+The probes (logarithmic, braid-shortening) are explicitly partial: they
+report evidence bounded by their inputs, never theorems.
 """
 
 from __future__ import annotations
@@ -18,7 +22,13 @@ from dataclasses import dataclass, field
 
 from . import toric
 from .coxgraph import INF, CoxeterGraph, Word
-from .cyclic import cyclic_decomposition, rtor_words, toric_reduction_witness
+from .cyclic import (
+    cyclic_decomposition,
+    cyclic_word,
+    rotation_walk,
+    rtor_words,
+    toric_reduction_witness,
+)
 from .errors import (
     NotACoxeterWord,
     NotReduced,
@@ -30,13 +40,12 @@ from .errors import (
 )
 from .words import (
     DEFAULT_ORBIT_CAP,
-    _orbit,
-    commutativity_class,
     commutativity_classes,
+    fc_orbit,
     is_fc,
     is_reduced,
+    long_braid_factors,
     power_length,
-    reduced_words,
 )
 
 __all__ = [
@@ -63,32 +72,15 @@ __all__ = [
 def is_cfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """For every reduced word of w, every rotation is reduced and FC.
 
-    The verdict quantifies over the full reduced-word set; a braid orbit is
-    shared by all its members, so each distinct element met along the way is
-    settled by a single orbit search.
+    One short-move search lists R(w) and decides FC (``words.fc_orbit``);
+    an FC element then goes through ``cyclic.rotation_walk``, which settles
+    each braid orbit met among the rotations with a single search.
     """
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    verdict: dict[Word, bool] = {}
-    for u in reduced_words(g, w, cap):
-        for k in range(len(u)):
-            r = u[k:] + u[:k]
-            if r in verdict:
-                if not verdict[r]:
-                    return False
-                continue
-            if not is_reduced(g, r):
-                return False
-            orbit, truncated = _orbit(g, r, cap)
-            if truncated:
-                raise OrbitCapExceeded(f"braid orbit of {g.format(r)} exceeds cap {cap}")
-            short = commutativity_class(g, r, cap)
-            ok = len(short) == len(orbit)
-            for member in orbit:
-                verdict[member] = ok
-            if not ok:
-                return False
-    return True
+    word = g.check_word(w)
+    rw, fc = fc_orbit(g, word, cap)
+    return fc and rotation_walk(g, word, rw, fc, cap)[1]
 
 
 def is_tfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
@@ -127,16 +119,13 @@ class ClassificationReport:
     witnesses: dict = field(default_factory=dict)
 
     def to_json(self, g: CoxeterGraph) -> dict:
-        def fmt(word):
-            return g.format(word)
-
         witnesses = {}
         if "nonReducedRotation" in self.witnesses:
-            witnesses["nonReducedRotation"] = fmt(self.witnesses["nonReducedRotation"])
+            witnesses["nonReducedRotation"] = g.format(self.witnesses["nonReducedRotation"])
         if "toricWitnessChain" in self.witnesses:
-            witnesses["toricWitnessChain"] = [fmt(u) for u in self.witnesses["toricWitnessChain"]]
+            witnesses["toricWitnessChain"] = [g.format(u) for u in self.witnesses["toricWitnessChain"]]
         return {
-            "word": fmt(self.word),
+            "word": g.format(self.word),
             "reduced": self.reduced,
             "cyclicallyReduced": self.cyclically_reduced,
             "toricallyReduced": self.torically_reduced,
@@ -166,37 +155,36 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
             witnesses={"nonReducedRotation": word},
         )
     classes = commutativity_classes(g, word, cap)
-    n_words = sum(len(c) for c in classes)
+    rw = frozenset().union(*classes)
     fc = len(classes) == 1
-    counts: dict = {"reducedWords": n_words, "commutativityClasses": len(classes)}
+    counts: dict = {"reducedWords": len(rw), "commutativityClasses": len(classes)}
     witnesses: dict = {}
 
-    cyc_word_reduced, bad_rotation = _cyclic_word_check(g, word)
-    cyclically_reduced = cyc_word_reduced and all(
-        _cyclic_word_check(g, u)[0] for u in reduced_words(g, word, cap)
-    )
-    if bad_rotation is not None:
+    bad_rotation, cfc = rotation_walk(g, word, rw, fc, cap)
+    if bad_rotation is not None and cyclic_word(bad_rotation) == cyclic_word(word):
         witnesses["nonReducedRotation"] = bad_rotation
 
-    chain = toric_reduction_witness(g, word, cap)
-    torically_reduced = chain is None
-    if chain is not None:
+    try:
+        decomposition = cyclic_decomposition(g, word, cap)
+    except (NotToricallyReduced, OrbitCapExceeded):
+        # the word-level search names the chain; it also settles a cyclic
+        # closure over the cap when it finds a chain within the cap
+        chain = toric_reduction_witness(g, word, cap)
+        if chain is None:
+            raise
         witnesses["toricWitnessChain"] = chain
         counts["cyclicWords"] = None
         counts["cyclicCommutativityClasses"] = None
         tfc = False
-        cfc = is_cfc(g, word, cap)
     else:
-        decomposition = cyclic_decomposition(g, word, cap)
         counts["cyclicWords"] = sum(len(c) for c in decomposition)
         counts["cyclicCommutativityClasses"] = len(decomposition)
         tfc = len(decomposition) == 1
-        cfc = is_cfc(g, word, cap)
     return ClassificationReport(
         word=word,
         reduced=True,
-        cyclically_reduced=cyclically_reduced,
-        torically_reduced=torically_reduced,
+        cyclically_reduced=bad_rotation is None,
+        torically_reduced="toricWitnessChain" not in witnesses,
         fc=fc,
         cfc=cfc,
         tfc=tfc,
@@ -204,14 +192,6 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
         counts=counts,
         witnesses=witnesses,
     )
-
-
-def _cyclic_word_check(g: CoxeterGraph, w: Word) -> tuple[bool, Word | None]:
-    for k in range(len(w)):
-        r = w[k:] + w[:k]
-        if not is_reduced(g, r):
-            return False, r
-    return True, None
 
 
 @dataclass(frozen=True)
@@ -320,29 +300,21 @@ def source_flip_conjugator(
     vertices, or None when the orientations are not torically equivalent.
 
     Flipping a source s conjugates by s (a cyclic shift); flipping a sink
-    likewise, since generators are involutions.
+    likewise, since generators are involutions.  The flips are read back
+    along the BFS parents of the toric-class search.
     """
     if start.graph != goal.graph:
         raise NotACoxeterWord("orientations live on different graphs")
-    frontier = {start.forward: ()}
-    queue = [start.forward]
-    seen = {start.forward}
     graph = start.graph
-    while queue:
-        cur = queue.pop(0)
-        if cur == goal.forward:
-            return frontier[cur]
-        o = toric.AcyclicOrientation(graph, cur)
-        for v in range(graph.n):
-            if o.is_source(v) or o.is_sink(v):
-                nxt = cur ^ graph.incident[v]
-                if nxt not in seen:
-                    if len(seen) >= cap:
-                        raise toric.ClassCapExceeded(f"toric class exceeds cap {cap}")
-                    seen.add(nxt)
-                    frontier[nxt] = frontier[cur] + (v,)
-                    queue.append(nxt)
-    return None
+    flipped = toric._class_masks(graph, start.forward, cap, goal.forward)
+    if goal.forward not in flipped:
+        return None
+    out = []
+    mask = goal.forward
+    while flipped[mask] >= 0:
+        out.append(flipped[mask])
+        mask ^= graph.incident[out[-1]]
+    return tuple(reversed(out))
 
 
 # -- section-7 style probes ---------------------------------------------
@@ -354,24 +326,7 @@ def odd_braid_obstruction(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP
     A faux-CFC element can never produce one (an odd braid move changes the
     letter multiset), so False is a necessary condition for faux CFC.
     """
-    for u in rtor_words(g, w, cap):
-        if _has_odd_long_braid_factor(g, u):
-            return True
-    return False
-
-
-def _has_odd_long_braid_factor(g: CoxeterGraph, u: Word) -> bool:
-    n = len(u)
-    for i in range(n - 2):
-        s, t = u[i], u[i + 1]
-        if s == t:
-            continue
-        m = g.m(s, t)
-        if m == INF or m < 3 or m % 2 == 0 or i + m > n:
-            continue
-        if all(u[i + k] == (s if k % 2 == 0 else t) for k in range(2, int(m))):
-            return True
-    return False
+    return any(m % 2 for u in rtor_words(g, w, cap) for m in long_braid_factors(g, u))
 
 
 def alternating(s: int, t: int, m: int) -> Word:

@@ -43,7 +43,7 @@ MAX_RING_DEGREE = 64
 class CoxeterGraph:
     """Immutable Coxeter graph: generator names plus symmetric bond map."""
 
-    __slots__ = ("generators", "_index", "_bonds", "_key", "_roots")
+    __slots__ = ("generators", "bond_table", "_index", "_bonds", "_key", "_roots")
 
     def __init__(self, generators: Iterable[str], bonds: Mapping[tuple[str, str], Bond] | Iterable[tuple[str, str, Bond]] = ()):
         gens = tuple(generators)
@@ -79,6 +79,12 @@ class CoxeterGraph:
             )
 
         self.generators = gens
+        # bond_table[i][j] = m(i, j) by index, for the loops that cannot
+        # afford the checks in ``m``
+        self.bond_table = tuple(
+            tuple(1 if i == j else bond_map.get((min(i, j), max(i, j)), 2) for j in range(len(gens)))
+            for i in range(len(gens))
+        )
         self._index = index
         self._bonds = bond_map
         self._key = (gens, tuple(sorted(bond_map.items())))
@@ -97,7 +103,7 @@ class CoxeterGraph:
                 return self._index[s]
             except KeyError:
                 raise UnknownGenerator(f"unknown generator {s!r}") from None
-        if isinstance(s, int) and 0 <= s < len(self.generators):
+        if isinstance(s, int) and not isinstance(s, bool) and 0 <= s < len(self.generators):
             return s
         raise UnknownGenerator(f"generator index out of range: {s!r}")
 
@@ -106,11 +112,7 @@ class CoxeterGraph:
 
     def m(self, s: str | int, t: str | int) -> Bond:
         """Bond strength m(s, t); 1 on the diagonal, 2 off stored bonds."""
-        i, j = self.as_index(s), self.as_index(t)
-        if i == j:
-            return 1
-        key = (i, j) if i < j else (j, i)
-        return self._bonds.get(key, 2)
+        return self.bond_table[self.as_index(s)][self.as_index(t)]
 
     def commutes(self, s: str | int, t: str | int) -> bool:
         """True iff s != t and m(s, t) = 2."""
@@ -162,7 +164,7 @@ class CoxeterGraph:
     def check_word(self, w: Iterable[int]) -> Word:
         word = tuple(w)
         for i in word:
-            if not (isinstance(i, int) and 0 <= i < len(self.generators)):
+            if isinstance(i, bool) or not (isinstance(i, int) and 0 <= i < len(self.generators)):
                 raise UnknownGenerator(f"letter index out of range: {i!r}")
         return word
 

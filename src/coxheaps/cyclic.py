@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from . import toric
 from .coxgraph import CoxeterGraph, Word
@@ -33,11 +33,12 @@ from .errors import (
     OrbitCapExceeded,
     TooLarge,
 )
-from .heaps import word_orientation
+from .heaps import occurrence_alignment, word_orientation
 from .words import (
     DEFAULT_ORBIT_CAP,
     NormalForm,
     braid_moves,
+    fc_orbit,
     is_reduced,
     normal_form,
     reduced_words,
@@ -55,23 +56,21 @@ class CyclicWord:
 
 
 def cyclic_word(w: Iterable[int]) -> CyclicWord:
-    word = tuple(w)
-    if not word:
-        return CyclicWord(())
-    return CyclicWord(min(word[k:] + word[:k] for k in range(len(word))))
+    return CyclicWord(_least_rotation(tuple(w)))
+
+
+def _least_rotation(word: Word) -> Word:
+    return min((word[k:] + word[:k] for k in range(len(word))), default=())
 
 
 def rotations(cw: CyclicWord | Word) -> tuple[Word, ...]:
     """Distinct rotations, in rotation order starting from the canonical one."""
-    word = cw.canonical if isinstance(cw, CyclicWord) else cyclic_word(cw).canonical
-    out: list[Word] = []
-    seen = set()
-    for k in range(len(word)):
-        rot = word[k:] + word[:k]
-        if rot not in seen:
-            seen.add(rot)
-            out.append(rot)
-    return tuple(out) if word else ((),)
+    word = cw.canonical if isinstance(cw, CyclicWord) else _least_rotation(tuple(cw))
+    return _rotations(word) if word else ((),)
+
+
+def _rotations(word: Word) -> tuple[Word, ...]:
+    return tuple(dict.fromkeys(word[k:] + word[:k] for k in range(len(word))))
 
 
 def has_cyclic_repeat(word: Word) -> bool:
@@ -87,10 +86,50 @@ def is_cyclically_reduced_word(g: CoxeterGraph, w: Word) -> bool:
 
 
 def is_cyclically_reduced_element(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """Every reduced word for the element of w is cyclically reduced."""
+    """Every reduced word for the element of w is cyclically reduced
+    (``rotation_walk`` over R(w), without its CFC half)."""
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    return all(is_cyclically_reduced_word(g, u) for u in reduced_words(g, w, cap))
+    word = g.check_word(w)
+    return rotation_walk(g, word, reduced_words(g, word, cap), False, cap)[0] is None
+
+
+def rotation_walk(
+    g: CoxeterGraph, w: Word, rw: Collection[Word], fc: bool, cap: int = DEFAULT_ORBIT_CAP
+) -> tuple[Word | None, bool]:
+    """One pass over the rotations of R(w) that settles element-level cyclic
+    reducedness and CFC together.
+
+    ``rw`` is R(w) for the reduced word w, and ``fc`` says whether w is FC.
+    Returns (the first rotation met that is not reduced, or None; w is CFC).
+    The rotations of w come first, so a returned rotation is w's first one
+    when w has any.  A rotation that is not reduced settles both notions.
+    While CFC is open, each new reduced rotation gets the FC verdict of its
+    braid orbit from ``fc_orbit``; the orbit's words are reduced with the
+    same verdict, so none of them is checked again.  With ``fc`` False no
+    orbit is searched.  An orbit over the cap leaves CFC open, and the cap
+    error is raised only when no other orbit settles it.
+    """
+    known = set(rw)  # words known to be reduced, so never looked at again
+    cfc, over_cap = fc, None
+    for u in (w, *rw):
+        for k in range(1, len(u)):
+            r = u[k:] + u[:k]
+            if r in known:
+                continue
+            if not is_reduced(g, r):
+                return r, False
+            known.add(r)
+            if cfc:
+                try:
+                    orbit, cfc = fc_orbit(g, r, cap)
+                except OrbitCapExceeded as exc:
+                    over_cap = over_cap or exc
+                    continue
+                known |= orbit
+    if cfc and over_cap is not None:
+        raise over_cap
+    return None, cfc
 
 
 def toric_reduction_witness(
@@ -149,25 +188,25 @@ def _cyclic_closure(
     equal cyclically-adjacent letters; by Tits' criterion the closure of a
     non-torically-reduced word always produces one.
     """
-    start = cyclic_word(g.check_word(w))
-    if has_cyclic_repeat(start.canonical):
+    start = _least_rotation(g.check_word(w))
+    if has_cyclic_repeat(start):
         raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
-    seen = {start}
+    seen = {start}  # canonical rotations
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        for rot in rotations(cur):
+        for rot in _rotations(cur):
             for moved in braid_moves(g, rot, short_only=short_only):
-                nxt = cyclic_word(moved)
+                nxt = _least_rotation(moved)
                 if nxt in seen:
                     continue
-                if has_cyclic_repeat(nxt.canonical):
+                if has_cyclic_repeat(nxt):
                     raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
                 if len(seen) >= cap:
                     raise OrbitCapExceeded(f"cyclic closure of {g.format(w)} exceeds cap {cap}")
                 seen.add(nxt)
                 queue.append(nxt)
-    return frozenset(seen)
+    return frozenset(map(CyclicWord, seen))
 
 
 def rtor_cyclic_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[CyclicWord]:
@@ -259,7 +298,7 @@ def toric_heaps_isomorphic(t1: ToricHeap, t2: ToricHeap) -> bool:
     g1 = t1.poset.graph
     for k in range(m):
         rot = t2.word[k:] + t2.word[:k]
-        sigma = _occurrence_alignment(t1.word, rot)
+        sigma = occurrence_alignment(t1.word, rot)
         if sigma is None:
             continue
         carried = _transport(t1.poset.representative, g1, sigma)
@@ -269,24 +308,6 @@ def toric_heaps_isomorphic(t1: ToricHeap, t2: ToricHeap) -> bool:
         if carried in toric.toric_class(word_orientation(t1.graph, rot), t2.poset.cap):
             return True
     return False
-
-
-def _occurrence_alignment(w1: Word, w2: Word) -> tuple[int, ...] | None:
-    """Map the k-th occurrence of each letter in w1 to the k-th in w2."""
-    if len(w1) != len(w2):
-        return None
-    slots: dict[int, list[int]] = {}
-    for j, s in enumerate(w2):
-        slots.setdefault(s, []).append(j)
-    taken: dict[int, int] = {}
-    out = []
-    for s in w1:
-        k = taken.get(s, 0)
-        if s not in slots or k >= len(slots[s]):
-            return None
-        out.append(slots[s][k])
-        taken[s] = k + 1
-    return tuple(out)
 
 
 def _transport(

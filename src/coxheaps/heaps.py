@@ -157,21 +157,25 @@ def occurrence_map(h1: Heap, h2: Heap) -> tuple[int, ...] | None:
     Vertex chains are totally ordered, and occurrences appear in position
     order, so this is the only candidate isomorphism.
     """
-    if len(h1.word) != len(h2.word):
+    return occurrence_alignment(h1.word, h2.word)
+
+
+def occurrence_alignment(w1: Word, w2: Word) -> tuple[int, ...] | None:
+    """Map the k-th occurrence of each letter in w1 to the k-th in w2; None
+    when the words have different letter counts."""
+    if len(w1) != len(w2):
         return None
     slots: dict[int, list[int]] = {}
-    for j, s in enumerate(h2.word):
+    for j, s in enumerate(w2):
         slots.setdefault(s, []).append(j)
     taken: dict[int, int] = {}
     sigma = []
-    for i, s in enumerate(h1.word):
+    for s in w1:
         k = taken.get(s, 0)
         if s not in slots or k >= len(slots[s]):
             return None
         sigma.append(slots[s][k])
         taken[s] = k + 1
-    if any(taken.get(s, 0) != len(pos) for s, pos in slots.items()):
-        return None
     return tuple(sigma)
 
 

@@ -188,15 +188,18 @@ def flip_sink(o: AcyclicOrientation, v: int) -> AcyclicOrientation:
     return AcyclicOrientation(o.graph, o.forward ^ o.graph.incident[v])
 
 
-def _class_masks(graph: Graph, start: int, cap: int) -> set[int]:
+def _class_masks(graph: Graph, start: int, cap: int, goal: int | None = None) -> dict[int, int]:
     """BFS closure under source->sink and sink->source conversions.
 
     The relation is generated by one-directional moves, but the equivalence
     is its symmetric closure; flipping both ways makes the BFS complete.
+    Maps each mask to the vertex flipped to reach it first (-1 for start),
+    so that mask ^ incident[vertex] is its BFS parent.  Stops once ``goal``
+    is reached.
     """
-    seen = {start}
+    seen = {start: -1}
     queue = deque([start])
-    while queue:
+    while queue and goal not in seen:
         mask = queue.popleft()
         for v in range(graph.n):
             inc = graph.incident[v]
@@ -209,7 +212,7 @@ def _class_masks(graph: Graph, start: int, cap: int) -> set[int]:
                 if nxt not in seen:
                     if len(seen) >= cap:
                         raise ClassCapExceeded(f"toric class exceeds cap {cap}")
-                    seen.add(nxt)
+                    seen[nxt] = v
                     queue.append(nxt)
     return seen
 
@@ -225,7 +228,7 @@ def toric_classes(graph: Graph, cap: int = DEFAULT_CLASS_CAP) -> tuple[frozenset
     classes = []
     while remaining:
         seed = min(remaining)
-        masks = _class_masks(graph, seed, cap)
+        masks = _class_masks(graph, seed, cap).keys()
         if not masks <= remaining:
             raise AssertionError("toric class escaped Acyc(G)")
         classes.append(frozenset(AcyclicOrientation(graph, m) for m in masks))

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .coxgraph import INF, CoxeterGraph, Word
+from .coxgraph import CoxeterGraph, Word
 from .errors import NotReduced, OrbitCapExceeded
 
 DEFAULT_ORBIT_CAP = 2_000_000
@@ -58,26 +58,30 @@ def has_adjacent_repeat(w: Word) -> bool:
 def braid_moves(g: CoxeterGraph, w: Word, short_only: bool = False) -> Iterator[Word]:
     """All words obtainable from w by one braid move.
 
-    Infinite bonds admit no finite braid relation, so they contribute no
-    moves; they only forbid the m = 2 swap.
+    A factor w[i:i+m] with m = m(w[i], w[i+1]) is <s,t>_m exactly when it
+    repeats with period 2, and the move replaces it by w[i+1:i+m] and one
+    more letter.  Infinite bonds admit no finite braid relation, so they
+    contribute no moves; they only forbid the m = 2 swap.
     """
+    bond = g.bond_table
     n = len(w)
     for i in range(n - 1):
-        s, t = w[i], w[i + 1]
-        if s == t:
-            continue
-        m = g.m(s, t)
+        m = bond[w[i]][w[i + 1]]
         if m == 2:
-            yield w[:i] + (t, s) + w[i + 2 :]
-        elif not short_only and m != INF and i + m <= n:
-            ok = True
-            for k in range(2, int(m)):
-                if w[i + k] != (s if k % 2 == 0 else t):
-                    ok = False
-                    break
-            if ok:
-                repl = tuple(t if k % 2 == 0 else s for k in range(int(m)))
-                yield w[:i] + repl + w[i + int(m) :]
+            yield w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+        elif m > 2 and not short_only and i + m <= n and w[i + 2 : i + m] == w[i : i + m - 2]:
+            yield w[:i] + w[i + 1 : i + m] + (w[i + m - 2],) + w[i + m :]
+
+
+def long_braid_factors(g: CoxeterGraph, w: Word) -> Iterator[int]:
+    """m for each factor <s,t>_m of w with 3 <= m < INF, in position order:
+    the places where a long braid move applies."""
+    bond = g.bond_table
+    n = len(w)
+    for i in range(n - 2):
+        m = bond[w[i]][w[i + 1]]
+        if m > 2 and i + m <= n and w[i + 2 : i + m] == w[i : i + m - 2]:
+            yield m
 
 
 def _orbit(g: CoxeterGraph, w: Word, cap: int, short_only: bool = False) -> tuple[set[Word], bool]:
@@ -160,15 +164,24 @@ def commutativity_classes(
     return tuple(sorted(classes, key=min))
 
 
+def fc_orbit(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> tuple[frozenset[Word], bool]:
+    """R(w) and True when the reduced word w is FC; otherwise the
+    commutativity class of w and False.
+
+    w is FC exactly when no word of R(w) holds a factor <s,t>_m with m >= 3
+    (Stembridge 1996, Prop. 2.1).  When no word of the commutativity class
+    holds one, the class is closed under every braid move and so is all of
+    R(w); one short-move search thus lists R(w) and decides FC.
+    """
+    cls = commutativity_class(g, w, cap)
+    return cls, not any(next(long_braid_factors(g, u), 0) for u in cls)
+
+
 def is_fc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """True iff R(w) is a single commutativity class (w must be reduced)."""
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    full, truncated = _orbit(g, w, cap)
-    if truncated:
-        raise OrbitCapExceeded(f"braid orbit of {g.format(w)} exceeds cap {cap}")
-    short = commutativity_class(g, w, cap)
-    return len(short) == len(full)
+    return fc_orbit(g, w, cap)[1]
 
 
 def inverse(w: Word) -> Word:

@@ -1,13 +1,18 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import small_system
 from coxheaps import catalog
 from coxheaps import classifier as CL
+from coxheaps import cyclic as CY
 from coxheaps import toric as T
 from coxheaps import words as W
 from coxheaps.coxgraph import CoxeterGraph
 from coxheaps.errors import (
     NotACoxeterWord,
     NotReduced,
+    OrbitCapExceeded,
     SeedWordError,
     ShapeMismatch,
     SpokeError,
@@ -250,3 +255,81 @@ def test_power_collapse_factorization_regression(affine_c2):
     square = W.normal_form(g, w + w)
     assert square.length == 8
     assert square == W.normal_form(g, g.word("s1 s0 s1 s2 s1 s0 s1 s2"))
+
+
+def _brute_classify(g, word):
+    """The report of classify(g, word).to_json(g), rebuilt from the
+    definitions: the word-level rotations of R(w), one commutativity-class
+    listing per rotation, and the cyclic closures listed separately."""
+    rotations = [word[k:] + word[:k] for k in range(len(word))]
+    bad = next((r for r in rotations if not W.is_reduced(g, r)), None)
+    if bad is not None and bad == word:
+        return {
+            "word": g.format(word), "reduced": False, "cyclicallyReduced": False,
+            "toricallyReduced": False, "fc": False, "cfc": False, "tfc": False,
+            "fauxCfc": False,
+            "counts": {"reducedWords": None, "commutativityClasses": None,
+                       "cyclicWords": None, "cyclicCommutativityClasses": None},
+            "witnesses": {"nonReducedRotation": g.format(word)},
+        }
+    rw = W.reduced_words(g, word)
+    rotated = {u[k:] + u[:k] for u in rw for k in range(len(u))}
+    cyclically_reduced = all(W.is_reduced(g, r) for r in rotated)
+    fc = len(W.commutativity_classes(g, word)) == 1
+    cfc = cyclically_reduced and all(len(W.commutativity_classes(g, r)) == 1 for r in rotated)
+    chain = CY.toric_reduction_witness(g, word)
+    counts = {"reducedWords": len(rw), "commutativityClasses": len(W.commutativity_classes(g, word))}
+    witnesses = {}
+    if bad is not None:
+        witnesses["nonReducedRotation"] = g.format(bad)
+    if chain is None:
+        rtor = CY.rtor_cyclic_class(g, word)
+        ctor_classes = {CY.ctor_class(g, cw.canonical) for cw in rtor}
+        counts["cyclicWords"] = len(rtor)
+        counts["cyclicCommutativityClasses"] = len(ctor_classes)
+        tfc = len(ctor_classes) == 1
+    else:
+        witnesses["toricWitnessChain"] = [g.format(u) for u in chain]
+        counts["cyclicWords"] = counts["cyclicCommutativityClasses"] = None
+        tfc = False
+    return {
+        "word": g.format(word), "reduced": True, "cyclicallyReduced": cyclically_reduced,
+        "toricallyReduced": chain is None, "fc": fc, "cfc": cfc, "tfc": tfc,
+        "fauxCfc": tfc and not cfc, "counts": counts, "witnesses": witnesses,
+    }
+
+
+def _elements_up_to(g, max_len):
+    """Shortlex normal forms of all elements of length <= max_len."""
+    out = [()]
+    frontier = [()]
+    for _ in range(max_len):
+        longer = {W.normal_form(g, w + (s,)).word for w in frontier for s in range(g.rank)}
+        frontier = sorted(u for u in longer if len(u) == len(frontier[0]) + 1)
+        out.extend(frontier)
+    return out
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "A~2"])
+def test_classify_matches_brute_force_route(name):
+    g = catalog.coxeter_graph(name)
+    elements = _elements_up_to(g, 7)
+    assert len(set(elements)) == len(elements)
+    for w in elements:
+        assert CL.classify(g, w).to_json(g) == _brute_classify(g, w), g.format(w)
+
+
+@given(small_system())
+def test_classify_matches_brute_force_route_random(gw):
+    g, w = gw
+    assert CL.classify(g, w).to_json(g) == _brute_classify(g, w)
+
+
+@given(small_system(max_len=5), st.integers(1, 64))
+def test_classify_under_cap_answers_alike_or_raises(gw, cap):
+    g, w = gw
+    try:
+        capped = CL.classify(g, w, cap)
+    except OrbitCapExceeded:
+        return
+    assert capped == CL.classify(g, w)

@@ -15,6 +15,7 @@ from coxheaps.coxgraph import (
     support,
 )
 from coxheaps.errors import GraphSpecError, UnknownGenerator, WordSyntaxError
+from coxheaps.words import is_reduced
 
 
 def test_b2_paper_graph_has_two_edges(b3):
@@ -131,6 +132,14 @@ def test_check_word_rejects_out_of_range(b3):
         b3.check_word((0, 5))
 
 
+def test_bool_letters_rejected(b3):
+    # bool is an int subclass; True and False are not generator indices
+    with pytest.raises(UnknownGenerator):
+        is_reduced(b3, (True, False))
+    with pytest.raises(UnknownGenerator):
+        b3.m(True, 0)
+
+
 def test_load_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
@@ -156,6 +165,16 @@ def test_commutes_is_symmetric(gw):
     for i in range(g.rank):
         for j in range(g.rank):
             assert g.commutes(i, j) == g.commutes(j, i)
+
+
+@given(small_system())
+def test_bond_table_matches_bonds(gw):
+    g, _ = gw
+    stored = {(i, j): m for i, j, m in g.bonds()}
+    for i in range(g.rank):
+        for j in range(g.rank):
+            want = 1 if i == j else stored.get((min(i, j), max(i, j)), 2)
+            assert g.bond_table[i][j] == want == g.m(g.name(i), j)
 
 
 @given(small_system())
