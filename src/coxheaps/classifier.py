@@ -25,8 +25,9 @@ from .coxgraph import INF, CoxeterGraph, Word
 from .cyclic import (
     cyclic_decomposition,
     cyclic_word,
+    is_torically_reduced,
     rotation_walk,
-    rtor_words,
+    rtor_cyclic_class,
     toric_reduction_witness,
 )
 from .errors import (
@@ -44,7 +45,6 @@ from .words import (
     fc_orbit,
     is_fc,
     is_reduced,
-    long_braid_factors,
     power_length,
 )
 
@@ -324,9 +324,11 @@ def odd_braid_obstruction(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP
     """Does some word of R_tor(w) contain a factor <s,t>_m with odd m >= 3?
 
     A faux-CFC element can never produce one (an odd braid move changes the
-    letter multiset), so False is a necessary condition for faux CFC.
+    letter multiset), so False is a necessary condition for faux CFC.  Only
+    odd moves change the multiset, and R_tor(w) is closed under braid moves,
+    so one exists exactly when R_tor(w) holds two multisets.
     """
-    return any(m % 2 for u in rtor_words(g, w, cap) for m in long_braid_factors(g, u))
+    return len({tuple(sorted(cw.canonical)) for cw in rtor_cyclic_class(g, w, cap)}) > 1
 
 
 def alternating(s: int, t: int, m: int) -> Word:
@@ -411,12 +413,11 @@ def conjecture_probe(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> 
     seed = word[m:]
     if not is_faux_cfc(g, word, cap):
         raise ShapeMismatch(f"{g.format(w)} is not faux CFC")
-    seed_tor = toric_reduction_witness(g, seed, cap) is None
     shortened = alternating(s, t, m - 2) + seed
     return ConjectureProbe(
         word=word,
         shortened=shortened,
-        seed_torically_reduced=seed_tor,
+        seed_torically_reduced=is_torically_reduced(g, seed, cap),
         shortened_tfc=is_tfc(g, shortened, cap),
         shortened_cfc=is_reduced(g, shortened) and is_cfc(g, shortened, cap),
     )

@@ -158,10 +158,10 @@ def _run(args) -> tuple[dict | str, int]:
         classes = CY.cyclic_decomposition(g, word, cap)
         result = {"count": len(classes), "classes": [_cyclic_words(g, c) for c in classes]}
     elif key == "cyclic.elements":
-        els = CY.torically_equivalent_elements(g, word, cap)
+        rtor = CY.rtor_words(g, word, cap)
         result = {
-            "words": _words(g, CY.rtor_words(g, word, cap)),
-            "elements": sorted(g.format(e.word) for e in els),
+            "words": _words(g, rtor),
+            "elements": sorted({g.format(W.normal_form(g, u).word) for u in rtor}),
         }
     elif key == "heap.build":
         h = H.heap_of_word(g, word)

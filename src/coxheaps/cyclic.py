@@ -9,7 +9,9 @@ conjugation at fixed length:
 * torically reduced: every word reachable by rotations and/or braids is
   reduced (strictly stronger);
 * C_tor([w]): closure of [w] under rotations + short braid moves;
-* R_tor([w]): closure of [w] under rotations + all braid moves.
+* R_tor([w]): closure of [w] under rotations + all braid moves, listed one
+  C_tor class at a time by ``words._listing``, which decides toric
+  reducedness too; ``toric_reduction_witness`` only names a chain of moves.
 
 The toric heap of a word is the toric poset of its dependency graph with
 the position-increasing orientation, labeled by the letters; its total
@@ -37,6 +39,8 @@ from .heaps import occurrence_alignment, word_orientation
 from .words import (
     DEFAULT_ORBIT_CAP,
     NormalForm,
+    _least_rotation,
+    _listing,
     braid_moves,
     fc_orbit,
     is_reduced,
@@ -59,24 +63,10 @@ def cyclic_word(w: Iterable[int]) -> CyclicWord:
     return CyclicWord(_least_rotation(tuple(w)))
 
 
-def _least_rotation(word: Word) -> Word:
-    return min((word[k:] + word[:k] for k in range(len(word))), default=())
-
-
 def rotations(cw: CyclicWord | Word) -> tuple[Word, ...]:
     """Distinct rotations, in rotation order starting from the canonical one."""
     word = cw.canonical if isinstance(cw, CyclicWord) else _least_rotation(tuple(cw))
-    return _rotations(word) if word else ((),)
-
-
-def _rotations(word: Word) -> tuple[Word, ...]:
-    return tuple(dict.fromkeys(word[k:] + word[:k] for k in range(len(word))))
-
-
-def has_cyclic_repeat(word: Word) -> bool:
-    """Two equal letters adjacent in the cyclic order (wrap-around included)."""
-    m = len(word)
-    return m > 1 and any(word[i] == word[(i + 1) % m] for i in range(m))
+    return tuple(dict.fromkeys(word[k:] + word[:k] for k in range(len(word)))) if word else ((),)
 
 
 def is_cyclically_reduced_word(g: CoxeterGraph, w: Word) -> bool:
@@ -173,73 +163,38 @@ def toric_reduction_witness(
 def is_torically_reduced(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """Reduced under every sequence of rotations and/or braid moves.
 
-    Word and element level coincide: any reduced word for a torically
-    reduced element certifies all of them (asserted empirically in tests).
+    By Tits' criterion the listing of R_tor([w]) meets a cyclic repeat
+    exactly when w is not.  Word and element level coincide: any reduced
+    word for a torically reduced element certifies all of them (asserted
+    empirically in tests).
     """
-    return toric_reduction_witness(g, w, cap) is None
-
-
-def _cyclic_closure(
-    g: CoxeterGraph, w: Word, cap: int, short_only: bool
-) -> frozenset[CyclicWord]:
-    """Closure of [w] under braid moves applied to any rotation.
-
-    Raises NotToricallyReduced as soon as a visited cyclic word carries two
-    equal cyclically-adjacent letters; by Tits' criterion the closure of a
-    non-torically-reduced word always produces one.
-    """
-    start = _least_rotation(g.check_word(w))
-    if has_cyclic_repeat(start):
-        raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
-    seen = {start}  # canonical rotations
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for rot in _rotations(cur):
-            for moved in braid_moves(g, rot, short_only=short_only):
-                nxt = _least_rotation(moved)
-                if nxt in seen:
-                    continue
-                if has_cyclic_repeat(nxt):
-                    raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
-                if len(seen) >= cap:
-                    raise OrbitCapExceeded(f"cyclic closure of {g.format(w)} exceeds cap {cap}")
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(map(CyclicWord, seen))
+    try:
+        _listing(g, w, cap, "cyclic closure", cyclic=True)
+    except NotToricallyReduced:
+        return False
+    return True
 
 
 def rtor_cyclic_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[CyclicWord]:
     """R_tor([w]): cyclic words reachable by rotations and all braid moves.
 
-    The full closure under all braids detects any failure of toric
-    reducedness, so the precondition is checked by the search itself.
+    The listing detects any failure of toric reducedness, so the
+    precondition is checked by the search itself.
     """
-    return _cyclic_closure(g, w, cap, short_only=False)
+    return frozenset(map(CyclicWord, _listing(g, w, cap, "cyclic closure", cyclic=True)[0]))
 
 
 def ctor_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[CyclicWord]:
-    """C_tor([w]): cyclic words reachable by rotations and short braid moves."""
-    if not is_torically_reduced(g, w, cap):
-        raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
-    return _cyclic_closure(g, w, cap, short_only=True)
+    """C_tor([w]): the class of [w] in the listing of R_tor([w]) by classes."""
+    return frozenset(map(CyclicWord, _listing(g, w, cap, "cyclic closure", cyclic=True)[1][0]))
 
 
 def cyclic_decomposition(
     g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP
 ) -> tuple[frozenset[CyclicWord], ...]:
     """Partition of R_tor([w]) into cyclic commutativity classes."""
-    whole = rtor_cyclic_class(g, w, cap)
-    remaining = set(whole)
-    classes = []
-    while remaining:
-        seed = min(remaining)
-        cls = _cyclic_closure(g, seed.canonical, cap, short_only=True)
-        if not cls <= remaining:
-            raise AssertionError("cyclic commutativity class escaped R_tor([w])")
-        classes.append(cls)
-        remaining -= cls
-    return tuple(sorted(classes, key=min))
+    classes = _listing(g, w, cap, "cyclic closure", cyclic=True)[1]
+    return tuple(sorted((frozenset(map(CyclicWord, c)) for c in classes), key=min))
 
 
 def rtor_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[Word]:

@@ -8,10 +8,10 @@ words of its element (Matsumoto's theorem).
 Deciding needs no search: ``is_reduced`` and ``normal_form`` use the exact
 root-sequence criterion in ``roots``, in time polynomial in the length, so
 they and ``multiply``, ``conjugate`` and ``power_length`` take no cap.
-Braid-orbit search remains where a set must be listed (``braid_orbit``,
-``reduced_words``, the commutativity classes); those searches carry a cap
-and raise ``OrbitCapExceeded`` as an inconclusive outcome rather than ever
-guessing.
+Where a set must be listed, one search, ``_listing``, lists a braid
+closure one commutativity class at a time; it also lists R_tor([w]) for
+``cyclic``.  It carries a cap and raises ``OrbitCapExceeded`` as an
+inconclusive outcome rather than ever guessing.
 
 All functions are pure; words are tuples of generator indices.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .coxgraph import CoxeterGraph, Word
-from .errors import NotReduced, OrbitCapExceeded
+from .errors import NotReduced, NotToricallyReduced, OrbitCapExceeded
 
 DEFAULT_ORBIT_CAP = 2_000_000
 
@@ -73,51 +73,104 @@ def braid_moves(g: CoxeterGraph, w: Word, short_only: bool = False) -> Iterator[
             yield w[:i] + w[i + 1 : i + m] + (w[i + m - 2],) + w[i + m :]
 
 
-def long_braid_factors(g: CoxeterGraph, w: Word) -> Iterator[int]:
-    """m for each factor <s,t>_m of w with 3 <= m < INF, in position order:
-    the places where a long braid move applies."""
-    bond = g.bond_table
-    n = len(w)
-    for i in range(n - 2):
-        m = bond[w[i]][w[i + 1]]
-        if m > 2 and i + m <= n and w[i + 2 : i + m] == w[i : i + m - 2]:
-            yield m
+def _least_rotation(word: Word) -> Word:
+    return min((word[k:] + word[:k] for k in range(len(word))), default=())
 
 
-def _orbit(g: CoxeterGraph, w: Word, cap: int, short_only: bool = False) -> tuple[set[Word], bool]:
-    """BFS closure under braid moves; returns (visited, truncated)."""
+def has_cyclic_repeat(word: Word) -> bool:
+    """Two equal letters adjacent in the cyclic order (wrap-around included)."""
+    m = len(word)
+    return m > 1 and any(word[i] == word[(i + 1) % m] for i in range(m))
+
+
+def _listing(
+    g: CoxeterGraph, w: Word, cap: int, what: str | None, cyclic: bool = False, first: bool = False
+) -> tuple[dict[Word, int], list[list[Word]]]:
+    """List the braid closure of w one commutativity class at a time, w's first.
+
+    A short move (m = 2) adds its result to the class being listed; a long
+    move queues it as the seed of a later class.  ``found`` maps each word
+    found to its class index, or to -1 while queued, so each word is
+    expanded once.  With ``first`` only w's class is listed, and the words
+    left queued are those long moves reach from it.  The first word listed
+    past the cap raises OrbitCapExceeded for ``what``, or, with ``what``
+    None, is queued and ends the search.  With ``cyclic`` the words are
+    least rotations, the moves act on every rotation, and a word with a
+    cyclic repeat raises NotToricallyReduced when met, before the cap.
+    """
     start = g.check_word(w)
-    seen = {start}
-    queue = deque([start])
-    truncated = False
-    while queue:
-        cur = queue.popleft()
-        for nxt in braid_moves(g, cur, short_only):
-            if nxt in seen:
-                continue
-            if len(seen) >= cap:
-                truncated = True
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-    return seen, truncated
+    if cyclic:
+        start = _least_rotation(start)
+        if has_cyclic_repeat(start):
+            raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
+    bond = g.bond_table
+    n = len(start)
+    # a cyclic move is the move at position 0 of one rotation
+    positions = range(n > 1) if cyclic else range(n - 1)
+    found = {start: 0}
+    classes = [[start]]
+    seeds: deque[Word] = deque()
+    get = found.get
+    listed = 1
+    for index, members in enumerate(classes):
+        for cur in members:
+            for u in [cur[k:] + cur[:k] for k in range(n)] if cyclic else (cur,):
+                for i in positions:
+                    m = bond[u[i]][u[i + 1]]
+                    if m == 2:
+                        nxt = u[:i] + (u[i + 1], u[i]) + u[i + 2 :]
+                    elif m > 2 and i + m <= n and u[i + 2 : i + m] == u[i : i + m - 2]:
+                        nxt = u[:i] + u[i + 1 : i + m] + (u[i + m - 2],) + u[i + m :]
+                    else:
+                        continue
+                    if cyclic:
+                        nxt = _least_rotation(nxt)
+                    state = get(nxt)
+                    if state is None:
+                        if cyclic and has_cyclic_repeat(nxt):
+                            raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
+                        if m > 2:
+                            found[nxt] = -1
+                            seeds.append(nxt)
+                            continue
+                    elif state >= 0 or m > 2:
+                        continue
+                    if listed >= cap:
+                        return _cut(g, w, cap, what, found, nxt), classes
+                    listed += 1
+                    found[nxt] = index
+                    members.append(nxt)
+        while seeds and found[seeds[0]] >= 0:
+            seeds.popleft()
+        if seeds and not first:
+            if listed >= cap:
+                return _cut(g, w, cap, what, found, seeds[0]), classes
+            listed += 1
+            found[seeds[0]] = len(classes)
+            classes.append([seeds.popleft()])
+    return found, classes
+
+
+def _cut(g: CoxeterGraph, w: Word, cap: int, what: str | None, found: dict, past: Word) -> dict:
+    if what is not None:
+        raise OrbitCapExceeded(f"{what} of {g.format(w)} exceeds cap {cap}")
+    found.setdefault(past, -1)
+    return found
 
 
 def braid_orbit(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> BraidOrbit:
-    """BFS closure of {w} under all single braid moves.
+    """Closure of {w} under all single braid moves.
 
     Truncation is a flagged result, not an error.
     """
-    words, truncated = _orbit(g, w, cap)
-    return BraidOrbit(frozenset(words), g.check_word(w), truncated)
+    found, _ = _listing(g, w, cap, None)
+    words = frozenset(u for u, index in found.items() if index >= 0)
+    return BraidOrbit(words, g.check_word(w), len(words) < len(found))
 
 
 def commutativity_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[Word]:
     """Closure of {w} under short braid moves only (the trace of w)."""
-    words, truncated = _orbit(g, w, cap, short_only=True)
-    if truncated:
-        raise OrbitCapExceeded(f"commutativity class of {g.format(w)} exceeds cap {cap}")
-    return frozenset(words)
+    return frozenset(_listing(g, w, cap, "commutativity class", first=True)[1][0])
 
 
 def is_reduced(g: CoxeterGraph, w: Word) -> bool:
@@ -141,27 +194,17 @@ def reduced_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> fro
     """R(w): all reduced words for the element of the reduced word w."""
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    words, truncated = _orbit(g, w, cap)
-    if truncated:
-        raise OrbitCapExceeded(f"reduced-word set of {g.format(w)} exceeds cap {cap}")
-    return frozenset(words)
+    return frozenset(_listing(g, w, cap, "reduced-word set")[0])
 
 
 def commutativity_classes(
     g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP
 ) -> tuple[frozenset[Word], ...]:
     """Partition of R(w) under short braid moves, ordered by least member."""
-    rw = reduced_words(g, w, cap)
-    remaining = set(rw)
-    classes = []
-    while remaining:
-        seed = min(remaining)
-        cls = commutativity_class(g, seed, cap)
-        if not cls <= remaining:
-            raise AssertionError("commutativity class escaped R(w)")
-        classes.append(cls)
-        remaining -= cls
-    return tuple(sorted(classes, key=min))
+    if not is_reduced(g, w):
+        raise NotReduced(f"{g.format(w)} is not reduced")
+    classes = _listing(g, w, cap, "reduced-word set")[1]
+    return tuple(sorted(map(frozenset, classes), key=min))
 
 
 def fc_orbit(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> tuple[frozenset[Word], bool]:
@@ -169,12 +212,12 @@ def fc_orbit(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> tuple[fr
     commutativity class of w and False.
 
     w is FC exactly when no word of R(w) holds a factor <s,t>_m with m >= 3
-    (Stembridge 1996, Prop. 2.1).  When no word of the commutativity class
-    holds one, the class is closed under every braid move and so is all of
-    R(w); one short-move search thus lists R(w) and decides FC.
+    (Stembridge 1996, Prop. 2.1).  When no long move leaves the
+    commutativity class, the class is closed under every braid move and so
+    is all of R(w); one listing of the class thus lists R(w) and decides FC.
     """
-    cls = commutativity_class(g, w, cap)
-    return cls, not any(next(long_braid_factors(g, u), 0) for u in cls)
+    found, classes = _listing(g, w, cap, "commutativity class", first=True)
+    return frozenset(classes[0]), len(found) == len(classes[0])
 
 
 def is_fc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:

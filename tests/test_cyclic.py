@@ -67,6 +67,9 @@ def test_rtor_and_ctor_running_example(b3):
     assert CY.ctor_class(b3, w) == rt
     assert len(CY.cyclic_decomposition(b3, w)) == 1
     assert len(CY.rtor_words(b3, w)) == 10
+    # the cap counts the 2 cyclic words, not the 10 words of the closure
+    assert CY.ctor_class(b3, w, cap=2) == rt
+    assert CY.is_torically_reduced(b3, w, cap=2)
     elements = CY.torically_equivalent_elements(b3, w)
     assert len(elements) == 4
 
@@ -118,6 +121,21 @@ def test_decomposition_partitions_rtor(b3, affine_a2):
             assert part and not (part & seen)
             seen |= part
         assert seen == whole
+
+
+@given(small_system(max_len=6))
+@settings(max_examples=30)
+def test_one_pass_partitions_match_heaps(gw):
+    # the class-by-class listings against heaps and toric heaps, and the
+    # cyclic listing's toric reducedness against the word-level chain search
+    g, w = gw
+    assert CY.is_torically_reduced(g, w) == (CY.toric_reduction_witness(g, w) is None)
+    w = W.normal_form(g, w).word
+    for cls in W.commutativity_classes(g, w):
+        assert cls == H.linear_extensions(H.heap_of_word(g, min(cls)))
+    if CY.is_torically_reduced(g, w):
+        for cls in CY.cyclic_decomposition(g, w):
+            assert cls == CY.ltor(CY.toric_heap_of_word(g, min(cls).canonical))
 
 
 def test_toric_heap_running_example(b3):

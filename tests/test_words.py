@@ -22,9 +22,14 @@ def test_braid_orbit_m3_and_empty(a3):
 
 
 def test_braid_orbit_truncation_flagged(b3):
-    orbit = W.braid_orbit(b3, b3.word("s1 s2 s1 s2"), cap=1)
+    w = b3.word("s1 s2 s1 s2")
+    orbit = W.braid_orbit(b3, w, cap=1)
     assert orbit.truncated
     assert len(orbit.words) == 1
+    # the cap counts listed words: the long-move neighbour of the one-word
+    # class is found but not listed
+    assert W.commutativity_class(b3, w, cap=1) == {w}
+    assert W.fc_orbit(b3, w, cap=1) == ({w}, False)
 
 
 def test_is_reduced_examples(a3, b3):
