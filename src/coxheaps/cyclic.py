@@ -30,7 +30,6 @@ from .coxgraph import CoxeterGraph, Word
 from .errors import (
     GraphMismatch,
     NotAcyclic,
-    NotReduced,
     NotToricallyReduced,
     OrbitCapExceeded,
     TooLarge,
@@ -77,9 +76,8 @@ def is_cyclically_reduced_word(g: CoxeterGraph, w: Word) -> bool:
 
 def is_cyclically_reduced_element(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """Every reduced word for the element of w is cyclically reduced
-    (``rotation_walk`` over R(w), without its CFC half)."""
-    if not is_reduced(g, w):
-        raise NotReduced(f"{g.format(w)} is not reduced")
+    (``rotation_walk`` over R(w), without its CFC half); ``reduced_words``
+    raises NotReduced when w is not reduced."""
     word = g.check_word(w)
     return rotation_walk(g, word, reduced_words(g, word, cap), False, cap)[0] is None
 

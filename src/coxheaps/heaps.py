@@ -20,6 +20,7 @@ from typing import Iterable
 from .coxgraph import CoxeterGraph, Word
 from .errors import ExtensionCapExceeded, GraphMismatch
 from . import toric
+from .toric import _bits
 
 DEFAULT_EXTENSION_CAP = 1_000_000
 
@@ -49,13 +50,6 @@ class Heap:
             for j in _bits(mask):
                 out[j] |= 1 << i
         return tuple(out)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def word_graph(g: CoxeterGraph, w: Word) -> toric.Graph:

@@ -9,6 +9,13 @@ class reports.
 
 Counts: |Acyc(G)| = T_G(2, 0) and |Acyc(G)/~| = T_G(1, 0), where T_G is the
 Tutte polynomial; both are exercised by the test suite.
+
+Toric chains, the toric transitive closure and the toric Hasse diagram are
+decided by closed criteria on reachability bitsets of the representative
+(Develin-Macauley-Reiner, *Toric partial orders*, Trans. AMS 368, 2016),
+with no path search and no listing of total toric extensions; the test
+suite checks each against a search-based route.  Only the total toric
+extensions themselves, a set that must be listed, are enumerated.
 """
 
 from __future__ import annotations
@@ -113,23 +120,94 @@ class AcyclicOrientation:
         return format(self.forward, f"0{len(self.graph.edges)}b")[::-1] if self.graph.edges else ""
 
 
+def _bits(mask: int):
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _successors(n: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
+    """succ[v] = bitmask of the heads of the arcs leaving v."""
+    succ = [0] * n
+    for a, b in arcs:
+        succ[a] |= 1 << b
+    return succ
+
+
+def _sink_layers(succ: Sequence[int]) -> list[int]:
+    """Bitmasks of the layers of sinks peeled off a digraph in turn, so that
+    every vertex lies in a later layer than each vertex it points to.  The
+    layers miss some vertex exactly when the digraph has a directed cycle."""
+    layers = []
+    left = (1 << len(succ)) - 1
+    while left:
+        sinks = 0
+        for v in _bits(left):
+            if not succ[v] & left:
+                sinks |= 1 << v
+        if not sinks:
+            break
+        layers.append(sinks)
+        left ^= sinks
+    return layers
+
+
 def _has_cycle(graph: Graph, forward: int) -> bool:
-    indeg = [0] * graph.n
-    adj: list[list[int]] = [[] for _ in range(graph.n)]
+    succ = [0] * graph.n
     for k, (a, b) in enumerate(graph.edges):
-        u, v = (a, b) if forward >> k & 1 else (b, a)
-        adj[u].append(v)
-        indeg[v] += 1
-    queue = deque(v for v in range(graph.n) if indeg[v] == 0)
-    seen = 0
-    while queue:
-        u = queue.popleft()
-        seen += 1
-        for v in adj[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen != graph.n
+        if forward >> k & 1:
+            succ[a] |= 1 << b
+        else:
+            succ[b] |= 1 << a
+    return sum(_sink_layers(succ)) != (1 << graph.n) - 1
+
+
+def _reach(succ: Sequence[int]) -> tuple[list[int], list[int]]:
+    """down[v] / up[v]: bitmasks of the vertices that v reaches / that reach
+    v along arcs of an acyclic digraph, v itself included."""
+    n = len(succ)
+    down = [1 << v for v in range(n)]
+    for layer in _sink_layers(succ):
+        for u in _bits(layer):
+            for v in _bits(succ[u]):
+                down[u] |= down[v]
+    up = [0] * n
+    for u in range(n):
+        for v in _bits(down[u]):
+            up[v] |= 1 << u
+    return down, up
+
+
+def _on_toric_path(down: Sequence[int], up: Sequence[int], arcs: Iterable[tuple[int, int]], targets: int) -> bool:
+    """Whether the vertex set ``targets`` lies on a toric directed path.
+
+    Closed criterion: the set is a chain under reachability, and some arc
+    a -> b has all of it in the interval [a, b].  The chain, padded by paths
+    from a and to b, is a directed a -> b path that the arc a -> b closes;
+    conversely a closed path's vertices lie in [a, b] and are totally
+    ordered (Develin-Macauley-Reiner 2016).
+    """
+    if any(targets & ~(down[v] | up[v]) for v in _bits(targets)):
+        return False
+    return any(not targets & ~(down[a] & up[b]) for a, b in arcs)
+
+
+def _component(succ: Sequence[int], v: int) -> int:
+    """Bitmask of the vertices joined to v, the arcs read as undirected."""
+    near = list(succ)
+    for u, mask in enumerate(succ):
+        for w in _bits(mask):
+            near[w] |= 1 << u
+    seen = frontier = 1 << v
+    while frontier:
+        grown = 0
+        for u in _bits(frontier):
+            grown |= near[u]
+        frontier = grown & ~seen
+        seen |= frontier
+    return seen
 
 
 def orientation_from_pairs(graph: Graph, pairs: Iterable[tuple[int, int]]) -> AcyclicOrientation:
@@ -170,8 +248,10 @@ def all_acyclic_orientations(graph: Graph, max_edges: int = MAX_ENUM_EDGES) -> t
         raise TooLarge(f"{e} edges exceeds the exhaustive enumeration bound {max_edges}")
     out = []
     for mask in range(1 << e):
-        if not _has_cycle(graph, mask):
+        try:
             out.append(AcyclicOrientation(graph, mask))
+        except NotAcyclic:
+            pass
     return tuple(out)
 
 
@@ -224,14 +304,15 @@ def toric_class(o: AcyclicOrientation, cap: int = DEFAULT_CLASS_CAP) -> frozense
 
 def toric_classes(graph: Graph, cap: int = DEFAULT_CLASS_CAP) -> tuple[frozenset[AcyclicOrientation], ...]:
     """Partition of Acyc(graph) into toric equivalence classes."""
-    remaining = {o.forward for o in all_acyclic_orientations(graph)}
+    orients = {o.forward: o for o in all_acyclic_orientations(graph)}
+    remaining = set(orients)
     classes = []
     while remaining:
         seed = min(remaining)
         masks = _class_masks(graph, seed, cap).keys()
         if not masks <= remaining:
             raise AssertionError("toric class escaped Acyc(G)")
-        classes.append(frozenset(AcyclicOrientation(graph, m) for m in masks))
+        classes.append(frozenset(orients[m] for m in masks))
         remaining -= masks
     return tuple(sorted(classes, key=lambda c: min(o.forward for o in c)))
 
@@ -297,45 +378,14 @@ def is_toric_directed_path(o: AcyclicOrientation, seq: Sequence[int]) -> bool:
     return (seq[0], seq[-1]) in directed
 
 
-def _covering_toric_path_exists(o: AcyclicOrientation, targets: frozenset[int]) -> bool:
-    """Is there a toric directed path whose vertex set covers ``targets``?
-
-    Tries every directed edge (start, goal) as the closing edge and searches
-    the simple directed start -> goal paths it closes; a path never reuses
-    the closing edge because reaching the goal terminates it.
-    """
-    adj: dict[int, list[int]] = {}
-    for a, b in o.directed_edges():
-        adj.setdefault(a, []).append(b)
-
-    def dfs(cur: int, goal: int, visited: set[int]) -> bool:
-        if cur == goal:
-            return targets <= visited
-        for nxt in adj.get(cur, ()):
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            if dfs(nxt, goal, visited):
-                return True
-            visited.remove(nxt)
-        return False
-
-    for start, goal in o.directed_edges():
-        if targets <= {start, goal}:
-            return True  # the edge itself is a two-element toric directed path
-        for mid in adj.get(start, ()):
-            if mid == goal:
-                continue
-            if dfs(mid, goal, {start, mid}):
-                return True
-    return False
-
-
 def is_toric_chain(t: ToricPoset, subset: Iterable[int]) -> bool:
     """True iff the subset lies on a toric directed path of the representative.
 
-    Singletons and the empty set are vacuously toric chains.  The verdict
-    does not depend on the choice of representative (exercised in tests).
+    Decided by the closed criterion of ``_on_toric_path``: the subset is a
+    chain under reachability and fits in the interval [a, b] of one arc
+    a -> b (Develin-Macauley-Reiner 2016).  Singletons and the empty set are
+    vacuously toric chains.  The verdict does not depend on the choice of
+    representative (exercised in tests).
     """
     targets = frozenset(subset)
     for v in targets:
@@ -343,20 +393,27 @@ def is_toric_chain(t: ToricPoset, subset: Iterable[int]) -> bool:
             raise IndexError(f"vertex {v} out of range")
     if len(targets) <= 1:
         return True
-    return _covering_toric_path_exists(t.representative, targets)
+    arcs = t.representative.directed_edges()
+    down, up = _reach(_successors(t.graph.n, arcs))
+    return _on_toric_path(down, up, arcs, sum(1 << v for v in targets))
 
 
 def toric_transitive_closure(t: ToricPoset) -> Graph:
-    """Add every non-edge whose endpoints form a toric chain."""
+    """Add every non-edge whose endpoints form a toric chain.
+
+    A pair is a toric chain exactly when it is comparable and lies in the
+    interval [a, b] of an arc a -> b, so the closure joins the comparable
+    pairs inside each arc's interval.
+    """
     g = t.graph
-    present = set(g.edges)
-    added = [
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if (i, j) not in present and is_toric_chain(t, (i, j))
-    ]
-    return Graph(g.n, tuple(sorted(present | set(added))))
+    arcs = t.representative.directed_edges()
+    down, up = _reach(_successors(g.n, arcs))
+    pairs = set(g.edges)
+    for a, b in arcs:
+        inside = down[a] & up[b]
+        for v in _bits(inside):
+            pairs.update((v, w) if v < w else (w, v) for w in _bits(inside & down[v] & ~(1 << v)))
+    return Graph(g.n, tuple(sorted(pairs)))
 
 
 def _restrict(o: AcyclicOrientation, subgraph: Graph) -> AcyclicOrientation:
@@ -372,22 +429,29 @@ def _restrict(o: AcyclicOrientation, subgraph: Graph) -> AcyclicOrientation:
 
 
 def toric_hasse(t: ToricPoset) -> Graph:
-    """Remove every edge whose removal preserves the total toric extensions.
+    """Remove, greedily over the canonical edge order, every edge whose
+    removal preserves the total toric extensions.
 
-    Greedy over the canonical edge order; equality of total-toric-extension
-    sets is a faithful finite proxy because a toric poset is determined by
-    its total toric extensions.
+    Removing e = {a, b} from the current graph K preserves them exactly when
+    e is a bridge of K, or {a, b} is a toric chain of t restricted to K - e
+    (Develin-Macauley-Reiner 2016): a bridge constrains no cyclic order, and
+    otherwise e is implied precisely when it lies in the toric transitive
+    closure of K - e.  The test suite checks this against the greedy pass
+    that compares total-toric-extension sets.  The total-order bound
+    ``MAX_TOTAL_ORDER_VERTICES`` applies, as it does to that pass.
     """
-    base = total_toric_extensions(t)
     g = t.graph
-    keep = list(g.edges)
+    if g.n > MAX_TOTAL_ORDER_VERTICES:
+        raise TooLarge(f"{g.n} vertices exceeds the total-order search bound {MAX_TOTAL_ORDER_VERTICES}")
+    keep = dict(zip(g.edges, t.representative.directed_edges()))
     for e in g.edges:
-        trial = [f for f in keep if f != e]
-        sub = Graph(g.n, tuple(trial))
-        t_try = ToricPoset(_restrict(t.representative, sub), cap=t.cap)
-        if total_toric_extensions(t_try) == base:
-            keep = trial
-    return Graph(g.n, tuple(keep))
+        a, b = keep.pop(e)
+        succ = _successors(g.n, keep.values())
+        down, up = _reach(succ)
+        bridge = not _component(succ, a) >> b & 1
+        if not (bridge or _on_toric_path(down, up, keep.values(), 1 << a | 1 << b)):
+            keep[e] = (a, b)
+    return Graph(g.n, tuple(sorted(keep)))
 
 
 def is_toric_extension(t_big: ToricPoset, t: ToricPoset) -> bool:
@@ -414,28 +478,6 @@ def canonical_cycle(order: Sequence[int]) -> tuple[int, ...]:
     return order[k:] + order[:k]
 
 
-def _topological_orders(o: AcyclicOrientation):
-    """All vertex orders that linearize the orientation (backtracking)."""
-    n = o.graph.n
-    preds = [0] * n
-    for a, b in o.directed_edges():
-        preds[b] |= 1 << a
-    order: list[int] = []
-
-    def rec(used: int):
-        if len(order) == n:
-            yield tuple(order)
-            return
-        for v in range(n):
-            if used >> v & 1 or preds[v] & ~used:
-                continue
-            order.append(v)
-            yield from rec(used | (1 << v))
-            order.pop()
-
-    yield from rec(0)
-
-
 def total_toric_extensions(
     t: ToricPoset, max_vertices: int = MAX_TOTAL_ORDER_VERTICES
 ) -> frozenset[tuple[int, ...]]:
@@ -443,18 +485,50 @@ def total_toric_extensions(
 
     A cyclic ordering extends t exactly when one of its linearizations,
     read as an orientation of the complete graph, restricts on G to a class
-    member; equivalently (and computed here) it linearizes some member of
-    the class.  The brute-force scan over all (n-1)! cyclic orderings is
-    kept in the test suite as an independent oracle.
+    member; equivalently it linearizes some member of the class.  Moving
+    the first vertex of a linear order to the end flips a source of its
+    restriction to G into a sink, so all n linearizations of a cyclic
+    ordering restrict into the one class (Develin-Macauley-Reiner 2016).
+    Each cyclic ordering is therefore listed once, as its linearization
+    that starts at vertex 0, over the members in which 0 has no in-edge.
+    The brute-force scan over all (n-1)! cyclic orderings is kept in the
+    test suite as an independent oracle.
     """
     n = t.graph.n
     if n > max_vertices:
         raise TooLarge(f"{n} vertices exceeds the total-order search bound {max_vertices}")
-    out: set[tuple[int, ...]] = set()
+    if n == 0:
+        return frozenset({()})
+    zero = t.graph.incident[0]  # edges (0, b): bit set means 0 -> b
+    out: list[tuple[int, ...]] = []
     for member in t.members:
-        for order in _topological_orders(member):
-            out.add(canonical_cycle(order))
+        if member.forward & zero == zero:
+            out.extend(_orders_from_zero(member))
     return frozenset(out)
+
+
+def _orders_from_zero(o: AcyclicOrientation) -> list[tuple[int, ...]]:
+    """The linearizations of o that start at vertex 0, which has no in-edge."""
+    n = o.graph.n
+    preds = [0] * n
+    for a, b in o.directed_edges():
+        preds[b] |= 1 << a
+    full = (1 << n) - 1
+    order = [0]
+    out: list[tuple[int, ...]] = []
+
+    def rec(used: int) -> None:
+        if used == full:
+            out.append(tuple(order))
+            return
+        for v in range(1, n):
+            if not used >> v & 1 and not preds[v] & ~used:
+                order.append(v)
+                rec(used | 1 << v)
+                order.pop()
+
+    rec(1)
+    return out
 
 
 def total_toric_order(n: int, order: Sequence[int], cap: int = DEFAULT_CLASS_CAP) -> ToricPoset:
@@ -561,6 +635,8 @@ def brute_total_toric_extensions(t: ToricPoset) -> frozenset[tuple[int, ...]]:
     in the factorial; meant for cross-validation at small n.
     """
     n = t.graph.n
+    if n == 0:
+        return frozenset({()})  # the empty cyclic ordering extends the empty poset
     members = {o.forward for o in t.members}
     edge_index = {e: k for k, e in enumerate(t.graph.edges)}
     out = set()

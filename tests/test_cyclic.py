@@ -39,7 +39,7 @@ def test_cyclically_reduced_examples(b3):
 
 
 def test_cyclically_reduced_element_requires_reduced(a3):
-    with pytest.raises(NotReduced):
+    with pytest.raises(NotReduced, match="^s1 s1 is not reduced$"):
         CY.is_cyclically_reduced_element(a3, a3.word("s1 s1"))
 
 

@@ -27,3 +27,13 @@ def test_conjecture_evidence_has_no_counterexample():
     done = _run("conjecture_evidence.py")
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "counterexamples: 0"
+
+
+def test_render_figures_b3(tmp_path):
+    done = _run("render_figures.py", "--type", "B3", "--word", "s3 s1 s2 s1 s2", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    for name, kind in (("diagram.gv", "graph coxeter {"), ("heap.gv", "digraph heap {"),
+                       ("toric_heap.gv", "digraph toric_heap {")):
+        text = (tmp_path / name).read_text()
+        assert text.startswith(kind) and text.endswith("}\n"), name
+        assert "->" in text or "--" in text, name

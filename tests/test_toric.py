@@ -1,11 +1,18 @@
+import json
 import math
+import os
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from coxheaps import catalog
+from coxheaps import heaps as H
 from coxheaps import toric as T
+from coxheaps import words as W
+from coxheaps.cli import main
 from coxheaps.errors import ClassCapExceeded, GraphMismatch, NotAcyclic, NotASource, TooLarge
 
 
@@ -177,7 +184,16 @@ def test_toric_chains_closed_under_subsets():
                         assert T.is_toric_chain(t, sub)
 
 
-def test_closure_and_hasse_quadruple():
+B3_JSON = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "graphs", "b3.json")
+# the reports for the README's B3 word, pinned byte for byte
+B3_RESULTS = {
+    "hasse": {"edges": [[1, 3], [1, 5], [2, 3], [2, 5], [3, 4], [4, 5]]},
+    "closure": {"edges": [[1, 3], [1, 4], [1, 5], [2, 3], [2, 4], [2, 5], [3, 4], [3, 5], [4, 5]]},
+    "ltor": {"cyclicWords": ["[s1 s2 s1 s2 s3]", "[s1 s2 s1 s3 s2]"]},
+}
+
+
+def test_closure_and_hasse_quadruple(capsys):
     assert T.toric_transitive_closure(T.ToricPoset(natural(C4))) == K4
     assert T.toric_transitive_closure(T.ToricPoset(natural(L4))) == L4
     assert T.toric_hasse(T.ToricPoset(natural(K4))) == C4
@@ -185,6 +201,19 @@ def test_closure_and_hasse_quadruple():
     t = T.ToricPoset(T.AcyclicOrientation(edgeless, 0))
     assert T.toric_transitive_closure(t) == edgeless
     assert T.toric_hasse(t) == edgeless
+    # a tree, or a lone edge, constrains no cyclic order
+    star = T.Graph(5, ((0, 1), (0, 2), (0, 3), (3, 4)))
+    for tree in (T.Graph(2, ((0, 1),)), L4, star):
+        for o in T.all_acyclic_orientations(tree):
+            assert T.toric_hasse(T.ToricPoset(o)) == T.Graph(tree.n, ())
+    # no 3-element toric chain, yet every edge of C5 is needed
+    assert T.toric_hasse(T.ToricPoset(OMEGA)) == C5
+    word = "s3 s1 s2 s1 s2"
+    for command, result in B3_RESULTS.items():
+        assert main(["toric", command, "-g", B3_JSON, word]) == 0
+        report = {"schemaVersion": 1, "command": f"toric.{command}",
+                  "input": {"graph": B3_JSON, "word": word}, "result": result}
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
 
 W_C2 = T.orientation_from_pairs(C4, [(0, 1), (2, 1), (2, 3), (0, 3)])
@@ -255,6 +284,21 @@ def test_total_extensions_match_bruteforce(o):
     assert T.total_toric_extensions(t) == T.brute_total_toric_extensions(t)
 
 
+@pytest.mark.parametrize("name", ["B3", "A~3"])
+def test_total_extensions_match_bruteforce_on_toric_heaps(name):
+    g = catalog.coxeter_graph(name)
+    rng = random.Random(name)
+    for length in range(9):
+        for _ in range(3):
+            word = []
+            while len(word) < length:  # B3's longest element has 9 letters; A~3 is infinite
+                s = rng.randrange(g.rank)
+                if W.is_reduced(g, word + [s]):
+                    word.append(s)
+            t = T.ToricPoset(H.word_orientation(g, word))
+            assert T.total_toric_extensions(t) == T.brute_total_toric_extensions(t), word
+
+
 def _hasse_with_order(t, edge_order):
     base = T.total_toric_extensions(t)
     keep = list(t.graph.edges)
@@ -267,11 +311,59 @@ def _hasse_with_order(t, edge_order):
     return T.Graph(t.graph.n, tuple(sorted(keep)))
 
 
+def _covering_toric_path_exists(o, targets):
+    """Is there a toric directed path whose vertex set covers ``targets``?
+
+    Tries every directed edge (start, goal) as the closing edge and searches
+    the simple directed start -> goal paths it closes; a path never reuses
+    the closing edge because reaching the goal terminates it.
+    """
+    adj = {}
+    for a, b in o.directed_edges():
+        adj.setdefault(a, []).append(b)
+
+    def dfs(cur, goal, visited):
+        if cur == goal:
+            return targets <= visited
+        for nxt in adj.get(cur, ()):
+            if nxt in visited:
+                continue
+            visited.add(nxt)
+            if dfs(nxt, goal, visited):
+                return True
+            visited.remove(nxt)
+        return False
+
+    for start, goal in o.directed_edges():
+        if targets <= {start, goal}:
+            return True  # the edge itself is a two-element toric directed path
+        for mid in adj.get(start, ()):
+            if mid == goal:
+                continue
+            if dfs(mid, goal, {start, mid}):
+                return True
+    return False
+
+
 @given(small_graph_orientation())
-@settings(max_examples=25)
+@settings(max_examples=60)
+def test_chains_and_closure_match_path_search(o):
+    t = T.ToricPoset(o)
+    n = o.graph.n
+    for k in range(n + 1):
+        for c in combinations(range(n), k):
+            assert T.is_toric_chain(t, c) == (k <= 1 or _covering_toric_path_exists(o, frozenset(c)))
+    closure = {(i, j) for i in range(n) for j in range(i + 1, n) if _covering_toric_path_exists(o, {i, j})}
+    assert T.toric_transitive_closure(t) == T.Graph(n, tuple(sorted(closure)))
+
+
+@given(small_graph_orientation())
+@settings(max_examples=60)
 def test_toric_hasse_independent_of_removal_order(o):
+    # the closed criterion against the greedy pass on total-extension sets
     t = T.ToricPoset(o)
     forward = T.toric_hasse(t)
+    assert _hasse_with_order(t, o.graph.edges) == forward
     assert _hasse_with_order(t, tuple(reversed(o.graph.edges))) == forward
 
 
