@@ -276,18 +276,18 @@ def coxeter_elements(g: CoxeterGraph) -> tuple[Word, ...]:
     )
 
 
-def coxeter_conjugacy_classes(
-    g: CoxeterGraph, cap: int = toric.DEFAULT_CLASS_CAP
-) -> tuple[tuple[Word, ...], ...]:
+def coxeter_conjugacy_classes(g: CoxeterGraph) -> tuple[tuple[Word, ...], ...]:
     """Conjugacy classes of Coxeter elements via source-to-sink equivalence.
 
     Two Coxeter elements are conjugate iff their diagram orientations are
-    torically equivalent, so the partition is the pullback of the toric
-    classes through the bijection.  Classes are listed by least member.
+    torically equivalent (Eriksson-Eriksson 2009), so the partition is the
+    pullback of the toric classes through the bijection; those are grouped
+    by cycle imbalances, with no class search.  Classes are listed by least
+    member.
     """
     skel = coxeter_graph_skeleton(g)
     out = []
-    for cls in toric.toric_classes(skel, cap):
+    for cls in toric.toric_classes(skel):
         out.append(tuple(sorted(orientation_to_coxeter(g, o) for o in cls)))
     return tuple(sorted(out))
 
@@ -300,15 +300,16 @@ def source_flip_conjugator(
     vertices, or None when the orientations are not torically equivalent.
 
     Flipping a source s conjugates by s (a cyclic shift); flipping a sink
-    likewise, since generators are involutions.  The flips are read back
-    along the BFS parents of the toric-class search.
+    likewise, since generators are involutions.  Inequivalent orientations
+    differ in their cycle imbalances and get None with no search; otherwise
+    the flips are read back along the BFS parents of the toric-class search.
     """
     if start.graph != goal.graph:
         raise NotACoxeterWord("orientations live on different graphs")
     graph = start.graph
-    flipped = toric._class_masks(graph, start.forward, cap, goal.forward)
-    if goal.forward not in flipped:
+    if toric._imbalance(graph, start.forward) != toric._imbalance(graph, goal.forward):
         return None
+    flipped = toric._class_masks(graph, start.forward, cap, goal.forward)
     out = []
     mask = goal.forward
     while flipped[mask] >= 0:

@@ -60,7 +60,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "dot"], default="json")
         sp.add_argument("--max-orbit", type=_positive_int, default=W.DEFAULT_ORBIT_CAP,
                         help="cap on braid-orbit listings; deciding reducedness needs none")
-        sp.add_argument("--max-class", type=_positive_int, default=T.DEFAULT_CLASS_CAP)
+        sp.add_argument("--max-class", type=_positive_int, default=T.DEFAULT_CLASS_CAP,
+                        help="cap on the toric class that toric ltor lists")
         sp.add_argument("--max-extensions", type=_positive_int, default=H.DEFAULT_EXTENSION_CAP)
         for flag, kw in extra.items():
             sp.add_argument(flag, **kw)
@@ -131,7 +132,7 @@ def _run(args) -> tuple[dict | str, int]:
                   "edgeOrder": [[g.name(a), g.name(b)] for a, b in skel.edges]}
     elif key == "graph.toric-classes":
         skel = coxeter_graph_skeleton(g)
-        classes = T.toric_classes(skel, args.max_class)
+        classes = T.toric_classes(skel)
         result = {
             "count": len(classes),
             "classes": [sorted(o.bitstring() for o in cls) for cls in classes],
@@ -177,7 +178,7 @@ def _run(args) -> tuple[dict | str, int]:
     elif key == "heap.dot":
         return render.heap_to_dot(H.heap_of_word(g, word)), 0
     elif key == "toric.heap":
-        th = CY.toric_heap_of_word(g, word, args.max_class)
+        th = CY.toric_heap_of_word(g, word)
         if args.format == "dot":
             return render.toric_heap_to_dot(th), 0
         hasse = T.toric_hasse(th.poset)
@@ -191,15 +192,13 @@ def _run(args) -> tuple[dict | str, int]:
         th = CY.toric_heap_of_word(g, word, args.max_class)
         result = {"cyclicWords": _cyclic_words(g, CY.ltor(th))}
     elif key == "toric.hasse":
-        th = CY.toric_heap_of_word(g, word, args.max_class)
-        result = {"edges": _edge_list(T.toric_hasse(th.poset))}
+        result = {"edges": _edge_list(T.toric_hasse(CY.toric_heap_of_word(g, word).poset))}
     elif key == "toric.closure":
-        th = CY.toric_heap_of_word(g, word, args.max_class)
-        result = {"edges": _edge_list(T.toric_transitive_closure(th.poset))}
+        result = {"edges": _edge_list(T.toric_transitive_closure(CY.toric_heap_of_word(g, word).poset))}
     elif key == "coxeter.elements":
         result = {"elements": [g.format(c) for c in coxeter_elements(g)]}
     elif key == "coxeter.conjugacy":
-        classes = coxeter_conjugacy_classes(g, args.max_class)
+        classes = coxeter_conjugacy_classes(g)
         result = {"count": len(classes), "classes": [[g.format(c) for c in cls] for cls in classes]}
     else:  # pragma: no cover - argparse guards the command set
         raise AssertionError(key)

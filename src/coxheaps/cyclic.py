@@ -29,12 +29,11 @@ from . import toric
 from .coxgraph import CoxeterGraph, Word
 from .errors import (
     GraphMismatch,
-    NotAcyclic,
     NotToricallyReduced,
     OrbitCapExceeded,
     TooLarge,
 )
-from .heaps import occurrence_alignment, word_orientation
+from .heaps import word_orientation
 from .words import (
     DEFAULT_ORBIT_CAP,
     NormalForm,
@@ -234,47 +233,63 @@ def toric_heap_of_word(g: CoxeterGraph, w: Word, cap: int = toric.DEFAULT_CLASS_
 def toric_heaps_isomorphic(t1: ToricHeap, t2: ToricHeap) -> bool:
     """Label-preserving toric poset isomorphism.
 
-    Candidate bijections are the rotation-induced occurrence alignments:
-    vertex preimages are toric chains whose cyclic order is fixed, so only
-    the rotation offset is free.  For each rotation of t2's word with the
-    same letters, align k-th occurrences and test whether the transported
-    orientation lands in t1's toric class.  Cross-validated against a
-    brute-force bijection search in the test suite.
+    An isomorphism keeps the cyclic order of each toric chain.  A letter's
+    occurrences form one, in cyclic position order, so the i-th occurrence
+    of s in t1 goes to the (i + r_s)-th in t2 for an offset r_s; so do a
+    bonded pair's, so r_s fixes the offset of each letter bonded to s, and
+    one offset per component of the bond graph on the letters is free.  A
+    candidate is an isomorphism iff the orientation it carries has the cycle
+    imbalances of t2's (``toric._imbalance``).  Components share no edge,
+    so each is carried on its own, over t2's orientation elsewhere.
+    Cross-validated against a brute-force bijection search in the tests.
     """
     if t1.graph != t2.graph:
         raise GraphMismatch("toric heaps live over different Coxeter graphs")
-    if t1.size != t2.size:
+    if sorted(t1.word) != sorted(t2.word):
         return False
-    m = t1.size
-    if m == 0:
+    g, graph2, letters = t1.graph, t2.poset.graph, sorted(set(t1.word))
+    occ1, occ2 = ({s: [i for i, x in enumerate(w) if x == s] for s in letters} for w in (t1.word, t2.word))
+    index2 = {e: k for k, e in enumerate(graph2.edges)}
+    target = t2.poset.representative.forward
+    goal = toric._imbalance(graph2, target)
+    arcs = t1.poset.representative.directed_edges()
+    sigma = [0] * t1.size
+
+    def place(s: int, r: int, placed: list[int]) -> bool:
+        """Give s the offset r; whether each bonded placed letter keeps its cyclic order with s."""
+        for i, p in enumerate(occ1[s]):
+            sigma[p] = occ2[s][(i + r) % len(occ1[s])]
+        for u in placed:
+            images = [sigma[p] for p in sorted(occ1[s] + occ1[u])]
+            if not g.commutes(s, u) and sum(a > b for a, b in zip(images, images[1:] + images[:1])) > 1:
+                return False
         return True
-    g1 = t1.poset.graph
-    for k in range(m):
-        rot = t2.word[k:] + t2.word[:k]
-        sigma = occurrence_alignment(t1.word, rot)
-        if sigma is None:
-            continue
-        carried = _transport(t1.poset.representative, g1, sigma)
-        if carried is None:
-            continue
-        # the rotated word's toric heap is isomorphic to t2's via the shift map
-        if carried in toric.toric_class(word_orientation(t1.graph, rot), t2.poset.cap):
-            return True
-    return False
 
+    def fits(comp: list[int], r: int) -> bool:
+        """Whether offset r of the component's first letter extends to a candidate that passes."""
+        place(comp[0], r, [])
+        for k, s in enumerate(comp[1:], 1):
+            if not any(place(s, x, comp[:k]) for x in range(len(occ1[s]))):
+                return False
+        inside = carried = 0
+        for a, b in arcs:
+            if t1.word[a] in comp:
+                bit = 1 << index2[min(sigma[a], sigma[b]), max(sigma[a], sigma[b])]
+                inside |= bit
+                carried |= bit if sigma[a] < sigma[b] else 0
+        return toric._imbalance(graph2, target & ~inside | carried) == goal
 
-def _transport(
-    o: toric.AcyclicOrientation, graph: toric.Graph, sigma: tuple[int, ...]
-) -> toric.AcyclicOrientation | None:
-    """Push an orientation through a vertex bijection; None if the image
-    digraph has a cycle (the map is then not a poset morphism)."""
-    pairs = [(sigma[a], sigma[b]) for a, b in o.directed_edges()]
-    target_edges = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
-    target = toric.Graph(graph.n, target_edges)
-    try:
-        return toric.orientation_from_pairs(target, pairs)
-    except NotAcyclic:
-        return None
+    done: list[int] = []
+    for root in letters:
+        if root in done:
+            continue
+        comp = [root]
+        for u in comp:  # breadth first: each later letter is bonded to an earlier one
+            comp += [t for t in letters if t not in comp and not g.commutes(u, t)]
+        done += comp
+        if not any(fits(comp, r) for r in range(len(occ1[root]))):
+            return False
+    return True
 
 
 def ltor(t: ToricHeap, max_vertices: int = toric.MAX_TOTAL_ORDER_VERTICES) -> frozenset[CyclicWord]:

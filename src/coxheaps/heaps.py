@@ -143,47 +143,18 @@ def is_chain(h: Heap, subset: Iterable[int]) -> bool:
     return all(h.less(a, b) for a, b in zip(idx, idx[1:]))
 
 
-def occurrence_map(h1: Heap, h2: Heap) -> tuple[int, ...] | None:
-    """The label-preserving map sending the k-th occurrence of each
-    generator in h1 to its k-th occurrence in h2, or None if the words
-    have different letter counts.
+def heaps_isomorphic(h1: Heap, h2: Heap) -> bool:
+    """Label-preserving order isomorphism test.
 
     Vertex chains are totally ordered, and occurrences appear in position
-    order, so this is the only candidate isomorphism.
+    order, so the only candidate sends the k-th occurrence of each letter in
+    h1 to its k-th occurrence in h2.
     """
-    return occurrence_alignment(h1.word, h2.word)
-
-
-def occurrence_alignment(w1: Word, w2: Word) -> tuple[int, ...] | None:
-    """Map the k-th occurrence of each letter in w1 to the k-th in w2; None
-    when the words have different letter counts."""
-    if len(w1) != len(w2):
-        return None
-    slots: dict[int, list[int]] = {}
-    for j, s in enumerate(w2):
-        slots.setdefault(s, []).append(j)
-    taken: dict[int, int] = {}
-    sigma = []
-    for s in w1:
-        k = taken.get(s, 0)
-        if s not in slots or k >= len(slots[s]):
-            return None
-        sigma.append(slots[s][k])
-        taken[s] = k + 1
-    return tuple(sigma)
-
-
-def heaps_isomorphic(h1: Heap, h2: Heap) -> bool:
-    """Label-preserving order isomorphism test via the occurrence map."""
     if h1.graph != h2.graph:
         raise GraphMismatch("heaps live over different Coxeter graphs")
-    sigma = occurrence_map(h1, h2)
-    if sigma is None:
+    if sorted(h1.word) != sorted(h2.word):
         return False
-    for i in range(h1.size):
-        for j in range(h1.size):
-            if i == j:
-                continue
-            if h1.less(i, j) != h2.less(sigma[i], sigma[j]):
-                return False
-    return True
+    slots = {s: iter([j for j, x in enumerate(h2.word) if x == s]) for s in set(h2.word)}
+    sigma = [next(slots[s]) for s in h1.word]
+    m = h1.size
+    return all(h1.less(i, j) == h2.less(sigma[i], sigma[j]) for i in range(m) for j in range(m) if i != j)

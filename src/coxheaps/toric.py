@@ -10,6 +10,11 @@ class reports.
 Counts: |Acyc(G)| = T_G(2, 0) and |Acyc(G)/~| = T_G(1, 0), where T_G is the
 Tutte polynomial; both are exercised by the test suite.
 
+Equivalence is decided by cycle imbalances, with no search (Pretzel,
+*On reorienting graphs by pushing down maximal vertices*, Order 3, 1986;
+see ``_imbalance``); the class BFS ``_class_masks`` runs only where
+members are listed.
+
 Toric chains, the toric transitive closure and the toric Hasse diagram are
 decided by closed criteria on reachability bitsets of the representative
 (Develin-Macauley-Reiner, *Toric partial orders*, Trans. AMS 368, 2016),
@@ -23,7 +28,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 from typing import Iterable, Sequence
 
 from .errors import ClassCapExceeded, GraphMismatch, NotAcyclic, NotASink, NotASource, TooLarge
@@ -69,6 +73,32 @@ class Graph:
             out[a] |= 1 << k
         return tuple(out)
 
+    @cached_property
+    def cycle_basis(self) -> tuple[tuple[int, int], ...]:
+        """One fundamental cycle of a breadth-first spanning forest per edge
+        (a, b) off the forest, run a -> b and back through the forest, as two
+        edge masks: the edges it runs low -> high (with it) and the others."""
+        # the forest path from v to its root: edges run low -> high, high -> low
+        rise, fall = [0] * self.n, [0] * self.n
+        seen = forest = 0
+        for root in range(self.n):
+            queue = [] if seen >> root & 1 else [root]
+            seen |= 1 << root
+            for u in queue:
+                for k in _bits(self.incident[u] & ~forest):
+                    v = sum(self.edges[k]) - u  # the other end
+                    if not seen >> v & 1:
+                        seen, forest = seen | 1 << v, forest | 1 << k
+                        up = v < u
+                        rise[v], fall[v] = rise[u] | up << k, fall[u] | (not up) << k
+                        queue.append(v)
+        basis = []
+        for k in _bits((1 << len(self.edges)) - 1 & ~forest):
+            a, b = self.edges[k]  # a -> b, up from b to where the paths meet, down to a
+            with_ = 1 << k | rise[b] & ~rise[a] | fall[a] & ~fall[b]
+            basis.append((with_, fall[b] & ~fall[a] | rise[a] & ~rise[b]))
+        return tuple(basis)
+
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     norm = sorted({(min(a, b), max(a, b)) for a, b in edges})
@@ -93,12 +123,6 @@ class AcyclicOrientation:
         for k, (a, b) in enumerate(self.graph.edges):
             out.append((a, b) if self.forward >> k & 1 else (b, a))
         return tuple(out)
-
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(b for a, b in self.directed_edges() if a == v)
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(a for a, b in self.directed_edges() if b == v)
 
     def is_source(self, v: int) -> bool:
         g = self.graph
@@ -154,6 +178,22 @@ def _sink_layers(succ: Sequence[int]) -> list[int]:
     return layers
 
 
+def _imbalance(graph: Graph, forward: int) -> tuple[int, ...]:
+    """(#edges run along) - (#against) on each cycle of ``graph.cycle_basis``.
+
+    A flip reverses one edge along and one against each cycle through the
+    vertex, so the vector is constant on a toric class.  It is linear on the
+    cycle space, so it fixes the imbalance of every cycle, and two acyclic
+    orientations with equal vectors are equivalent (Pretzel 1986).  A
+    directed cycle C has imbalance +-|C| on C, which no acyclic orientation
+    reaches, so matching an acyclic orientation's vector proves acyclicity.
+    """
+    return tuple(
+        2 * ((forward & up).bit_count() - (forward & down).bit_count()) - up.bit_count() + down.bit_count()
+        for up, down in graph.cycle_basis
+    )
+
+
 def _has_cycle(graph: Graph, forward: int) -> bool:
     succ = [0] * graph.n
     for k, (a, b) in enumerate(graph.edges):
@@ -196,17 +236,12 @@ def _on_toric_path(down: Sequence[int], up: Sequence[int], arcs: Iterable[tuple[
 
 def _component(succ: Sequence[int], v: int) -> int:
     """Bitmask of the vertices joined to v, the arcs read as undirected."""
-    near = list(succ)
-    for u, mask in enumerate(succ):
-        for w in _bits(mask):
-            near[w] |= 1 << u
-    seen = frontier = 1 << v
-    while frontier:
-        grown = 0
-        for u in _bits(frontier):
-            grown |= near[u]
-        frontier = grown & ~seen
-        seen |= frontier
+    seen, grown = 0, 1 << v
+    while grown != seen:
+        seen = grown
+        for u, heads in enumerate(succ):
+            if seen >> u & 1 or heads & seen:
+                grown |= 1 << u | heads
     return seen
 
 
@@ -302,26 +337,22 @@ def toric_class(o: AcyclicOrientation, cap: int = DEFAULT_CLASS_CAP) -> frozense
     return frozenset(AcyclicOrientation(o.graph, m) for m in masks)
 
 
-def toric_classes(graph: Graph, cap: int = DEFAULT_CLASS_CAP) -> tuple[frozenset[AcyclicOrientation], ...]:
-    """Partition of Acyc(graph) into toric equivalence classes."""
-    orients = {o.forward: o for o in all_acyclic_orientations(graph)}
-    remaining = set(orients)
-    classes = []
-    while remaining:
-        seed = min(remaining)
-        masks = _class_masks(graph, seed, cap).keys()
-        if not masks <= remaining:
-            raise AssertionError("toric class escaped Acyc(G)")
-        classes.append(frozenset(orients[m] for m in masks))
-        remaining -= masks
-    return tuple(sorted(classes, key=lambda c: min(o.forward for o in c)))
+def toric_classes(graph: Graph) -> tuple[frozenset[AcyclicOrientation], ...]:
+    """Partition of Acyc(graph) into toric equivalence classes, grouped by
+    cycle imbalances and listed by least member."""
+    classes: dict[tuple[int, ...], list[AcyclicOrientation]] = {}
+    for o in all_acyclic_orientations(graph):  # in increasing mask order
+        classes.setdefault(_imbalance(graph, o.forward), []).append(o)
+    return tuple(map(frozenset, classes.values()))
 
 
 class ToricPoset:
     """A toric poset held by a representative orientation.
 
-    The materialized equivalence class is cached on first use; the cap makes
-    blow-ups a typed error instead of silent truncation.
+    Equality, hashing and membership compare cycle imbalances and list
+    nothing.  The members are listed only when asked for, and cached; the
+    cap makes a blow-up of that listing a typed error instead of silent
+    truncation.
     """
 
     __slots__ = ("representative", "cap", "_members")
@@ -341,19 +372,19 @@ class ToricPoset:
             self._members = toric_class(self.representative, self.cap)
         return self._members
 
-    def canonical_mask(self) -> int:
-        return min(o.forward for o in self.members)
+    def _invariant(self) -> tuple[int, ...]:
+        return _imbalance(self.graph, self.representative.forward)
 
     def __contains__(self, o: AcyclicOrientation) -> bool:
-        return o in self.members
+        return o.graph == self.graph and _imbalance(o.graph, o.forward) == self._invariant()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ToricPoset):
             return NotImplemented
-        return self.graph == other.graph and self.canonical_mask() == other.canonical_mask()
+        return self.graph == other.graph and self._invariant() == other._invariant()
 
     def __hash__(self) -> int:
-        return hash((self.graph, self.canonical_mask()))
+        return hash((self.graph, self._invariant()))
 
     def __repr__(self) -> str:
         return f"ToricPoset({self.representative.bitstring()!r} on {self.graph.n} vertices)"
@@ -437,12 +468,9 @@ def toric_hasse(t: ToricPoset) -> Graph:
     (Develin-Macauley-Reiner 2016): a bridge constrains no cyclic order, and
     otherwise e is implied precisely when it lies in the toric transitive
     closure of K - e.  The test suite checks this against the greedy pass
-    that compares total-toric-extension sets.  The total-order bound
-    ``MAX_TOTAL_ORDER_VERTICES`` applies, as it does to that pass.
+    that compares total-toric-extension sets.
     """
     g = t.graph
-    if g.n > MAX_TOTAL_ORDER_VERTICES:
-        raise TooLarge(f"{g.n} vertices exceeds the total-order search bound {MAX_TOTAL_ORDER_VERTICES}")
     keep = dict(zip(g.edges, t.representative.directed_edges()))
     for e in g.edges:
         a, b = keep.pop(e)
@@ -465,8 +493,7 @@ def is_toric_extension(t_big: ToricPoset, t: ToricPoset) -> bool:
         raise GraphMismatch("toric extension needs a common vertex set")
     if not set(t.graph.edges) <= set(t_big.graph.edges):
         raise GraphMismatch("edges of the smaller graph must be contained in the larger")
-    members = t.members
-    return any(_restrict(o, t.graph) in members for o in t_big.members)
+    return any(_restrict(o, t.graph) in t for o in t_big.members)
 
 
 def canonical_cycle(order: Sequence[int]) -> tuple[int, ...]:
@@ -538,33 +565,18 @@ def total_toric_order(n: int, order: Sequence[int], cap: int = DEFAULT_CLASS_CAP
 
 
 def cycle_imbalance(o: AcyclicOrientation) -> int:
-    """On a cycle graph: (#edges oriented with the cycle) - (#against).
+    """On a cycle graph: (#edges oriented with the cycle) - (#against), the
+    cycle run from vertex 0 towards its lower neighbour.
 
-    Constant across a toric class, which separates classes that share all
-    their toric chains.
+    The one-cycle case of ``_imbalance``: constant across a toric class, it
+    separates classes that share all their toric chains.
     """
     g = o.graph
-    degs = [bin(g.incident[v]).count("1") for v in range(g.n)]
-    if any(d != 2 for d in degs) or len(g.edges) != g.n:
+    if len(g.edges) != g.n or any(inc.bit_count() != 2 for inc in g.incident) or len(g.cycle_basis) != 1:
         raise ValueError("cycle_imbalance is only defined on cycle graphs")
-    # walk the cycle starting at vertex 0
-    walk = [0]
-    prev = None
-    while True:
-        cur = walk[-1]
-        nbrs = [b if a == cur else a for a, b in g.edges if cur in (a, b)]
-        nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
-        if nxt == 0:
-            break
-        prev = cur
-        walk.append(nxt)
-    if len(walk) != g.n:
-        raise ValueError("cycle_imbalance needs a single connected cycle")
-    directed = set(o.directed_edges())
-    bal = 0
-    for a, b in zip(walk, walk[1:] + [walk[0]]):
-        bal += 1 if (a, b) in directed else -1
-    return bal
+    ((up, _),) = g.cycle_basis
+    first = g.incident[0] & -g.incident[0]  # the edge from 0 to its lower neighbour
+    return _imbalance(g, o.forward)[0] * (1 if up & first else -1)
 
 
 def tutte(graph: Graph, x: int, y: int, max_edges: int = MAX_TUTTE_EDGES) -> int:
@@ -625,31 +637,3 @@ def tutte(graph: Graph, x: int, y: int, max_edges: int = MAX_TUTTE_EDGES) -> int
         return val
 
     return rec(graph.edges)
-
-
-def brute_total_toric_extensions(t: ToricPoset) -> frozenset[tuple[int, ...]]:
-    """Direct (n-1)!-scan definition of total toric extensions.
-
-    For each cyclic ordering, accept iff one of its n linearizations, read
-    as an orientation of K_V, restricts on G to a class member.  Quadratic
-    in the factorial; meant for cross-validation at small n.
-    """
-    n = t.graph.n
-    if n == 0:
-        return frozenset({()})  # the empty cyclic ordering extends the empty poset
-    members = {o.forward for o in t.members}
-    edge_index = {e: k for k, e in enumerate(t.graph.edges)}
-    out = set()
-    for tail in permutations(range(1, n)):
-        cyc = (0,) + tail
-        for r in range(n):
-            lin = cyc[r:] + cyc[:r]
-            pos = {v: i for i, v in enumerate(lin)}
-            mask = 0
-            for (a, b), k in edge_index.items():
-                if pos[a] < pos[b]:
-                    mask |= 1 << k
-            if mask in members:
-                out.add(cyc)
-                break
-    return frozenset(out)

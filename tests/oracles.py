@@ -5,7 +5,9 @@ oracles here go through the standard geometric representation instead:
 each generator acts on the root-coordinate space by an exact matrix over a
 quadratic integer ring (Z, Z[sqrt2], Z[phi], ...), which is faithful, so
 matrix equality decides element equality and a Cayley-ball BFS gives true
-lengths.  Nothing in this module calls the braid machinery.
+lengths.  Nothing in this module calls the braid machinery.  The
+structural oracles at the end decide toric questions by listing and
+search, against the closed criteria of the library.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 from collections import deque
 from itertools import permutations
 
+from coxheaps import toric
 from coxheaps.coxgraph import INF, CoxeterGraph, Word
+from coxheaps.errors import NotAcyclic
 
 # ring element: (a, b) meaning a + b*xi with xi^2 = C0 + C1*xi
 
@@ -246,17 +250,84 @@ def brute_heaps_isomorphic(h1, h2) -> bool:
     return False
 
 
-def brute_toric_heaps_isomorphic(t1, t2) -> bool:
-    """Toric heap isomorphism over every label-preserving bijection."""
-    from coxheaps.cyclic import _transport
+def transport(o, sigma):
+    """Push an orientation through a vertex bijection; None if the image
+    digraph has a cycle (the map is then not a poset morphism)."""
+    pairs = [(sigma[a], sigma[b]) for a, b in o.directed_edges()]
+    target = toric.Graph(o.graph.n, tuple(sorted((min(a, b), max(a, b)) for a, b in pairs)))
+    try:
+        return toric.orientation_from_pairs(target, pairs)
+    except NotAcyclic:
+        return None
 
+
+def brute_toric_heaps_isomorphic(t1, t2) -> bool:
+    """Toric heap isomorphism over every label-preserving bijection, by
+    membership in t2's listed toric class."""
     if t1.graph != t2.graph or t1.size != t2.size:
         return False
     members2 = t2.poset.members
     for sigma in label_preserving_bijections(t1.word, t2.word):
-        carried = _transport(t1.poset.representative, t1.poset.graph, sigma)
-        if carried is None:
-            continue
-        if carried.graph == t2.poset.graph and carried in members2:
+        carried = transport(t1.poset.representative, sigma)
+        if carried is not None and carried.graph == t2.poset.graph and carried in members2:
             return True
     return False
+
+
+def brute_total_toric_extensions(t) -> frozenset[tuple[int, ...]]:
+    """Direct (n-1)!-scan definition of total toric extensions.
+
+    For each cyclic ordering, accept iff one of its n linearizations, read
+    as an orientation of K_V, restricts on G to a class member.  Quadratic
+    in the factorial; meant for cross-validation at small n.
+    """
+    n = t.graph.n
+    if n == 0:
+        return frozenset({()})  # the empty cyclic ordering extends the empty poset
+    members = {o.forward for o in t.members}
+    edge_index = {e: k for k, e in enumerate(t.graph.edges)}
+    out = set()
+    for tail in permutations(range(1, n)):
+        cyc = (0,) + tail
+        for r in range(n):
+            lin = cyc[r:] + cyc[:r]
+            pos = {v: i for i, v in enumerate(lin)}
+            mask = 0
+            for (a, b), k in edge_index.items():
+                if pos[a] < pos[b]:
+                    mask |= 1 << k
+            if mask in members:
+                out.add(cyc)
+                break
+    return frozenset(out)
+
+
+def walk_cycle_imbalance(o) -> int:
+    """Imbalance of an orientation of a cycle graph by walking the cycle from
+    vertex 0 towards its lower neighbour: (#edges run along) - (#against)."""
+    g = o.graph
+    walk, prev = [0], None
+    while True:
+        cur = walk[-1]
+        nbrs = [b if a == cur else a for a, b in g.edges if cur in (a, b)]
+        nxt = nbrs[0] if nbrs[0] != prev else nbrs[1]
+        if nxt == 0:
+            break
+        prev = cur
+        walk.append(nxt)
+    directed = set(o.directed_edges())
+    return sum(1 if (a, b) in directed else -1 for a, b in zip(walk, walk[1:] + walk[:1]))
+
+
+def bfs_toric_classes(graph):
+    """Partition of Acyc(graph) by flip search from each least unclassified
+    orientation, in order of least member."""
+    orients = {o.forward: o for o in toric.all_acyclic_orientations(graph)}
+    remaining = set(orients)
+    classes = []
+    while remaining:
+        masks = toric._class_masks(graph, min(remaining), len(orients) + 1).keys()
+        assert masks <= remaining, "toric class escaped Acyc(G)"
+        classes.append(frozenset(orients[m] for m in masks))
+        remaining -= masks
+    return tuple(classes)

@@ -158,6 +158,8 @@ def test_source_flip_conjugator(affine_a3):
     c1 = CL.coxeter_to_orientation(g, g.word("s1 s2 s3 s4"))
     c3 = CL.coxeter_to_orientation(g, g.word("s1 s4 s3 s2"))
     assert CL.source_flip_conjugator(g, c1, c3) is None
+    # decided from cycle imbalances, so no class search runs into the cap
+    assert CL.source_flip_conjugator(g, c1, c3, cap=1) is None
 
 
 def test_odd_braid_obstruction(b3, affine_a2):

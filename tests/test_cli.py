@@ -149,6 +149,14 @@ def test_cap_exit_code(graph_files, capsys):
     assert "CapExceeded" in json.loads(out)["error"]["type"]
 
 
+@pytest.mark.parametrize("command", [("graph", "toric-classes"), ("coxeter", "conjugacy")])
+def test_class_partitions_ignore_class_cap(graph_files, capsys, command):
+    # the partitions are grouped by cycle imbalances and list no class
+    code, default = run(capsys, *command, "-g", graph_files["A~3"])
+    assert code == 0
+    assert run(capsys, *command, "-g", graph_files["A~3"], "--max-class", "1") == (0, default)
+
+
 def test_usage_error_exit_code(graph_files):
     with pytest.raises(SystemExit) as exc:
         main(["word", "bogus-command", "-g", graph_files["A3"], "s1"])

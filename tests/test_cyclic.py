@@ -148,6 +148,24 @@ def test_toric_heap_running_example(b3):
     assert CY.toric_heaps_isomorphic(t1, rotated)
 
 
+def test_toric_heap_isomorphism_beyond_rotations(b3):
+    # each letter's occurrences shift by their own offset; no rotation of
+    # the second word aligns them
+    t1 = CY.toric_heap_of_word(b3, b3.word("s1 s2 s3 s2 s1 s2 s3"))
+    t2 = CY.toric_heap_of_word(b3, b3.word("s2 s1 s3 s2 s3 s2 s1"))
+    assert brute_toric_heaps_isomorphic(t1, t2)
+    assert CY.toric_heaps_isomorphic(t1, t2)
+    assert CY.toric_heaps_isomorphic(t2, t1)
+
+
+def test_toric_heap_isomorphism_of_long_coxeter_powers(affine_a3):
+    g = affine_a3
+    c1, c2 = g.word("s1 s3 s2 s4"), g.word("s1 s2 s3 s4")
+    t1 = CY.toric_heap_of_word(g, c1 * 8)
+    assert not CY.toric_heaps_isomorphic(t1, CY.toric_heap_of_word(g, c2 * 8))
+    assert CY.toric_heaps_isomorphic(t1, CY.toric_heap_of_word(g, g.word("s3 s1 s4 s2") * 8))
+
+
 def test_toric_heap_size_mismatch(b3):
     t1 = CY.toric_heap_of_word(b3, b3.word("s3 s2 s1 s2"))
     t2 = CY.toric_heap_of_word(b3, b3.word("s2 s1"))
@@ -230,6 +248,14 @@ def test_toric_heap_isomorphism_matches_bruteforce(gw):
     candidates = [tuple(reversed(w))]
     if w:
         candidates.append(w[2:] + w[:2])
+    # a walk through w's cyclic commutation class, past single rotations
+    walked = w
+    for k in range(3 * len(w)):
+        walked = walked[1:] + walked[:1]
+        moves = list(W.braid_moves(g, walked, short_only=True))
+        if moves:
+            walked = moves[k % len(moves)]
+    candidates.append(walked)
     for u in candidates:
         other = CY.toric_heap_of_word(g, u)
         verdict = CY.toric_heaps_isomorphic(th, other)

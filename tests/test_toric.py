@@ -14,6 +14,7 @@ from coxheaps import toric as T
 from coxheaps import words as W
 from coxheaps.cli import main
 from coxheaps.errors import ClassCapExceeded, GraphMismatch, NotAcyclic, NotASource, TooLarge
+from oracles import bfs_toric_classes, brute_total_toric_extensions, walk_cycle_imbalance
 
 
 def cycle_graph(n):
@@ -100,6 +101,44 @@ def test_toric_classes_partition_and_counts():
 def test_toric_class_cap():
     with pytest.raises(ClassCapExceeded):
         T.toric_class(natural(C4), cap=2)
+    # equality, hashing and membership list no class, so the cap never trips
+    t = T.ToricPoset(natural(C4), cap=2)
+    assert hash(t) == hash(T.ToricPoset(natural(C4)))
+    assert t == T.ToricPoset(T.flip_source(natural(C4), 0), cap=1)
+    assert T.flip_source(natural(C4), 0) in t
+
+
+def test_toric_poset_equality_hash_and_membership_match_listing():
+    for graph in (C4, K4, L4, cycle_graph(5), T.Graph(3, ())):
+        orients = T.all_acyclic_orientations(graph)
+        for o in orients:
+            t = T.ToricPoset(o)
+            members = t.members
+            for other in orients:
+                same = other in members
+                assert (other in t) == same
+                assert (T.ToricPoset(other) == t) == same
+                if same:
+                    assert hash(T.ToricPoset(other)) == hash(t)
+    assert natural(C4) not in T.ToricPoset(natural(K4))
+    assert T.ToricPoset(natural(C4)) != T.ToricPoset(natural(L4))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_cycle_imbalance_matches_walk(n):
+    rng = random.Random(n)
+    labelings = [list(range(n))] + [rng.sample(range(n), n) for _ in range(2)]
+    for p in labelings:
+        graph = T.graph_from_edges(n, [(p[i], p[(i + 1) % n]) for i in range(n)])
+        for o in T.all_acyclic_orientations(graph):
+            assert T.cycle_imbalance(o) == walk_cycle_imbalance(o)
+
+
+def test_cycle_imbalance_rejects_other_graphs():
+    two_triangles = T.graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for graph in (L4, K4, two_triangles, T.Graph(0, ())):
+        with pytest.raises(ValueError):
+            T.cycle_imbalance(T.all_acyclic_orientations(graph)[0])
 
 
 def test_tutte_values():
@@ -278,10 +317,22 @@ def test_count_laws_random_graphs(o):
 
 
 @given(small_graph_orientation())
+@settings(max_examples=60)
+def test_cycle_imbalances_decide_equivalence(o):
+    # the closed invariant against the flip search it replaces
+    graph = o.graph
+    cls = T._class_masks(graph, o.forward, 10 ** 6)
+    goal = T._imbalance(graph, o.forward)
+    for other in T.all_acyclic_orientations(graph):
+        assert (T._imbalance(graph, other.forward) == goal) == (other.forward in cls)
+    assert T.toric_classes(graph) == bfs_toric_classes(graph)
+
+
+@given(small_graph_orientation())
 @settings(max_examples=25)
 def test_total_extensions_match_bruteforce(o):
     t = T.ToricPoset(o)
-    assert T.total_toric_extensions(t) == T.brute_total_toric_extensions(t)
+    assert T.total_toric_extensions(t) == brute_total_toric_extensions(t)
 
 
 @pytest.mark.parametrize("name", ["B3", "A~3"])
@@ -296,7 +347,7 @@ def test_total_extensions_match_bruteforce_on_toric_heaps(name):
                 if W.is_reduced(g, word + [s]):
                     word.append(s)
             t = T.ToricPoset(H.word_orientation(g, word))
-            assert T.total_toric_extensions(t) == T.brute_total_toric_extensions(t), word
+            assert T.total_toric_extensions(t) == brute_total_toric_extensions(t), word
 
 
 def _hasse_with_order(t, edge_order):
@@ -365,6 +416,24 @@ def test_toric_hasse_independent_of_removal_order(o):
     forward = T.toric_hasse(t)
     assert _hasse_with_order(t, o.graph.edges) == forward
     assert _hasse_with_order(t, tuple(reversed(o.graph.edges))) == forward
+
+
+def test_toric_hasse_beyond_total_order_bound(capsys):
+    # 16 letters: the total-order bound of total_toric_extensions does not apply
+    g = catalog.coxeter_graph("A~3")
+    word = g.word("s1 s3 s2 s4") * 4
+    t = T.ToricPoset(H.word_orientation(g, word))
+    assert t.graph.n > T.MAX_TOTAL_ORDER_VERTICES
+    hasse = T.toric_hasse(t)
+    assert set(hasse.edges) < set(t.graph.edges)
+    restricted = T.ToricPoset(T._restrict(t.representative, hasse))
+    assert T.toric_transitive_closure(restricted) == T.toric_transitive_closure(t)
+    path = os.path.join(os.path.dirname(B3_JSON), "affine_a3.json")
+    for command in ("hasse", "heap"):
+        assert main(["toric", command, "-g", path, g.format(word)]) == 0
+        capsys.readouterr()
+    with pytest.raises(TooLarge):
+        T.total_toric_extensions(t)
 
 
 @given(small_graph_orientation())
