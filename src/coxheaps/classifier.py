@@ -242,13 +242,7 @@ def coxeter_to_orientation(g: CoxeterGraph, c: Word) -> toric.AcyclicOrientation
     word = g.check_word(c)
     if sorted(word) != list(range(g.rank)):
         raise NotACoxeterWord(f"{g.format(c)} does not use each generator exactly once")
-    pos = {s: i for i, s in enumerate(word)}
-    skel = coxeter_graph_skeleton(g)
-    mask = 0
-    for k, (a, b) in enumerate(skel.edges):
-        if pos[a] < pos[b]:
-            mask |= 1 << k
-    return toric.AcyclicOrientation(skel, mask)
+    return toric.orientation_from_linear_order(coxeter_graph_skeleton(g), word)
 
 
 def orientation_to_coxeter(g: CoxeterGraph, o: toric.AcyclicOrientation) -> Word:

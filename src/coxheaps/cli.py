@@ -1,18 +1,12 @@
 """Command-line surface.
 
-Subcommands mirror the library:
-
-  graph    validate | orientations | toric-classes | tutte
-  word     reduce | reduced-words | comm-classes | classify
-  cyclic   rtor | ctor | decompose | elements
-  heap     build | linexts | dot
-  toric    heap | ltor | hasse | closure
-  coxeter  elements | conjugacy
-
-All reports are JSON (schemaVersion 1) on stdout with the input echoed;
-``--format dot`` switches to DOT where a diagram makes sense.  Exit codes:
-0 success, 1 domain error, 2 usage error, 3 resource cap exceeded.  Output
-is byte-identical across runs on identical inputs.
+Subcommands mirror the library, one group per module; ``COMMANDS`` lists
+them with the arguments each reads besides ``-g/--graph``, and any other
+option is a usage error.  All reports are JSON (schemaVersion 1) on stdout
+with the input echoed; ``--format dot`` switches to DOT where a diagram
+makes sense.  Exit codes: 0 success, 1 domain error, 2 usage error, 3
+resource cap exceeded.  Output is byte-identical across runs on identical
+inputs.
 """
 
 from __future__ import annotations
@@ -48,57 +42,43 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_ARGUMENTS = {
+    "word": dict(help='word, e.g. "s3 s1 s2 s1 s2" or "31212"'),
+    "--format": dict(choices=["json", "dot"], default="json"),
+    "--max-orbit": dict(type=_positive_int, default=W.DEFAULT_ORBIT_CAP,
+                        help="cap on braid-orbit listings; deciding reducedness needs none"),
+    "--max-class": dict(type=_positive_int, default=T.DEFAULT_CLASS_CAP,
+                        help="cap on the toric class that toric ltor lists"),
+    "--max-extensions": dict(type=_positive_int, default=H.DEFAULT_EXTENSION_CAP),
+    "--x": dict(type=int, required=True),
+    "--y": dict(type=int, required=True),
+}
+_ORBIT_LISTING = ("word", "--max-orbit")
+
+# group -> command -> the arguments its branch of ``_run`` reads
+COMMANDS = {
+    "graph": {"validate": (), "orientations": ("--format",), "toric-classes": (), "tutte": ("--x", "--y")},
+    "word": {"reduce": ("word",),
+             **dict.fromkeys(("reduced-words", "comm-classes", "classify"), _ORBIT_LISTING)},
+    "cyclic": dict.fromkeys(("rtor", "ctor", "decompose", "elements"), _ORBIT_LISTING),
+    # heap dot prints DOT whatever --format says, but takes the option
+    "heap": {"build": ("word",), "linexts": ("word", "--max-extensions"), "dot": ("word", "--format")},
+    "toric": {"heap": ("word", "--format"), "ltor": ("word", "--max-class"),
+              "hasse": ("word",), "closure": ("word",)},
+    "coxeter": {"elements": (), "conjugacy": ()},
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="coxheaps", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="group", required=True)
-
-    def add(group, name, word_arg=True, **extra):
-        sp = group.add_parser(name)
-        sp.add_argument("-g", "--graph", required=True, help="Coxeter graph JSON file")
-        if word_arg:
-            sp.add_argument("word", help='word, e.g. "s3 s1 s2 s1 s2" or "31212"')
-        sp.add_argument("--format", choices=["json", "dot"], default="json")
-        sp.add_argument("--max-orbit", type=_positive_int, default=W.DEFAULT_ORBIT_CAP,
-                        help="cap on braid-orbit listings; deciding reducedness needs none")
-        sp.add_argument("--max-class", type=_positive_int, default=T.DEFAULT_CLASS_CAP,
-                        help="cap on the toric class that toric ltor lists")
-        sp.add_argument("--max-extensions", type=_positive_int, default=H.DEFAULT_EXTENSION_CAP)
-        for flag, kw in extra.items():
-            sp.add_argument(flag, **kw)
-        return sp
-
-    graph = sub.add_parser("graph").add_subparsers(dest="command", required=True)
-    add(graph, "validate", word_arg=False)
-    add(graph, "orientations", word_arg=False)
-    add(graph, "toric-classes", word_arg=False)
-    add(graph, "tutte", word_arg=False, **{"--x": dict(type=int, required=True), "--y": dict(type=int, required=True)})
-
-    word = sub.add_parser("word").add_subparsers(dest="command", required=True)
-    add(word, "reduce")
-    add(word, "reduced-words")
-    add(word, "comm-classes")
-    add(word, "classify")
-
-    cyc = sub.add_parser("cyclic").add_subparsers(dest="command", required=True)
-    add(cyc, "rtor")
-    add(cyc, "ctor")
-    add(cyc, "decompose")
-    add(cyc, "elements")
-
-    heap = sub.add_parser("heap").add_subparsers(dest="command", required=True)
-    add(heap, "build")
-    add(heap, "linexts")
-    add(heap, "dot")
-
-    tor = sub.add_parser("toric").add_subparsers(dest="command", required=True)
-    add(tor, "heap")
-    add(tor, "ltor")
-    add(tor, "hasse")
-    add(tor, "closure")
-
-    cox = sub.add_parser("coxeter").add_subparsers(dest="command", required=True)
-    add(cox, "elements", word_arg=False)
-    add(cox, "conjugacy", word_arg=False)
+    for group, commands in COMMANDS.items():
+        parsers = sub.add_parser(group).add_subparsers(dest="command", required=True)
+        for name, arguments in commands.items():
+            sp = parsers.add_parser(name)
+            sp.add_argument("-g", "--graph", required=True, help="Coxeter graph JSON file")
+            for arg in arguments:
+                sp.add_argument(arg, **_ARGUMENTS[arg])
     return p
 
 
@@ -118,7 +98,6 @@ def _run(args) -> tuple[dict | str, int]:
     g = load_coxeter_graph(args.graph)
     key = f"{args.group}.{args.command}"
     word = g.word(args.word) if getattr(args, "word", None) is not None else None
-    cap = args.max_orbit
     result: dict | str
 
     if key == "graph.validate":
@@ -145,21 +124,21 @@ def _run(args) -> tuple[dict | str, int]:
         nf = W.normal_form(g, word)
         result = {"word": g.format(nf.word), "length": nf.length}
     elif key == "word.reduced-words":
-        result = {"words": _words(g, W.reduced_words(g, word, cap))}
+        result = {"words": _words(g, W.reduced_words(g, word, args.max_orbit))}
     elif key == "word.comm-classes":
-        classes = W.commutativity_classes(g, word, cap)
+        classes = W.commutativity_classes(g, word, args.max_orbit)
         result = {"count": len(classes), "classes": [_words(g, c) for c in classes]}
     elif key == "word.classify":
-        result = classify(g, word, cap).to_json(g)
+        result = classify(g, word, args.max_orbit).to_json(g)
     elif key == "cyclic.rtor":
-        result = {"cyclicWords": _cyclic_words(g, CY.rtor_cyclic_class(g, word, cap))}
+        result = {"cyclicWords": _cyclic_words(g, CY.rtor_cyclic_class(g, word, args.max_orbit))}
     elif key == "cyclic.ctor":
-        result = {"cyclicWords": _cyclic_words(g, CY.ctor_class(g, word, cap))}
+        result = {"cyclicWords": _cyclic_words(g, CY.ctor_class(g, word, args.max_orbit))}
     elif key == "cyclic.decompose":
-        classes = CY.cyclic_decomposition(g, word, cap)
+        classes = CY.cyclic_decomposition(g, word, args.max_orbit)
         result = {"count": len(classes), "classes": [_cyclic_words(g, c) for c in classes]}
     elif key == "cyclic.elements":
-        rtor = CY.rtor_words(g, word, cap)
+        rtor = CY.rtor_words(g, word, args.max_orbit)
         result = {
             "words": _words(g, rtor),
             "elements": sorted({g.format(W.normal_form(g, u).word) for u in rtor}),

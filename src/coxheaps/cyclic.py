@@ -41,6 +41,7 @@ from .words import (
     _listing,
     braid_moves,
     fc_orbit,
+    has_adjacent_repeat,
     is_reduced,
     normal_form,
     reduced_words,
@@ -138,7 +139,7 @@ def toric_reduction_witness(
             out.append(parent[out[-1]])
         return tuple(reversed(out))
 
-    if any(start[i] == start[i + 1] for i in range(len(start) - 1)):
+    if has_adjacent_repeat(start):
         return (start,)
     queue = deque([start])
     while queue:
@@ -151,7 +152,7 @@ def toric_reduction_witness(
             if len(parent) >= cap:
                 raise OrbitCapExceeded(f"rotation+braid closure of {g.format(w)} exceeds cap {cap}")
             parent[nxt] = cur
-            if any(nxt[i] == nxt[i + 1] for i in range(len(nxt) - 1)):
+            if has_adjacent_repeat(nxt):
                 return chain(nxt)
             queue.append(nxt)
     return None
@@ -292,15 +293,16 @@ def toric_heaps_isomorphic(t1: ToricHeap, t2: ToricHeap) -> bool:
     return True
 
 
-def ltor(t: ToricHeap, max_vertices: int = toric.MAX_TOTAL_ORDER_VERTICES) -> frozenset[CyclicWord]:
+def ltor(t: ToricHeap) -> frozenset[CyclicWord]:
     """L_tor(T(w)): total toric extensions of the toric heap, as cyclic words.
 
     Each extension is a cyclic ordering of positions; reading it through the
     labels and merging duplicates yields cyclic words.
     """
-    if t.size > max_vertices:
-        raise TooLarge(f"word length {t.size} exceeds the total-order bound {max_vertices}")
+    bound = toric.MAX_TOTAL_ORDER_VERTICES
+    if t.size > bound:
+        raise TooLarge(f"word length {t.size} exceeds the total-order bound {bound}")
     out = set()
-    for cyc in toric.total_toric_extensions(t.poset, max_vertices):
+    for cyc in toric.total_toric_extensions(t.poset):
         out.add(cyclic_word(tuple(t.word[i] for i in cyc)))
     return frozenset(out)

@@ -56,12 +56,8 @@ def word_graph(g: CoxeterGraph, w: Word) -> toric.Graph:
     """Dependency graph of a word: {i, j} joined iff m(w_i, w_j) != 2."""
     word = g.check_word(w)
     m = len(word)
-    edges = [
-        (i, j)
-        for i in range(m)
-        for j in range(i + 1, m)
-        if word[i] == word[j] or not g.commutes(word[i], word[j])
-    ]
+    bond = g.bond_table  # m = 1 on the diagonal, so equal letters are joined
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m) if bond[word[i]][word[j]] != 2]
     return toric.Graph(m, tuple(edges))
 
 
@@ -78,8 +74,9 @@ def heap_of_word(g: CoxeterGraph, w: Word) -> Heap:
     above = [0] * m
     for i in range(m - 1, -1, -1):
         acc = 0
+        row = g.bond_table[word[i]]
         for j in range(i + 1, m):
-            if word[i] == word[j] or not g.commutes(word[i], word[j]):
+            if row[word[j]] != 2:
                 acc |= (1 << j) | above[j]
         above[i] = acc
     return Heap(g, word, tuple(above))

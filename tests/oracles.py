@@ -331,3 +331,9 @@ def bfs_toric_classes(graph):
         classes.append(frozenset(orients[m] for m in masks))
         remaining -= masks
     return tuple(classes)
+
+
+def search_is_toric_extension(t_big, t) -> bool:
+    """Whether some member of the larger toric class, listed by flip search,
+    restricts on the smaller graph to a member of the smaller class."""
+    return any(toric._restrict(o, t.graph) in t for o in t_big.members)

@@ -151,10 +151,15 @@ def test_cap_exit_code(graph_files, capsys):
 
 @pytest.mark.parametrize("command", [("graph", "toric-classes"), ("coxeter", "conjugacy")])
 def test_class_partitions_ignore_class_cap(graph_files, capsys, command):
-    # the partitions are grouped by cycle imbalances and list no class
-    code, default = run(capsys, *command, "-g", graph_files["A~3"])
+    # the partitions are grouped by cycle imbalances and list no class, so they take no class cap
+    code, out = run(capsys, *command, "-g", graph_files["A~3"])
     assert code == 0
-    assert run(capsys, *command, "-g", graph_files["A~3"], "--max-class", "1") == (0, default)
+    result = json.loads(out)["result"]
+    assert result["count"] == 3
+    assert sorted(map(len, result["classes"])) == [4, 4, 6]
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "-g", graph_files["A~3"], "--max-class", "1"])
+    assert exc.value.code == 2
 
 
 def test_usage_error_exit_code(graph_files):
@@ -165,10 +170,15 @@ def test_usage_error_exit_code(graph_files):
 
 @pytest.mark.parametrize("flag", ["--max-orbit", "--max-class", "--max-extensions"])
 @pytest.mark.parametrize("value", ["0", "-5"])
-def test_non_positive_cap_is_usage_error(graph_files, flag, value):
+def test_non_positive_cap_is_usage_error(graph_files, capsys, flag, value):
+    # each flag goes to a command that reads it, so the value is what is refused
+    command = {"--max-orbit": ("word", "reduced-words"), "--max-class": ("toric", "ltor"),
+               "--max-extensions": ("heap", "linexts")}[flag]
+    assert run(capsys, *command, "-g", graph_files["A3"], "s1", flag, "1")[0] == 0
     with pytest.raises(SystemExit) as exc:
-        main(["word", "reduce", "-g", graph_files["A3"], "s1", flag, value])
+        main([*command, "-g", graph_files["A3"], "s1", flag, value])
     assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
 
 
 def test_missing_graph_file(tmp_path, capsys):
@@ -181,10 +191,12 @@ def test_missing_graph_file(tmp_path, capsys):
 
 def test_word_reduce_needs_no_cap(graph_files, capsys):
     # (s1 s2 s3)^8 is the identity of A3; braid search hit its cap on it
-    code, out = run(capsys, "word", "reduce", "-g", graph_files["A3"], "123" * 8,
-                    "--max-orbit", "1")
+    code, out = run(capsys, "word", "reduce", "-g", graph_files["A3"], "123" * 8)
     assert code == 0
     assert json.loads(out)["result"] == {"word": "", "length": 0}
+    with pytest.raises(SystemExit) as exc:
+        main(["word", "reduce", "-g", graph_files["A3"], "123" * 8, "--max-orbit", "1"])
+    assert exc.value.code == 2
 
 
 def test_byte_identical_reruns(graph_files, capsys):
@@ -197,3 +209,53 @@ def test_byte_identical_reruns(graph_files, capsys):
         _, out = run(capsys, "cyclic", "decompose", "-g", graph_files["A~2"], "s2 s0 s1 s0")
         outputs.add(out)
     assert len(outputs) == 2
+
+
+# The arguments each command reads besides -g; every other option must be refused (exit 2).
+READS = {
+    ("graph", "validate"): (),
+    ("graph", "orientations"): ("--format",),
+    ("graph", "toric-classes"): (),
+    ("graph", "tutte"): ("--x/--y",),
+    ("word", "reduce"): ("word",),
+    ("word", "reduced-words"): ("word", "--max-orbit"),
+    ("word", "comm-classes"): ("word", "--max-orbit"),
+    ("word", "classify"): ("word", "--max-orbit"),
+    ("cyclic", "rtor"): ("word", "--max-orbit"),
+    ("cyclic", "ctor"): ("word", "--max-orbit"),
+    ("cyclic", "decompose"): ("word", "--max-orbit"),
+    ("cyclic", "elements"): ("word", "--max-orbit"),
+    ("heap", "build"): ("word",),
+    ("heap", "linexts"): ("word", "--max-extensions"),
+    ("heap", "dot"): ("word", "--format"),
+    ("toric", "heap"): ("word", "--format"),
+    ("toric", "ltor"): ("word", "--max-class"),
+    ("toric", "hasse"): ("word",),
+    ("toric", "closure"): ("word",),
+    ("coxeter", "elements"): (),
+    ("coxeter", "conjugacy"): (),
+}
+OPTIONS = {
+    "--format": ["--format", "json"],
+    "--max-orbit": ["--max-orbit", "5"],
+    "--max-class": ["--max-class", "5"],
+    "--max-extensions": ["--max-extensions", "5"],
+    "--x/--y": ["--x", "2", "--y", "0"],
+}
+
+
+@pytest.mark.parametrize("option", list(OPTIONS))
+@pytest.mark.parametrize("command", list(READS), ids="-".join)
+def test_each_command_takes_only_what_it_reads(graph_files, capsys, command, option):
+    argv = [*command, "-g", graph_files["A3"]]
+    if "word" in READS[command]:
+        argv.append("s1 s2")
+    if command == ("graph", "tutte") and option != "--x/--y":
+        argv += OPTIONS["--x/--y"]  # required, so that only the option under test can be refused
+    try:
+        code = main(argv + OPTIONS[option])
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert (code == 2) == (option not in READS[command])
+    assert code in (0, 2)

@@ -14,7 +14,12 @@ from coxheaps import toric as T
 from coxheaps import words as W
 from coxheaps.cli import main
 from coxheaps.errors import ClassCapExceeded, GraphMismatch, NotAcyclic, NotASource, TooLarge
-from oracles import bfs_toric_classes, brute_total_toric_extensions, walk_cycle_imbalance
+from oracles import (
+    bfs_toric_classes,
+    brute_total_toric_extensions,
+    search_is_toric_extension,
+    walk_cycle_imbalance,
+)
 
 
 def cycle_graph(n):
@@ -307,6 +312,29 @@ def small_graph_orientation(draw):
     orients = T.all_acyclic_orientations(graph)
     pick = draw(st.integers(0, len(orients) - 1))
     return orients[pick]
+
+
+@st.composite
+def nested_toric_posets(draw):
+    """A toric poset over a random graph G' on at most 6 vertices, and one
+    over a random subgraph G; each orientation comes from a vertex order,
+    and half the time both come from the same order, so that G' extends G."""
+    n = draw(st.integers(1, 6))
+    big = tuple(p for p in combinations(range(n), 2) if draw(st.integers(0, 3)))  # dense, so G has cycles
+    small = tuple(e for e in big if draw(st.integers(0, 3)))
+    order = draw(st.permutations(range(n)))
+    small_order = order if draw(st.booleans()) else draw(st.permutations(range(n)))
+    return (T.ToricPoset(T.orientation_from_linear_order(T.Graph(n, big), order)),
+            T.ToricPoset(T.orientation_from_linear_order(T.Graph(n, small), small_order)))
+
+
+@given(nested_toric_posets())
+@settings(max_examples=150)
+def test_toric_extension_matches_class_search(pair):
+    # the representative decides: restriction sends the larger class into one class
+    t_big, t = pair
+    assert T.is_toric_extension(t_big, t) == search_is_toric_extension(t_big, t)
+    assert len({T._imbalance(t.graph, T._restrict(o, t.graph).forward) for o in t_big.members}) == 1
 
 
 @given(small_graph_orientation())
