@@ -62,9 +62,10 @@ def word_graph(g: CoxeterGraph, w: Word) -> toric.Graph:
 
 
 def word_orientation(g: CoxeterGraph, w: Word) -> toric.AcyclicOrientation:
-    """The position-increasing orientation of the word graph."""
+    """The position-increasing orientation of the word graph, acyclic since
+    every edge points to a later position."""
     graph = word_graph(g, w)
-    return toric.AcyclicOrientation(graph, (1 << len(graph.edges)) - 1)
+    return toric._trusted(graph, (1 << len(graph.edges)) - 1)
 
 
 def heap_of_word(g: CoxeterGraph, w: Word) -> Heap:

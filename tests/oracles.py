@@ -319,10 +319,22 @@ def walk_cycle_imbalance(o) -> int:
     return sum(1 if (a, b) in directed else -1 for a, b in zip(walk, walk[1:] + walk[:1]))
 
 
+def filter_acyclic_orientations(graph):
+    """Acyc(graph) by testing every one of the 2^E direction masks, in
+    increasing order, with the checked public constructor."""
+    out = []
+    for mask in range(1 << len(graph.edges)):
+        try:
+            out.append(toric.AcyclicOrientation(graph, mask))
+        except NotAcyclic:
+            pass
+    return tuple(out)
+
+
 def bfs_toric_classes(graph):
     """Partition of Acyc(graph) by flip search from each least unclassified
     orientation, in order of least member."""
-    orients = {o.forward: o for o in toric.all_acyclic_orientations(graph)}
+    orients = {o.forward: o for o in filter_acyclic_orientations(graph)}
     remaining = set(orients)
     classes = []
     while remaining:

@@ -1,9 +1,15 @@
 import json
+import os
 
 import pytest
 
 from coxheaps import catalog
+from coxheaps.classifier import coxeter_graph_skeleton
 from coxheaps.cli import main
+from coxheaps.coxgraph import load_coxeter_graph
+from oracles import filter_acyclic_orientations
+
+AFFINE_A3_JSON = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "graphs", "affine_a3.json")
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +118,14 @@ def test_coxeter_subcommands(graph_files, capsys):
     assert sorted(len(c) for c in result["classes"]) == [4, 6, 4] or sorted(
         len(c) for c in result["classes"]
     ) == [4, 4, 6]
+
+
+def test_orientations_listed_in_filter_order(capsys):
+    # the skeleton of A~3 is a 4-cycle, so the filter drops two of the 16 masks
+    skel = coxeter_graph_skeleton(load_coxeter_graph(AFFINE_A3_JSON))
+    code, out = run(capsys, "graph", "orientations", "-g", AFFINE_A3_JSON)
+    assert code == 0
+    assert json.loads(out)["result"]["orientations"] == [o.bitstring() for o in filter_acyclic_orientations(skel)]
 
 
 def test_orientation_dot_format(graph_files, capsys):

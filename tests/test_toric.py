@@ -17,6 +17,7 @@ from coxheaps.errors import ClassCapExceeded, GraphMismatch, NotAcyclic, NotASou
 from oracles import (
     bfs_toric_classes,
     brute_total_toric_extensions,
+    filter_acyclic_orientations,
     search_is_toric_extension,
     walk_cycle_imbalance,
 )
@@ -53,6 +54,34 @@ def test_all_acyclic_orientations_too_large():
     big = complete_graph(8)  # 28 edges
     with pytest.raises(TooLarge):
         T.all_acyclic_orientations(big)
+
+
+def test_enumeration_matches_filter_on_small_graphs():
+    # every labelled graph on at most 5 vertices: the same masks in the same order
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            graph = T.Graph(n, tuple(p for k, p in enumerate(pairs) if chosen >> k & 1))
+            assert T.all_acyclic_orientations(graph) == filter_acyclic_orientations(graph), graph
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_enumeration_matches_filter_on_random_graphs(seed):
+    rng = random.Random(seed)
+    n = rng.choice((6, 7))
+    pairs = list(combinations(range(n), 2))
+    graph = T.Graph(n, tuple(sorted(rng.sample(pairs, rng.randint(6, 13)))))  # at most 2^13 masks to filter
+    assert T.all_acyclic_orientations(graph) == filter_acyclic_orientations(graph), graph
+
+
+def test_enumeration_on_k7():
+    # 2^21 masks for the filter; T_G is past MAX_TUTTE_EDGES, so the closed
+    # forms T_{K_n}(2, 0) = n! and T_{K_n}(1, 0) = (n - 1)! give the counts
+    k7 = complete_graph(7)
+    assert len(T.all_acyclic_orientations(k7)) == math.factorial(7)
+    classes = T.toric_classes(k7)
+    assert len(classes) == math.factorial(6)
+    assert {len(c) for c in classes} == {7}  # the 7 linear orders of one cyclic order
 
 
 def test_orientation_validation():
@@ -483,6 +512,32 @@ def test_class_closed_under_flips(o):
                 assert T.flip_source(member, v) in cls
             if member.is_sink(v):
                 assert T.flip_sink(member, v) in cls
+
+
+@given(small_graph_orientation(), st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_unchecked_constructions_pass_the_checked_constructor(o, rng):
+    def checked(out):
+        assert T.AcyclicOrientation(out.graph, out.forward) == out
+
+    graph = o.graph
+    for member in T.toric_class(o):
+        checked(member)
+    for v in o.sources():
+        checked(T.flip_source(o, v))
+    for v in o.sinks():
+        checked(T.flip_sink(o, v))
+    checked(T.orientation_from_linear_order(graph, rng.sample(range(graph.n), graph.n)))
+    checked(T._restrict(o, T.Graph(graph.n, tuple(e for e in graph.edges if rng.random() < 0.5))))
+
+
+@pytest.mark.parametrize("name", ["B3", "A~3", "E~6"])
+def test_word_orientation_passes_the_checked_constructor(name):
+    g = catalog.coxeter_graph(name)
+    rng = random.Random(name)
+    for length in range(12):
+        o = H.word_orientation(g, [rng.randrange(g.rank) for _ in range(length)])
+        assert T.AcyclicOrientation(o.graph, o.forward) == o
 
 
 def test_bitstring_and_json_shape():
