@@ -7,13 +7,13 @@ Vocabulary (all for a fixed Coxeter system):
 * TFC: torically reduced with a single cyclic commutativity class;
 * faux CFC: TFC but not CFC.
 
-CFC implies FC and TFC; the reverse inclusions fail.  ``classify``
-searches each set once: R(w), as its commutativity classes; the rotations
-of R(w), in one ``cyclic.rotation_walk`` for cyclic reducedness and CFC;
-and R_tor([w]), as its cyclic commutativity classes.  The word-level toric
-search runs only to name the chain of a word that is not torically reduced.
-The probes (logarithmic, braid-shortening) are explicitly partial: they
-report evidence bounded by their inputs, never theorems.
+CFC implies FC and TFC; the reverse inclusions fail.  FC and CFC are
+decided on heaps, the rotations in one ``cyclic.rotation_walk``;
+``classify`` lists R(w) only for non-FC w, and R_tor([w]) once, as its
+cyclic commutativity classes.  The word-level toric search runs only to
+name the chain of a word that is not torically reduced.  The probes
+(logarithmic, braid-shortening) are explicitly partial: they report
+evidence bounded by their inputs, never theorems.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from .errors import (
     ShapeMismatch,
     SpokeError,
 )
+from .heaps import _down_sets, _is_fc, heap_of_word
 from .words import (
     DEFAULT_ORBIT_CAP,
     commutativity_classes,
-    fc_orbit,
     is_fc,
     is_reduced,
     power_length,
@@ -69,18 +69,14 @@ __all__ = [
 ]
 
 
-def is_cfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """For every reduced word of w, every rotation is reduced and FC.
-
-    One short-move search lists R(w) and decides FC (``words.fc_orbit``);
-    an FC element then goes through ``cyclic.rotation_walk``, which settles
-    each braid orbit met among the rotations with a single search.
-    """
+def is_cfc(g: CoxeterGraph, w: Word) -> bool:
+    """For every reduced word of w, every rotation is reduced and FC
+    (Boothby et al. 2012): the heap FC test on w and, through
+    ``cyclic.rotation_walk``, on one word per down-set of its heap."""
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    word = g.check_word(w)
-    rw, fc = fc_orbit(g, word, cap)
-    return fc and rotation_walk(g, word, rw, fc, cap)[1]
+    h = heap_of_word(g, w)
+    return _is_fc(h) and rotation_walk(g, h, (), _down_sets(h), True)[1]
 
 
 def is_tfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
@@ -94,7 +90,7 @@ def is_tfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
 def is_faux_cfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     if not is_tfc(g, w, cap):
         return False
-    return not is_cfc(g, w, cap)
+    return not is_cfc(g, w)
 
 
 @dataclass(frozen=True)
@@ -142,25 +138,23 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
     word = g.check_word(w)
     if not is_reduced(g, word):
         return ClassificationReport(
-            word=word,
-            reduced=False,
-            cyclically_reduced=False,
-            torically_reduced=False,
-            fc=False,
-            cfc=False,
-            tfc=False,
-            faux_cfc=False,
-            counts={"reducedWords": None, "commutativityClasses": None,
-                    "cyclicWords": None, "cyclicCommutativityClasses": None},
+            word=word, reduced=False, cyclically_reduced=False, torically_reduced=False,
+            fc=False, cfc=False, tfc=False, faux_cfc=False,
+            counts=dict.fromkeys(("reducedWords", "commutativityClasses", "cyclicWords", "cyclicCommutativityClasses")),
             witnesses={"nonReducedRotation": word},
         )
-    classes = commutativity_classes(g, word, cap)
-    rw = frozenset().union(*classes)
-    fc = len(classes) == 1
-    counts: dict = {"reducedWords": len(rw), "commutativityClasses": len(classes)}
+    h = heap_of_word(g, word)
+    fc = _is_fc(h)
+    if fc:
+        rw, downs = (), _down_sets(h)
+        counts: dict = {"reducedWords": downs[(1 << len(word)) - 1], "commutativityClasses": 1}
+    else:
+        classes = commutativity_classes(g, word, cap)
+        rw, downs = frozenset().union(*classes), ()
+        counts = {"reducedWords": len(rw), "commutativityClasses": len(classes)}
     witnesses: dict = {}
 
-    bad_rotation, cfc = rotation_walk(g, word, rw, fc, cap)
+    bad_rotation, cfc = rotation_walk(g, h, rw, downs, fc)
     if bad_rotation is not None and cyclic_word(bad_rotation) == cyclic_word(word):
         witnesses["nonReducedRotation"] = bad_rotation
 
@@ -173,8 +167,7 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
         if chain is None:
             raise
         witnesses["toricWitnessChain"] = chain
-        counts["cyclicWords"] = None
-        counts["cyclicCommutativityClasses"] = None
+        counts["cyclicWords"] = counts["cyclicCommutativityClasses"] = None
         tfc = False
     else:
         counts["cyclicWords"] = sum(len(c) for c in decomposition)
@@ -359,7 +352,7 @@ def tfc_constructor(
         raise SeedWordError("seed word must avoid both spoke generators")
     if not is_reduced(g, seed):
         raise SeedWordError("seed word is not reduced")
-    if not is_cfc(g, seed, cap):
+    if not is_cfc(g, seed):
         raise SeedWordError("seed word is not CFC")
     word = alternating(s, t, int(m)) + seed
     return TfcConstruction(word, is_tfc(g, word, cap))
@@ -414,5 +407,5 @@ def conjecture_probe(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> 
         shortened=shortened,
         seed_torically_reduced=is_torically_reduced(g, seed, cap),
         shortened_tfc=is_tfc(g, shortened, cap),
-        shortened_cfc=is_reduced(g, shortened) and is_cfc(g, shortened, cap),
+        shortened_cfc=is_reduced(g, shortened) and is_cfc(g, shortened),
     )

@@ -21,6 +21,7 @@ suite checks equals C_tor([w]) by an independent route.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterable
@@ -29,22 +30,21 @@ from . import toric
 from .coxgraph import CoxeterGraph, Word
 from .errors import (
     GraphMismatch,
+    NotReduced,
     NotToricallyReduced,
     OrbitCapExceeded,
     TooLarge,
 )
-from .heaps import word_orientation
+from .heaps import Heap, _down_sets, _is_fc, heap_of_word, word_orientation
 from .words import (
     DEFAULT_ORBIT_CAP,
     NormalForm,
     _least_rotation,
     _listing,
     braid_moves,
-    fc_orbit,
     has_adjacent_repeat,
     is_reduced,
     normal_form,
-    reduced_words,
 )
 
 
@@ -76,47 +76,41 @@ def is_cyclically_reduced_word(g: CoxeterGraph, w: Word) -> bool:
 
 def is_cyclically_reduced_element(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """Every reduced word for the element of w is cyclically reduced
-    (``rotation_walk`` over R(w), without its CFC half); ``reduced_words``
-    raises NotReduced when w is not reduced."""
+    (``rotation_walk``); R(w) is listed only when w is not FC."""
     word = g.check_word(w)
-    return rotation_walk(g, word, reduced_words(g, word, cap), False, cap)[0] is None
+    if not is_reduced(g, word):
+        raise NotReduced(f"{g.format(w)} is not reduced")
+    h = heap_of_word(g, word)
+    if _is_fc(h):
+        return rotation_walk(g, h, (), _down_sets(h), False)[0] is None
+    return rotation_walk(g, h, _listing(g, word, cap, "reduced-word set")[0], (), False)[0] is None
 
 
-def rotation_walk(
-    g: CoxeterGraph, w: Word, rw: Collection[Word], fc: bool, cap: int = DEFAULT_ORBIT_CAP
-) -> tuple[Word | None, bool]:
-    """One pass over the rotations of R(w) that settles element-level cyclic
-    reducedness and CFC together.
+def rotation_walk(g: CoxeterGraph, h: Heap, rw: Collection[Word], downs: Iterable[int],
+                  cfc: bool) -> tuple[Word | None, bool]:
+    """One pass over the rotations of R(w), up to commutation, that settles
+    element-level cyclic reducedness and, with ``cfc`` (w is FC), CFC.
 
-    ``rw`` is R(w) for the reduced word w, and ``fc`` says whether w is FC.
-    Returns (the first rotation met that is not reduced, or None; w is CFC).
-    The rotations of w come first, so a returned rotation is w's first one
-    when w has any.  A rotation that is not reduced settles both notions.
-    While CFC is open, each new reduced rotation gets the FC verdict of its
-    braid orbit from ``fc_orbit``; the orbit's words are reduced with the
-    same verdict, so none of them is checked again.  With ``fc`` False no
-    orbit is searched.  An orbit over the cap leaves CFC open, and the cap
-    error is raised only when no other orbit settles it.
+    It takes the rotations of w (heap ``h``) and of ``rw`` (R(w), for w not
+    FC), then w with each of ``downs`` (the down-sets of h, for FC w) moved
+    to the end: up to commutation, a word of R(w) with its first k letters
+    moved to the back, as a down-set and the rest are convex.  Returns (the
+    first word met that is not reduced, so w's first such rotation when it
+    has one, or None; w is CFC).  While CFC is open, each new word gets the
+    heap FC test; reducedness and FC are the same on a commutativity class.
     """
-    known = set(rw)  # words known to be reduced, so never looked at again
-    cfc, over_cap = fc, None
-    for u in (w, *rw):
-        for k in range(1, len(u)):
-            r = u[k:] + u[:k]
-            if r in known:
-                continue
-            if not is_reduced(g, r):
-                return r, False
-            known.add(r)
-            if cfc:
-                try:
-                    orbit, cfc = fc_orbit(g, r, cap)
-                except OrbitCapExceeded as exc:
-                    over_cap = over_cap or exc
-                    continue
-                known |= orbit
-    if cfc and over_cap is not None:
-        raise over_cap
+    w = h.word
+    known = {w, *rw}
+    rotated = (u[k:] + u[:k] for u in (w, *rw) for k in range(1, len(u)))
+    moved = (tuple(w[i] for i in sorted(range(len(w)), key=lambda i: d >> i & 1)) for d in downs)
+    for r in itertools.chain(rotated, moved):
+        if r in known:
+            continue
+        if not is_reduced(g, r):
+            return r, False
+        known.add(r)
+        if cfc:
+            cfc = _is_fc(heap_of_word(g, r))
     return None, cfc
 
 

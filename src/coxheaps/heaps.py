@@ -132,6 +132,41 @@ def linear_extensions(h: Heap, cap: int = DEFAULT_EXTENSION_CAP) -> frozenset[Wo
     return frozenset(out)
 
 
+def _is_fc(h: Heap) -> bool:
+    """Whether the heap of a reduced word is FC: no convex chain is labelled
+    <s,t>_m with 3 <= m < inf (Stembridge 1996, Prop. 3.3).  Such a chain is
+    a window of m consecutive alternating {s,t}-occurrences, convex iff no
+    other letter between its ends in position lies between them in order."""
+    word, above = h.word, h.above
+    for s, t, m in h.graph.bonds():
+        chain = [i for i, x in enumerate(word) if x == s or x == t]
+        run = 1
+        for k in range(1, len(chain)):
+            run = run + 1 if word[chain[k]] != word[chain[k - 1]] else 1
+            if run >= m:  # never for m = inf
+                first, last = chain[k + 1 - m], chain[k]
+                if not any(above[first] >> j & 1 and above[j] >> last & 1
+                           for j in range(first + 1, last) if word[j] not in (s, t)):
+                    return False
+    return True
+
+
+def _down_sets(h: Heap) -> dict[int, int]:
+    """Each down-set of h, as a position bitmask, mapped to its number of
+    linear orders, smaller ones first; the whole heap comes last with
+    |L(h)|, which is |R(w)| for FC w, as equal labels are comparable."""
+    below = h.below
+    count, order = {0: 1}, [0]
+    for d in order:  # breadth first, so count[d] is complete when d is met
+        for i in range(h.size):
+            if not d >> i & 1 and not below[i] & ~d:
+                e = d | 1 << i
+                if e not in count:
+                    order.append(e)
+                count[e] = count.get(e, 0) + count[d]
+    return count
+
+
 def is_chain(h: Heap, subset: Iterable[int]) -> bool:
     """True iff the positions are totally ordered in the heap."""
     idx = sorted(set(subset))

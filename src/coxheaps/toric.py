@@ -37,8 +37,7 @@ from typing import Iterable, Sequence
 from .errors import ClassCapExceeded, GraphMismatch, NotAcyclic, NotASink, NotASource, TooLarge
 
 DEFAULT_CLASS_CAP = 1_000_000
-MAX_ENUM_EDGES = 24  # bound on the graphs whose acyclic orientations are listed
-MAX_TUTTE_EDGES = 18
+MAX_ENUM_EDGES = 24  # bound on the graphs whose acyclic orientations are listed or counted
 MAX_TOTAL_ORDER_VERTICES = 10
 
 
@@ -621,8 +620,8 @@ def tutte(graph: Graph, x: int, y: int) -> int:
     T(2, 0) counts acyclic orientations and T(1, 0) their toric equivalence
     classes.  Contractions are memoized on a relabeled canonical form.
     """
-    if len(graph.edges) > MAX_TUTTE_EDGES:
-        raise TooLarge(f"{len(graph.edges)} edges exceeds the Tutte bound {MAX_TUTTE_EDGES}")
+    if len(graph.edges) > MAX_ENUM_EDGES:
+        raise TooLarge(f"{len(graph.edges)} edges exceeds the Tutte bound {MAX_ENUM_EDGES}")
     memo: dict[tuple, int] = {}
 
     def canon(edges: tuple[tuple[int, int], ...]) -> tuple:

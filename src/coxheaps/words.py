@@ -7,7 +7,8 @@ words of its element (Matsumoto's theorem).
 
 Deciding needs no search: ``is_reduced`` and ``normal_form`` use the exact
 root-sequence criterion in ``roots``, in time polynomial in the length, so
-they and ``multiply``, ``conjugate`` and ``power_length`` take no cap.
+they and ``multiply``, ``conjugate`` and ``power_length`` take no cap,
+nor does ``is_fc``, which reads Stembridge's criterion off the heap.
 Where a set must be listed, one search, ``_listing``, lists a braid
 closure one commutativity class at a time; it also lists R_tor([w]) for
 ``cyclic``.  It carries a cap and raises ``OrbitCapExceeded`` as an
@@ -24,6 +25,7 @@ from typing import Iterator
 
 from .coxgraph import CoxeterGraph, Word
 from .errors import NotReduced, NotToricallyReduced, OrbitCapExceeded
+from .heaps import _is_fc, heap_of_word
 
 DEFAULT_ORBIT_CAP = 2_000_000
 
@@ -207,24 +209,11 @@ def commutativity_classes(
     return tuple(sorted(map(frozenset, classes), key=min))
 
 
-def fc_orbit(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> tuple[frozenset[Word], bool]:
-    """R(w) and True when the reduced word w is FC; otherwise the
-    commutativity class of w and False.
-
-    w is FC exactly when no word of R(w) holds a factor <s,t>_m with m >= 3
-    (Stembridge 1996, Prop. 2.1).  When no long move leaves the
-    commutativity class, the class is closed under every braid move and so
-    is all of R(w); one listing of the class thus lists R(w) and decides FC.
-    """
-    found, classes = _listing(g, w, cap, "commutativity class", first=True)
-    return frozenset(classes[0]), len(found) == len(classes[0])
-
-
-def is_fc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
+def is_fc(g: CoxeterGraph, w: Word) -> bool:
     """True iff R(w) is a single commutativity class (w must be reduced)."""
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    return fc_orbit(g, w, cap)[1]
+    return _is_fc(heap_of_word(g, w))
 
 
 def inverse(w: Word) -> Word:

@@ -5,9 +5,9 @@ oracles here go through the standard geometric representation instead:
 each generator acts on the root-coordinate space by an exact matrix over a
 quadratic integer ring (Z, Z[sqrt2], Z[phi], ...), which is faithful, so
 matrix equality decides element equality and a Cayley-ball BFS gives true
-lengths.  Nothing in this module calls the braid machinery.  The
-structural oracles at the end decide toric questions by listing and
-search, against the closed criteria of the library.
+lengths.  Nothing in this module calls the braid machinery, except the
+listing oracles at the end.  Those decide FC, CFC and toric questions by
+listing and search, against the closed criteria of the library.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from collections import deque
 from itertools import permutations
 
 from coxheaps import toric
+from coxheaps import words as W
 from coxheaps.coxgraph import INF, CoxeterGraph, Word
-from coxheaps.errors import NotAcyclic
+from coxheaps.errors import NotAcyclic, OrbitCapExceeded
 
 # ring element: (a, b) meaning a + b*xi with xi^2 = C0 + C1*xi
 
@@ -349,3 +350,53 @@ def search_is_toric_extension(t_big, t) -> bool:
     """Whether some member of the larger toric class, listed by flip search,
     restricts on the smaller graph to a member of the smaller class."""
     return any(toric._restrict(o, t.graph) in t for o in t_big.members)
+
+
+def listing_is_fc(g: CoxeterGraph, w: Word) -> bool:
+    """FC as "R(w) lists as one commutativity class"."""
+    return len(W.commutativity_classes(g, w)) == 1
+
+
+def fc_orbit(g: CoxeterGraph, w: Word, cap: int = W.DEFAULT_ORBIT_CAP) -> tuple[frozenset, bool]:
+    """R(w) and True when the reduced word w is FC; otherwise the
+    commutativity class of w and False.  When no long move leaves the
+    class, the class is closed under every braid move and so is R(w)."""
+    found, classes = W._listing(g, w, cap, "commutativity class", first=True)
+    return frozenset(classes[0]), len(found) == len(classes[0])
+
+
+def listing_rotation_walk(g: CoxeterGraph, w: Word, rw, fc: bool, cap: int = W.DEFAULT_ORBIT_CAP):
+    """The rotations of R(w), w's first, each new reduced one settling the FC
+    verdict of its whole braid orbit by ``fc_orbit`` while CFC is open.
+    Returns (the first rotation that is not reduced, or None; w is CFC)."""
+    known = set(rw)
+    cfc, over_cap = fc, None
+    for u in (w, *rw):
+        for k in range(1, len(u)):
+            r = u[k:] + u[:k]
+            if r in known:
+                continue
+            if not W.is_reduced(g, r):
+                return r, False
+            known.add(r)
+            if cfc:
+                try:
+                    orbit, cfc = fc_orbit(g, r, cap)
+                except OrbitCapExceeded as exc:
+                    over_cap = over_cap or exc
+                    continue
+                known |= orbit
+    if cfc and over_cap is not None:
+        raise over_cap
+    return None, cfc
+
+
+def listing_is_cfc(g: CoxeterGraph, w: Word) -> bool:
+    """CFC by listing R(w) and one braid orbit per new rotation."""
+    rw, fc = fc_orbit(g, w)
+    return fc and listing_rotation_walk(g, w, rw, fc)[1]
+
+
+def listing_is_cyclically_reduced_element(g: CoxeterGraph, w: Word) -> bool:
+    """Cyclic reducedness of every word of the listed R(w)."""
+    return listing_rotation_walk(g, w, W.reduced_words(g, w), False)[0] is None

@@ -6,6 +6,7 @@ from conftest import small_system
 from coxheaps import catalog
 from coxheaps import classifier as CL
 from coxheaps import cyclic as CY
+from coxheaps import heaps as H
 from coxheaps import toric as T
 from coxheaps import words as W
 from coxheaps.coxgraph import CoxeterGraph
@@ -16,6 +17,11 @@ from coxheaps.errors import (
     SeedWordError,
     ShapeMismatch,
     SpokeError,
+)
+from oracles import (
+    listing_is_cfc,
+    listing_is_cyclically_reduced_element,
+    listing_is_fc,
 )
 
 
@@ -61,6 +67,30 @@ def test_is_tfc_and_faux(b3, affine_c3, paw):
     assert CL.is_faux_cfc(paw, paw.word("s t s t a b a"))
     # not torically reduced -> not TFC, no error
     assert not CL.is_tfc(b3, b3.word("s3 s2 s1 s2"))
+
+
+def test_faux_cfc_words_on_the_heap_route(affine_c3, paw):
+    for g, text in ((affine_c3, "s0 s1 s0 s1 s2 s3 s2 s3"), (paw, "s t s t a b a")):
+        w = g.word(text)
+        for u in (w, w[2:], w[4:], w[::-1]):
+            _check_heap_route(g, u)
+        assert CL.is_faux_cfc(g, w) and not CL.is_cfc(g, w)
+
+
+def test_fc_classify_answers_past_the_orbit_cap(affine_a3):
+    # |R(w)| = 4^6 is far past the cap, but an FC element lists no R(w)
+    w = affine_a3.word("s1 s3 s2 s4") * 6
+    rep = CL.classify(affine_a3, w, 1000)
+    assert rep.counts["reducedWords"] == 4096
+    assert rep.fc and rep.cfc and rep.tfc
+
+
+def test_down_set_count_of_coxeter_powers(affine_a3):
+    # in A~3 the Coxeter element s1 s3 s2 s4 has 4^k reduced words for its k-th power
+    for k in range(1, 21):
+        w = affine_a3.word("s1 s3 s2 s4") * k
+        assert H._down_sets(H.heap_of_word(affine_a3, w))[(1 << 4 * k) - 1] == 4 ** k
+    assert CL.is_cfc(affine_a3, w)
 
 
 def test_classification_report_consistency(b3):
@@ -325,6 +355,27 @@ def test_classify_matches_brute_force_route(name):
 def test_classify_matches_brute_force_route_random(gw):
     g, w = gw
     assert CL.classify(g, w).to_json(g) == _brute_classify(g, w)
+    if W.is_reduced(g, w):
+        _check_heap_route(g, w)
+
+
+def _check_heap_route(g, w):
+    """The heap FC test, the down-set walk and the calls routed through
+    them, against the listing oracles."""
+    fc = CL.is_fc(g, w)
+    assert fc == listing_is_fc(g, w), g.format(w)
+    assert CL.is_cfc(g, w) == listing_is_cfc(g, w), g.format(w)
+    assert CY.is_cyclically_reduced_element(g, w) == listing_is_cyclically_reduced_element(g, w), g.format(w)
+    count = H._down_sets(H.heap_of_word(g, w))[(1 << len(w)) - 1]
+    assert count == len(W.commutativity_class(g, w))
+    assert not fc or count == len(W.reduced_words(g, w))
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "H3", "A~2", "A~3", "C~3"])
+def test_heap_route_matches_listing_oracles(name):
+    g = catalog.coxeter_graph(name)
+    for w in _elements_up_to(g, 8):
+        _check_heap_route(g, w)
 
 
 @given(small_system(max_len=5), st.integers(1, 64))

@@ -29,7 +29,6 @@ def test_braid_orbit_truncation_flagged(b3):
     # the cap counts listed words: the long-move neighbour of the one-word
     # class is found but not listed
     assert W.commutativity_class(b3, w, cap=1) == {w}
-    assert W.fc_orbit(b3, w, cap=1) == ({w}, False)
 
 
 def test_is_reduced_examples(a3, b3):
