@@ -8,12 +8,13 @@ Vocabulary (all for a fixed Coxeter system):
 * faux CFC: TFC but not CFC.
 
 CFC implies FC and TFC; the reverse inclusions fail.  FC and CFC are
-decided on heaps, the rotations in one ``cyclic.rotation_walk``;
-``classify`` lists R(w) only for non-FC w, and R_tor([w]) once, as its
-cyclic commutativity classes.  The word-level toric search runs only to
-name the chain of a word that is not torically reduced.  The probes
-(logarithmic, braid-shortening) are explicitly partial: they report
-evidence bounded by their inputs, never theorems.
+decided on heaps, and the rotations of R(w) by ``cyclic.rotation_walk``
+from one doubled root sequence per commutativity class; ``classify``
+lists R(w) only for non-FC w, for its counts and one seed word per class,
+and R_tor([w]) once, as its cyclic commutativity classes.  The word-level
+toric search runs only to name the chain of a word that is not torically
+reduced.  The probes (logarithmic, braid-shortening) are explicitly
+partial: they report evidence bounded by their inputs, never theorems.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
 from .heaps import _down_sets, _is_fc, heap_of_word
 from .words import (
     DEFAULT_ORBIT_CAP,
-    commutativity_classes,
+    _listing,
     is_fc,
     is_reduced,
     power_length,
@@ -71,12 +72,12 @@ __all__ = [
 
 def is_cfc(g: CoxeterGraph, w: Word) -> bool:
     """For every reduced word of w, every rotation is reduced and FC
-    (Boothby et al. 2012): the heap FC test on w and, through
-    ``cyclic.rotation_walk``, on one word per down-set of its heap."""
+    (Boothby et al. 2012).  w must be FC, so R(w) is w's class, whose
+    rotations ``cyclic.rotation_walk`` decides on w's heap."""
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
     h = heap_of_word(g, w)
-    return _is_fc(h) and rotation_walk(g, h, (), _down_sets(h), True)[1]
+    return _is_fc(h) and rotation_walk(g, h, (), True)[1]
 
 
 def is_tfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
@@ -88,9 +89,7 @@ def is_tfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
 
 
 def is_faux_cfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    if not is_tfc(g, w, cap):
-        return False
-    return not is_cfc(g, w)
+    return is_tfc(g, w, cap) and not is_cfc(g, w)
 
 
 @dataclass(frozen=True)
@@ -145,16 +144,12 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
         )
     h = heap_of_word(g, word)
     fc = _is_fc(h)
-    if fc:
-        rw, downs = (), _down_sets(h)
-        counts: dict = {"reducedWords": downs[(1 << len(word)) - 1], "commutativityClasses": 1}
-    else:
-        classes = commutativity_classes(g, word, cap)
-        rw, downs = frozenset().union(*classes), ()
-        counts = {"reducedWords": len(rw), "commutativityClasses": len(classes)}
+    classes = [[word]] if fc else _listing(g, word, cap, "reduced-word set")[1]
+    count = _down_sets(h)[(1 << len(word)) - 1] if fc else sum(map(len, classes))
+    counts: dict = {"reducedWords": count, "commutativityClasses": len(classes)}
     witnesses: dict = {}
 
-    bad_rotation, cfc = rotation_walk(g, h, rw, downs, fc)
+    bad_rotation, cfc = rotation_walk(g, h, [c[0] for c in classes[1:]], fc)
     if bad_rotation is not None and cyclic_word(bad_rotation) == cyclic_word(word):
         witnesses["nonReducedRotation"] = bad_rotation
 

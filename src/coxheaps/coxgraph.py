@@ -14,8 +14,8 @@ safe to share between threads; the only state added later is the graph's
 root data for the word problem, built on first use (``root_system``).
 
 Supported bonds: finite strengths 3 <= m <= MAX_BOND, and a ring degree
-phi(2M) / 2 <= MAX_RING_DEGREE for M the lcm of the finite bonds, which
-every graph whose finite bonds are all equal meets.
+phi(2M) / 2 <= MAX_RING_DEGREE for M the lcm of the finite bonds other
+than 3, which every graph whose finite bonds are all equal meets.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ Word = tuple[int, ...]
 Bond = int | float  # int >= 3, or INF
 
 # The word problem computes in a ring of degree phi(2M) / 2, where M is the
-# lcm of the finite bonds; these bound its size.
+# lcm of the finite bonds other than 3; these bound its size.
 MAX_BOND = 128
 MAX_RING_DEGREE = 64
 
@@ -247,8 +247,8 @@ def _totient(n: int) -> int:
 
 def ring_degree(finite_bonds: Iterable[int]) -> int:
     """Degree phi(2M) / 2 of the ring Z[2cos(pi / M)] that ``roots`` computes
-    in, for M the lcm of the finite bonds (1 if there are none)."""
-    return max(1, _totient(2 * math.lcm(*finite_bonds)) // 2)
+    in, for M the lcm of the finite bonds other than 3 (1 if there are none)."""
+    return max(1, _totient(2 * math.lcm(*(m for m in finite_bonds if m != 3))) // 2)
 
 
 def load_coxeter_graph(path: str) -> CoxeterGraph:

@@ -13,6 +13,11 @@ conjugation at fixed length:
   C_tor class at a time by ``words._listing``, which decides toric
   reducedness too; ``toric_reduction_witness`` only names a chain of moves.
 
+Element-level cyclic reducedness (``rotation_walk``) needs one seed word
+per commutativity class of R(w): its rotations are windows of the doubled
+word, which one root-sequence pass decides, and those of its class move
+down-sets of its heap to the end, which the heap order decides.
+
 The toric heap of a word is the toric poset of its dependency graph with
 the position-increasing orientation, labeled by the letters; its total
 toric extensions, read through the labels, give the set L_tor which the
@@ -24,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Iterable
 
 from . import toric
 from .coxgraph import CoxeterGraph, Word
@@ -69,49 +74,53 @@ def rotations(cw: CyclicWord | Word) -> tuple[Word, ...]:
 
 
 def is_cyclically_reduced_word(g: CoxeterGraph, w: Word) -> bool:
-    """Every rotation of the word is reduced."""
+    """Every rotation of the word is reduced (``roots.rotation_pairs``)."""
     word = g.check_word(w)
-    return all(is_reduced(g, r) for r in rotations(cyclic_word(word)))
+    return is_reduced(g, word) and all(i >= j for i, j in g.root_system().rotation_pairs(word))
 
 
 def is_cyclically_reduced_element(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """Every reduced word for the element of w is cyclically reduced
-    (``rotation_walk``); R(w) is listed only when w is not FC."""
+    (``rotation_walk``); R(w) is listed, for one seed word per
+    commutativity class, only when w is not FC."""
     word = g.check_word(w)
     if not is_reduced(g, word):
         raise NotReduced(f"{g.format(w)} is not reduced")
     h = heap_of_word(g, word)
-    if _is_fc(h):
-        return rotation_walk(g, h, (), _down_sets(h), False)[0] is None
-    return rotation_walk(g, h, _listing(g, word, cap, "reduced-word set")[0], (), False)[0] is None
+    seeds = () if _is_fc(h) else [c[0] for c in _listing(g, word, cap, "reduced-word set")[1][1:]]
+    return rotation_walk(g, h, seeds, False)[0] is None
 
 
-def rotation_walk(g: CoxeterGraph, h: Heap, rw: Collection[Word], downs: Iterable[int],
-                  cfc: bool) -> tuple[Word | None, bool]:
-    """One pass over the rotations of R(w), up to commutation, that settles
-    element-level cyclic reducedness and, with ``cfc`` (w is FC), CFC.
-
-    It takes the rotations of w (heap ``h``) and of ``rw`` (R(w), for w not
-    FC), then w with each of ``downs`` (the down-sets of h, for FC w) moved
-    to the end: up to commutation, a word of R(w) with its first k letters
-    moved to the back, as a down-set and the rest are convex.  Returns (the
-    first word met that is not reduced, so w's first such rotation when it
-    has one, or None; w is CFC).  While CFC is open, each new word gets the
-    heap FC test; reducedness and FC are the same on a commutativity class.
+def rotation_walk(g: CoxeterGraph, h: Heap, seeds: Iterable[Word], cfc: bool) -> tuple[Word | None, bool]:
+    """Settle element-level cyclic reducedness and, with ``cfc`` (w is FC),
+    CFC, from w's heap ``h`` and one seed word per other commutativity
+    class of R(w).  Rotation k of a word u is the window [k, k + n) of u u,
+    which ``roots.rotation_pairs`` decides: w's first bad rotation is
+    k = 1 + the least i of a pair with i < j.  Pairs belong to heap
+    elements, as commuting adjacent letters swaps their betas; a rotation
+    of a word of u's class moves a down-set D to the end, and some D holds
+    x but not y iff y is not below x.  So the class passes iff each pair
+    (x, y) has y <= x.  Returns (a rotation of a word of R(w) that is not
+    reduced, w's first if any, or None; w is CFC: the heap FC test on w
+    with each down-set moved to the end, up to commutation R(w)'s rotations).
     """
-    w = h.word
-    known = {w, *rw}
-    rotated = (u[k:] + u[:k] for u in (w, *rw) for k in range(1, len(u)))
-    moved = (tuple(w[i] for i in sorted(range(len(w)), key=lambda i: d >> i & 1)) for d in downs)
-    for r in itertools.chain(rotated, moved):
-        if r in known:
-            continue
-        if not is_reduced(g, r):
-            return r, False
-        known.add(r)
-        if cfc:
-            cfc = _is_fc(heap_of_word(g, r))
-    return None, cfc
+    w, rs = h.word, g.root_system()
+    pairs = rs.rotation_pairs(w)
+    first = min((i for i, j in pairs if i < j), default=None)
+    if first is not None:
+        return w[first + 1 :] + w[: first + 1], False
+    others = ((heap_of_word(g, u), rs.rotation_pairs(u)) for u in seeds)
+    for heap, pairs in itertools.chain([(h, pairs)], others):
+        for x, y in pairs:
+            if x != y and not heap.above[y] >> x & 1:
+                return _moved(heap.word, heap.below[x] | 1 << x), False
+    moved = {_moved(w, d) for d in _down_sets(h)} if cfc else ()
+    return None, cfc and all(_is_fc(heap_of_word(g, r)) for r in moved)
+
+
+def _moved(word: Word, d: int) -> Word:
+    """The word with the positions in the bitmask d moved to the end."""
+    return tuple(word[i] for i in sorted(range(len(word)), key=lambda i: d >> i & 1))
 
 
 def toric_reduction_witness(

@@ -10,11 +10,11 @@ exchange condition).  The left descents of the element of a reduced word
 are the s whose simple root alpha_s is among its betas (Björner–Brenti,
 *Combinatorics of Coxeter Groups*, §1.3–1.4 and §4.2).
 
-Coordinates lie in Z[x]/psi_M, where M is the lcm of the finite bonds,
-x = 2 cos(pi / M) and psi_M is the minimal polynomial of x, so every test
-is exact integer arithmetic.  A vector is a flat int tuple holding the
-coefficient of x^a in coordinate t at index t * d + a, d = deg psi_M.
-When M <= 3 the ring is Z.
+Coordinates lie in Z[x]/psi_M, where M is the lcm of the finite bonds
+other than 3 (2 cos(pi / 3) = 1), x = 2 cos(pi / M) and psi_M is the
+minimal polynomial of x, so every test is exact integer arithmetic.  A
+vector is a flat int tuple holding the coefficient of x^a in coordinate t
+at index t * d + a, d = deg psi_M.  When M = 1 the ring is Z.
 """
 
 from __future__ import annotations
@@ -101,11 +101,10 @@ class RootSystem:
 
     def __init__(self, g: CoxeterGraph):
         n = g.rank
-        finite = [m for _, _, m in g.bonds() if m != math.inf]
-        M = math.lcm(*finite)
-        psi = _min_poly(M) if M > 3 else [-1, 1]  # M <= 3: x = 1, the ring is Z
+        M = math.lcm(*(m for _, _, m in g.bonds() if m not in (3, math.inf)))
+        psi = _min_poly(M) if M > 1 else [-1, 1]  # M = 1: x = 1, the ring is Z
         d = len(psi) - 1
-        # V_k(x) for k <= M, so that 2 cos(pi / m) = V_{M/m}(x)
+        # V_k(x) for k <= M, so that 2 cos(pi / m) = V_{M/m}(x) and 2 = V_0
         unit = [1] + [0] * (d - 1)
         cheb = [[2 * a for a in unit], _times_x(unit, psi)]
         while len(cheb) <= M:
@@ -114,7 +113,7 @@ class RootSystem:
         steps: list[list] = [[] for _ in range(n)]
         reflect: list[list] = [[] for _ in range(n)]
         for i, j, m in g.bonds():
-            terms = _scale_terms([2 * a for a in unit] if m == math.inf else cheb[M // m], psi)
+            terms = _scale_terms(unit if m == 3 else cheb[0] if m == math.inf else cheb[M // m], psi)
             axpy = _axpy(terms, n, d)
             for s, t in ((i, j), (j, i)):
                 steps[s].append((t, axpy))
@@ -152,6 +151,21 @@ class RootSystem:
             self.times(cols, s)
             negated.add(cols[s])
         return True
+
+    def rotation_pairs(self, word: Word) -> list[tuple[int, int]]:
+        """The pairs (i, j) with w(beta_i) = -beta_j, w the element of the
+        reduced word.  Rotation k, the window [k, k + n) of the doubled word,
+        is reduced iff no pair has i < k <= j."""
+        cols, negated = list(self.identity), {}  # negated: -beta_j -> j
+        for j, s in enumerate(word):
+            self.times(cols, s)
+            negated[cols[s]] = j
+        pairs = []
+        for i, s in enumerate(word):
+            if cols[s] in negated:
+                pairs.append((i, negated[cols[s]]))
+            self.times(cols, s)
+        return pairs
 
     def shortlex_form(self, word: Word) -> Word:
         """The shortlex-least reduced word for the element of word.

@@ -76,7 +76,9 @@ def braid_moves(g: CoxeterGraph, w: Word, short_only: bool = False) -> Iterator[
 
 
 def _least_rotation(word: Word) -> Word:
-    return min((word[k:] + word[:k] for k in range(len(word))), default=())
+    """The least rotation, which starts at an occurrence of the least letter."""
+    n, doubled, least = len(word), word + word, min(word, default=None)
+    return min([doubled[k : k + n] for k in range(n) if word[k] == least], default=())
 
 
 def has_cyclic_repeat(word: Word) -> bool:

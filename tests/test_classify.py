@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -376,6 +379,78 @@ def test_heap_route_matches_listing_oracles(name):
     g = catalog.coxeter_graph(name)
     for w in _elements_up_to(g, 8):
         _check_heap_route(g, w)
+
+
+def _random_elements(g, rng, length, per_kind, tries=300):
+    """Shortlex words of distinct random elements of the given length, up
+    to ``per_kind`` of each kind: FC or not, with every rotation of the word
+    reduced or not, so that each branch of the rotation checks is met.
+    Every other draw only takes letters that keep the element FC."""
+    left = dict.fromkeys(itertools.product((False, True), repeat=2), per_kind)
+    out = set()
+    for draw in range(tries):
+        word = ()
+        for _ in range(4 * length):
+            u = word + (rng.randrange(g.rank),)
+            if len(u) <= length and W.is_reduced(g, u) and (draw % 2 or W.is_fc(g, u)):
+                word = u
+        if len(word) < length:
+            continue
+        word = W.normal_form(g, word).word
+        kind = (W.is_fc(g, word), all(W.is_reduced(g, word[k:] + word[:k]) for k in range(1, length)))
+        if word not in out and left[kind]:
+            left[kind] -= 1
+            out.add(word)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "A~3", "C~3"])
+def test_heap_route_matches_listing_oracles_at_nine_and_ten_letters(name):
+    g = catalog.coxeter_graph(name)
+    rng = random.Random(name)
+    elements = [w for length in (9, 10) for w in _random_elements(g, rng, length, 4)]
+    assert elements
+    for w in elements:
+        _check_heap_route(g, w)
+        report = CL.classify(g, w)
+        assert report.cyclically_reduced == listing_is_cyclically_reduced_element(g, w), g.format(w)
+        assert report.cfc == listing_is_cfc(g, w), g.format(w)
+
+
+def test_cyclically_reduced_pins(affine_c3):
+    g = affine_c3
+    rs = g.root_system()
+    # 39 reduced words in 3 commutativity classes, every rotation reduced
+    w = g.word("s1 s0 s1 s2 s1 s0 s3 s2 s3")
+    assert CY.is_cyclically_reduced_element(g, w)
+    report = CL.classify(g, w)
+    assert report.cyclically_reduced
+    assert (report.counts["reducedWords"], report.counts["commutativityClasses"]) == (39, 3)
+    # w's own pass has pairs, each with i >= j, which bound no rotation
+    w = g.word("s0 s1 s0 s1 s2 s3 s2 s3")
+    pairs = rs.rotation_pairs(w)
+    assert pairs and all(i >= j for i, j in pairs)
+    assert CY.is_cyclically_reduced_element(g, w)
+    assert CL.classify(g, w).cyclically_reduced
+    assert listing_is_cyclically_reduced_element(g, w)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("A4", "s1 s2 s3 s2"),  # only the other class, s3 s1 s2 s3, has a bad rotation
+    ("H3", "s1 s2 s1 s3 s2 s1 s2 s3"),  # FC; only a commutation of w has one
+])
+def test_bad_rotation_off_w_itself(name, text):
+    g = catalog.coxeter_graph(name)
+    w = g.word(text)
+    assert all(W.is_reduced(g, w[k:] + w[:k]) for k in range(len(w)))
+    seeds = [min(c) for c in W.commutativity_classes(g, w) if w not in c]
+    bad, cfc = CY.rotation_walk(g, H.heap_of_word(g, w), seeds, True)
+    assert bad is not None and not W.is_reduced(g, bad) and not cfc
+    assert CY.cyclic_word(bad) in {CY.cyclic_word(u) for u in W.reduced_words(g, w)}
+    assert not CY.is_cyclically_reduced_element(g, w)
+    assert not listing_is_cyclically_reduced_element(g, w)
+    report = CL.classify(g, w)
+    assert not report.cyclically_reduced and "nonReducedRotation" not in report.witnesses
 
 
 @given(small_system(max_len=5), st.integers(1, 64))

@@ -56,7 +56,8 @@ def test_invalid_graphs_rejected(gens, bonds):
 
 def test_supported_bond_range_loads():
     # every single bond value up to MAX_BOND, and the {3, 4, 5, inf} mix of
-    # the random systems in the tests (lcm 60, ring degree 16)
+    # the random systems in the tests (lcm of the bonds other than 3: 20,
+    # ring degree 8)
     CoxeterGraph(["a", "b"], [("a", "b", MAX_BOND)])
     CoxeterGraph(["a", "b"], [("a", "b", 127)])
     CoxeterGraph(["a", "b", "c", "d"], [("a", "b", 3), ("b", "c", 4), ("c", "d", 5), ("a", "d", "inf")])

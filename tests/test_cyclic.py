@@ -38,6 +38,13 @@ def test_cyclically_reduced_examples(b3):
     assert CY.is_cyclically_reduced_element(b3, b3.word("s3 s2 s1 s2"))
 
 
+@given(small_system(max_len=9))
+def test_cyclically_reduced_word_is_every_rotation_reduced(gw):
+    g, w = gw
+    want = all(W.is_reduced(g, w[k:] + w[:k]) for k in range(max(1, len(w))))
+    assert CY.is_cyclically_reduced_word(g, w) == want
+
+
 def test_cyclically_reduced_element_requires_reduced(a3):
     with pytest.raises(NotReduced, match="^s1 s1 is not reduced$"):
         CY.is_cyclically_reduced_element(a3, a3.word("s1 s1"))
