@@ -238,16 +238,8 @@ def orientation_to_coxeter(g: CoxeterGraph, o: toric.AcyclicOrientation) -> Word
     skel = coxeter_graph_skeleton(g)
     if o.graph != skel:
         raise NotACoxeterWord("orientation does not live on this Coxeter graph")
-    preds = [0] * g.rank
-    for a, b in o.directed_edges():
-        preds[b] |= 1 << a
-    out = []
-    used = 0
-    for _ in range(g.rank):
-        v = next(v for v in range(g.rank) if not used >> v & 1 and not preds[v] & ~used)
-        out.append(v)
-        used |= 1 << v
-    return tuple(out)
+    preds = toric._successors(g.rank, ((b, a) for a, b in o.directed_edges()))
+    return next(toric._linear_orders(preds))  # the least order comes first
 
 
 def coxeter_elements(g: CoxeterGraph) -> tuple[Word, ...]:

@@ -60,9 +60,9 @@ class CoxeterGraph:
             items = [(s, t, m) for s, t, m in bonds]
         bond_map: dict[tuple[int, int], Bond] = {}
         for s, t, m in items:
-            if s not in index or t not in index:
-                missing = s if s not in index else t
-                raise GraphSpecError(f"bond references unknown generator {missing!r}")
+            missing = [x for x in (s, t) if not isinstance(x, str) or x not in index]
+            if missing:
+                raise GraphSpecError(f"bond references unknown generator {missing[0]!r}")
             i, j = index[s], index[t]
             if i == j:
                 raise GraphSpecError(f"self-bond on {s!r}")
@@ -262,6 +262,8 @@ def load_coxeter_graph(path: str) -> CoxeterGraph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphSpecError(f"not a JSON document: {exc}") from None
+    except RecursionError:
+        raise GraphSpecError("graph document is nested too deeply to parse") from None
     return CoxeterGraph.from_json(data)
 
 

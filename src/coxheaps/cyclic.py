@@ -225,9 +225,6 @@ class ToricHeap:
     def size(self) -> int:
         return len(self.word)
 
-    def label(self, i: int) -> int:
-        return self.word[i]
-
 
 def toric_heap_of_word(g: CoxeterGraph, w: Word, cap: int = toric.DEFAULT_CLASS_CAP) -> ToricHeap:
     word = g.check_word(w)

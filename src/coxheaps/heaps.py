@@ -37,9 +37,6 @@ class Heap:
     def size(self) -> int:
         return len(self.word)
 
-    def label(self, i: int) -> int:
-        return self.word[i]
-
     def less(self, i: int, j: int) -> bool:
         return bool(self.above[i] >> j & 1)
 
@@ -102,33 +99,16 @@ def hasse_edges(h: Heap) -> tuple[tuple[int, int], ...]:
 def linear_extensions(h: Heap, cap: int = DEFAULT_EXTENSION_CAP) -> frozenset[Word]:
     """All labeled linear extensions of the heap, as words.
 
-    Backtracking over minimal elements, smaller positions first; the result
-    is the set L(H) of words whose heap is an extension of h.
+    The position orders come from ``toric._linear_orders``; the result is
+    the set L(H) of words whose heap is an extension of h, which for the
+    heap of w is the commutativity class of w (Cartier-Foata 1969).
     """
-    m = h.size
-    below = h.below
-    out: set[Word] = set()
-    prefix: list[int] = []
-    emitted = 0
-
-    def rec(used: int):
-        nonlocal emitted
-        if len(prefix) == m:
-            emitted += 1
-            if emitted > cap:
-                raise ExtensionCapExceeded(f"more than {cap} linear extensions")
-            out.add(tuple(h.word[i] for i in prefix))
-            return
-        for i in range(m):
-            if used >> i & 1:
-                continue
-            if below[i] & ~used:
-                continue
-            prefix.append(i)
-            rec(used | (1 << i))
-            prefix.pop()
-
-    rec(0)
+    word = h.word
+    out = set()
+    for k, order in enumerate(toric._linear_orders(h.below)):
+        if k >= cap:
+            raise ExtensionCapExceeded(f"more than {cap} linear extensions")
+        out.add(tuple(word[i] for i in order))
     return frozenset(out)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ClassCapExceeded, GraphMismatch, NotAcyclic, NotASink, NotASource, TooLarge
 
@@ -170,6 +170,34 @@ def _successors(n: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
     for a, b in arcs:
         succ[a] |= 1 << b
     return succ
+
+
+def _linear_orders(preds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every order of 0..n-1 that puts each v after the vertices in the
+    bitmask preds[v], least first; none if the preds form a cycle.  The
+    search is depth first, its stack the order placed so far, so long chains
+    need no recursion; each depth resumes after the vertex it last tried.
+    Heap extensions, total toric extensions and Coxeter words come from it."""
+    n = len(preds)
+    full = (1 << n) - 1
+    order: list[int] = []
+    used = v = 0  # v: the next vertex to try at the current depth
+    while True:
+        if used == full:
+            yield tuple(order)
+        else:
+            while v < n and (used >> v & 1 or preds[v] & ~used):
+                v += 1
+            if v < n:
+                order.append(v)
+                used |= 1 << v
+                v = (used + 1 & ~used).bit_length() - 1  # the least vertex not placed
+                continue
+        if not order:
+            return
+        v = order.pop()
+        used ^= 1 << v
+        v += 1
 
 
 def _sink_layers(succ: Sequence[int]) -> list[int]:
@@ -552,45 +580,20 @@ def total_toric_extensions(t: ToricPoset) -> frozenset[tuple[int, ...]]:
     restriction to G into a sink, so all n linearizations of a cyclic
     ordering restrict into the one class (Develin-Macauley-Reiner 2016).
     Each cyclic ordering is therefore listed once, as its linearization
-    that starts at vertex 0, over the members in which 0 has no in-edge.
+    that starts at vertex 0, made a predecessor of every other vertex.
     The brute-force scan over all (n-1)! cyclic orderings is kept in the
     test suite as an independent oracle.
     """
     n = t.graph.n
     if n > MAX_TOTAL_ORDER_VERTICES:
         raise TooLarge(f"{n} vertices exceeds the total-order search bound {MAX_TOTAL_ORDER_VERTICES}")
-    if n == 0:
-        return frozenset({()})
-    zero = t.graph.incident[0]  # edges (0, b): bit set means 0 -> b
+    zero = t.graph.incident[0] if n else 0  # edges (0, b): bit set means 0 -> b
     out: list[tuple[int, ...]] = []
     for member in t.members:
-        if member.forward & zero == zero:
-            out.extend(_orders_from_zero(member))
+        if member.forward & zero == zero:  # else 0 has an in-edge and starts no order
+            preds = _successors(n, ((b, a) for a, b in member.directed_edges()))
+            out.extend(_linear_orders([p | 1 if v else p for v, p in enumerate(preds)]))
     return frozenset(out)
-
-
-def _orders_from_zero(o: AcyclicOrientation) -> list[tuple[int, ...]]:
-    """The linearizations of o that start at vertex 0, which has no in-edge."""
-    n = o.graph.n
-    preds = [0] * n
-    for a, b in o.directed_edges():
-        preds[b] |= 1 << a
-    full = (1 << n) - 1
-    order = [0]
-    out: list[tuple[int, ...]] = []
-
-    def rec(used: int) -> None:
-        if used == full:
-            out.append(tuple(order))
-            return
-        for v in range(1, n):
-            if not used >> v & 1 and not preds[v] & ~used:
-                order.append(v)
-                rec(used | 1 << v)
-                order.pop()
-
-    rec(1)
-    return out
 
 
 def total_toric_order(n: int, order: Sequence[int], cap: int = DEFAULT_CLASS_CAP) -> ToricPoset:

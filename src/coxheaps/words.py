@@ -9,10 +9,11 @@ Deciding needs no search: ``is_reduced`` and ``normal_form`` use the exact
 root-sequence criterion in ``roots``, in time polynomial in the length, so
 they and ``multiply``, ``conjugate`` and ``power_length`` take no cap,
 nor does ``is_fc``, which reads Stembridge's criterion off the heap.
-Where a set must be listed, one search, ``_listing``, lists a braid
-closure one commutativity class at a time; it also lists R_tor([w]) for
-``cyclic``.  It carries a cap and raises ``OrbitCapExceeded`` as an
-inconclusive outcome rather than ever guessing.
+``commutativity_class`` lists the linear extensions of w's heap, which
+are its words (Cartier-Foata 1969).  Where a whole braid closure must be
+listed, one search, ``_listing``, lists it one commutativity class at a
+time; it also lists R_tor([w]) for ``cyclic``.  Both carry a cap and
+raise ``OrbitCapExceeded`` as an inconclusive outcome, never a guess.
 
 All functions are pure; words are tuples of generator indices.
 """
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .coxgraph import CoxeterGraph, Word
-from .errors import NotReduced, NotToricallyReduced, OrbitCapExceeded
-from .heaps import _is_fc, heap_of_word
+from .errors import ExtensionCapExceeded, NotReduced, NotToricallyReduced, OrbitCapExceeded
+from .heaps import _is_fc, heap_of_word, linear_extensions
 
 DEFAULT_ORBIT_CAP = 2_000_000
 
@@ -88,19 +89,18 @@ def has_cyclic_repeat(word: Word) -> bool:
 
 
 def _listing(
-    g: CoxeterGraph, w: Word, cap: int, what: str | None, cyclic: bool = False, first: bool = False
+    g: CoxeterGraph, w: Word, cap: int, what: str | None, cyclic: bool = False
 ) -> tuple[dict[Word, int], list[list[Word]]]:
-    """List the braid closure of w one commutativity class at a time, w's first.
+    """List the whole braid closure of w, one commutativity class at a time.
 
     A short move (m = 2) adds its result to the class being listed; a long
     move queues it as the seed of a later class.  ``found`` maps each word
     found to its class index, or to -1 while queued, so each word is
-    expanded once.  With ``first`` only w's class is listed, and the words
-    left queued are those long moves reach from it.  The first word listed
-    past the cap raises OrbitCapExceeded for ``what``, or, with ``what``
-    None, is queued and ends the search.  With ``cyclic`` the words are
-    least rotations, the moves act on every rotation, and a word with a
-    cyclic repeat raises NotToricallyReduced when met, before the cap.
+    expanded once.  The first word listed past the cap raises
+    OrbitCapExceeded for ``what``, or, with ``what`` None, is queued and
+    ends the search.  With ``cyclic`` the words are least rotations, the
+    moves act on every rotation, and a word with a cyclic repeat raises
+    NotToricallyReduced when met, before the cap.
     """
     start = g.check_word(w)
     if cyclic:
@@ -146,7 +146,7 @@ def _listing(
                     members.append(nxt)
         while seeds and found[seeds[0]] >= 0:
             seeds.popleft()
-        if seeds and not first:
+        if seeds:
             if listed >= cap:
                 return _cut(g, w, cap, what, found, seeds[0]), classes
             listed += 1
@@ -173,8 +173,12 @@ def braid_orbit(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Braid
 
 
 def commutativity_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[Word]:
-    """Closure of {w} under short braid moves only (the trace of w)."""
-    return frozenset(_listing(g, w, cap, "commutativity class", first=True)[1][0])
+    """Closure of {w} under short braid moves (the trace of w): the linear
+    extensions of its heap.  w itself is listed whatever the cap."""
+    try:
+        return linear_extensions(heap_of_word(g, w), max(cap, 1))
+    except ExtensionCapExceeded:
+        raise OrbitCapExceeded(f"commutativity class of {g.format(w)} exceeds cap {cap}") from None
 
 
 def is_reduced(g: CoxeterGraph, w: Word) -> bool:

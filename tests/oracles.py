@@ -357,12 +357,26 @@ def listing_is_fc(g: CoxeterGraph, w: Word) -> bool:
     return len(W.commutativity_classes(g, w)) == 1
 
 
+def commutativity_class(g: CoxeterGraph, w: Word, cap: int = W.DEFAULT_ORBIT_CAP) -> frozenset:
+    """Closure of {w} under short braid moves, by breadth-first search."""
+    start = g.check_word(w)
+    found, queue = {start}, [start]
+    for u in queue:
+        for v in W.braid_moves(g, u, short_only=True):
+            if v not in found:
+                if len(found) >= cap:
+                    raise OrbitCapExceeded(f"commutativity class of {g.format(w)} exceeds cap {cap}")
+                found.add(v)
+                queue.append(v)
+    return frozenset(found)
+
+
 def fc_orbit(g: CoxeterGraph, w: Word, cap: int = W.DEFAULT_ORBIT_CAP) -> tuple[frozenset, bool]:
     """R(w) and True when the reduced word w is FC; otherwise the
     commutativity class of w and False.  When no long move leaves the
     class, the class is closed under every braid move and so is R(w)."""
-    found, classes = W._listing(g, w, cap, "commutativity class", first=True)
-    return frozenset(classes[0]), len(found) == len(classes[0])
+    cls = commutativity_class(g, w, cap)
+    return cls, all(v in cls for u in cls for v in W.braid_moves(g, u))
 
 
 def listing_rotation_walk(g: CoxeterGraph, w: Word, rw, fc: bool, cap: int = W.DEFAULT_ORBIT_CAP):

@@ -1,4 +1,6 @@
+import glob
 import itertools
+import os
 import random
 
 import pytest
@@ -12,7 +14,7 @@ from coxheaps import cyclic as CY
 from coxheaps import heaps as H
 from coxheaps import toric as T
 from coxheaps import words as W
-from coxheaps.coxgraph import CoxeterGraph
+from coxheaps.coxgraph import CoxeterGraph, load_coxeter_graph
 from coxheaps.errors import (
     NotACoxeterWord,
     NotReduced,
@@ -26,6 +28,8 @@ from oracles import (
     listing_is_cyclically_reduced_element,
     listing_is_fc,
 )
+
+GRAPHS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "graphs")
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +167,16 @@ def test_roundtrip_all_orientations(affine_a3):
     for o in T.all_acyclic_orientations(skel):
         word = CL.orientation_to_coxeter(g, o)
         assert CL.coxeter_to_orientation(g, word) == o
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(GRAPHS, "*.json"))), ids=os.path.basename)
+def test_orientation_to_coxeter_is_least_linear_extension(path):
+    g = load_coxeter_graph(path)
+    for o in T.all_acyclic_orientations(CL.coxeter_graph_skeleton(g)):
+        arcs = o.directed_edges()
+        least = next(p for p in itertools.permutations(range(g.rank))  # in increasing order
+                     if all(p.index(a) < p.index(b) for a, b in arcs))
+        assert CL.orientation_to_coxeter(g, o) == least
 
 
 def test_coxeter_conjugacy_classes(affine_a3):

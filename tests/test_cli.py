@@ -9,7 +9,8 @@ from coxheaps.cli import main
 from coxheaps.coxgraph import load_coxeter_graph
 from oracles import filter_acyclic_orientations
 
-AFFINE_A3_JSON = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "graphs", "affine_a3.json")
+GRAPHS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "graphs")
+AFFINE_A3_JSON = os.path.join(GRAPHS, "affine_a3.json")
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +202,26 @@ def test_missing_graph_file(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["command"] == "word.reduce"
     assert doc["error"]["type"] == "GraphFileError"
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,  # json.loads recurses once per level
+    json.dumps({"generators": ["s1", "s2"], "bonds": [[["s1"], "s2", 3]]}),  # an unhashable endpoint
+], ids=["deeply-nested", "list-endpoint"])
+def test_malformed_graph_file(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out = run(capsys, "word", "reduce", "-g", str(path), "s1")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "GraphSpecError"
+
+
+def test_linexts_of_a_long_chain(capsys):
+    # the heap of (s1 s2)^750 is a chain of 1,500 positions with one extension
+    word = " ".join(["s1 s2"] * 750)
+    code, out = run(capsys, "heap", "linexts", "-g", os.path.join(GRAPHS, "a3.json"), word)
+    assert code == 0
+    assert json.loads(out)["result"]["words"] == [word]
 
 
 def test_word_reduce_needs_no_cap(graph_files, capsys):

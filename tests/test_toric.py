@@ -2,7 +2,7 @@ import json
 import math
 import os
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -404,6 +404,23 @@ def test_total_extensions_match_bruteforce_on_toric_heaps(name):
                     word.append(s)
             t = T.ToricPoset(H.word_orientation(g, word))
             assert T.total_toric_extensions(t) == brute_total_toric_extensions(t), word
+
+
+def test_linear_orders_match_permutation_filter():
+    # seeded random DAGs, relabelled so that 0..n-1 need not be an order;
+    # the filtered permutations come out least first
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randrange(8)
+        label = rng.sample(range(n), n)
+        preds = [0] * n
+        for i, j in combinations(range(n), 2):
+            if rng.random() < 0.35:
+                preds[label[j]] |= 1 << label[i]
+        arcs = [(u, v) for v in range(n) for u in range(n) if preds[v] >> u & 1]
+        want = [p for p in permutations(range(n)) if all(p.index(u) < p.index(v) for u, v in arcs)]
+        assert list(T._linear_orders(preds)) == want, preds
+    assert list(T._linear_orders([0b10, 0b01, 0])) == []  # a cycle admits no order
 
 
 def _hasse_with_order(t, edge_order):
