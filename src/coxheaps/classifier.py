@@ -8,12 +8,12 @@ Vocabulary (all for a fixed Coxeter system):
 * faux CFC: TFC but not CFC.
 
 CFC implies FC and TFC; the reverse inclusions fail.  FC and CFC are
-decided on heaps, and the rotations of R(w) by ``cyclic.rotation_walk``
-from one doubled root sequence per commutativity class; ``classify``
-lists R(w) only for non-FC w, for its counts and one seed word per class,
-and R_tor([w]) once, as its cyclic commutativity classes.  The word-level
-toric search runs only to name the chain of a word that is not torically
-reduced.  The probes (logarithmic, braid-shortening) are explicitly
+decided on the heaps of w and its rotations, and the rotations of R(w)
+by ``cyclic.rotation_walk`` from one doubled root sequence per class;
+``classify`` lists R(w) only for non-FC w, for its counts and one seed
+word per class, and R_tor([w]) once, as its cyclic classes.  The
+word-level toric search only names the chain of a word that is not
+torically reduced.  The probes (logarithmic, braid-shortening) are
 partial: they report evidence bounded by their inputs, never theorems.
 """
 
@@ -26,6 +26,7 @@ from .coxgraph import INF, CoxeterGraph, Word
 from .cyclic import (
     cyclic_decomposition,
     cyclic_word,
+    is_cyclically_reduced_word,
     is_torically_reduced,
     rotation_walk,
     rtor_cyclic_class,
@@ -46,7 +47,7 @@ from .words import (
     _listing,
     is_fc,
     is_reduced,
-    power_length,
+    normal_form,
 )
 
 __all__ = [
@@ -72,12 +73,16 @@ __all__ = [
 
 def is_cfc(g: CoxeterGraph, w: Word) -> bool:
     """For every reduced word of w, every rotation is reduced and FC
-    (Boothby et al. 2012).  w must be FC, so R(w) is w's class, whose
-    rotations ``cyclic.rotation_walk`` decides on w's heap."""
+    (Boothby et al. 2012); w's own rotations decide.  For FC w, R(w) is
+    w's class, and a rotation of one of its words is a window of n
+    consecutive elements of heap(w^Z), convex there.  A bad chain
+    (Stembridge: a convex ss or <s,t>_m) convex in one is convex in
+    heap(w^Z), so also in the window that starts at its first element,
+    which is a rotation of w."""
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    h = heap_of_word(g, w)
-    return _is_fc(h) and rotation_walk(g, h, (), True)[1]
+    rotations = (w[k:] + w[:k] for k in range(len(w)))
+    return is_cyclically_reduced_word(g, w) and all(_is_fc(heap_of_word(g, r)) for r in rotations)
 
 
 def is_tfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
@@ -149,7 +154,8 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
     counts: dict = {"reducedWords": count, "commutativityClasses": len(classes)}
     witnesses: dict = {}
 
-    bad_rotation, cfc = rotation_walk(g, h, [c[0] for c in classes[1:]], fc)
+    bad_rotation = rotation_walk(g, h, [c[0] for c in classes[1:]])
+    cfc = fc and bad_rotation is None and is_cfc(g, word)
     if bad_rotation is not None and cyclic_word(bad_rotation) == cyclic_word(word):
         witnesses["nonReducedRotation"] = bad_rotation
 
@@ -205,16 +211,15 @@ def logarithmic_probe(g: CoxeterGraph, w: Word, up_to: int) -> LogProbe:
         raise NotReduced(f"{g.format(w)} is not reduced")
     if up_to < 1:
         raise ValueError("up_to must be >= 1")
-    base = len(w)
-    lengths = []
-    violation = None
+    word = g.check_word(w)
+    lengths: list[int] = []
+    cur: Word = ()
     for k in range(1, up_to + 1):
-        lk = power_length(g, w, k)
-        lengths.append(lk)
-        if violation is None and lk < k * base:
-            violation = k
-            break
-    return LogProbe(g.check_word(w), up_to, tuple(lengths), violation)
+        cur = normal_form(g, cur + word).word  # w^k from the running w^(k-1)
+        lengths.append(len(cur))
+        if len(cur) < k * len(word):
+            return LogProbe(word, up_to, tuple(lengths), k)
+    return LogProbe(word, up_to, tuple(lengths), None)
 
 
 # -- Coxeter elements and their conjugacy ------------------------------

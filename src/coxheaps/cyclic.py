@@ -40,7 +40,7 @@ from .errors import (
     OrbitCapExceeded,
     TooLarge,
 )
-from .heaps import Heap, _down_sets, _is_fc, heap_of_word, word_orientation
+from .heaps import Heap, _is_fc, heap_of_word, word_orientation
 from .words import (
     DEFAULT_ORBIT_CAP,
     NormalForm,
@@ -88,34 +88,31 @@ def is_cyclically_reduced_element(g: CoxeterGraph, w: Word, cap: int = DEFAULT_O
         raise NotReduced(f"{g.format(w)} is not reduced")
     h = heap_of_word(g, word)
     seeds = () if _is_fc(h) else [c[0] for c in _listing(g, word, cap, "reduced-word set")[1][1:]]
-    return rotation_walk(g, h, seeds, False)[0] is None
+    return rotation_walk(g, h, seeds) is None
 
 
-def rotation_walk(g: CoxeterGraph, h: Heap, seeds: Iterable[Word], cfc: bool) -> tuple[Word | None, bool]:
-    """Settle element-level cyclic reducedness and, with ``cfc`` (w is FC),
-    CFC, from w's heap ``h`` and one seed word per other commutativity
-    class of R(w).  Rotation k of a word u is the window [k, k + n) of u u,
-    which ``roots.rotation_pairs`` decides: w's first bad rotation is
-    k = 1 + the least i of a pair with i < j.  Pairs belong to heap
-    elements, as commuting adjacent letters swaps their betas; a rotation
-    of a word of u's class moves a down-set D to the end, and some D holds
-    x but not y iff y is not below x.  So the class passes iff each pair
-    (x, y) has y <= x.  Returns (a rotation of a word of R(w) that is not
-    reduced, w's first if any, or None; w is CFC: the heap FC test on w
-    with each down-set moved to the end, up to commutation R(w)'s rotations).
+def rotation_walk(g: CoxeterGraph, h: Heap, seeds: Iterable[Word]) -> Word | None:
+    """Settle element-level cyclic reducedness from w's heap ``h`` and one
+    seed word per other commutativity class of R(w).  Rotation k of a word
+    u is the window [k, k + n) of u u, which ``roots.rotation_pairs``
+    decides: w's first bad rotation is k = 1 + the least i of a pair with
+    i < j.  Pairs belong to heap elements, as commuting adjacent letters
+    swaps their betas; a rotation of a word of u's class moves a down-set D
+    to the end, and some D holds x but not y iff y is not below x.  So the
+    class passes iff each pair (x, y) has y <= x.  Returns a rotation of a
+    word of R(w) that is not reduced, w's first if any, or None.
     """
     w, rs = h.word, g.root_system()
     pairs = rs.rotation_pairs(w)
     first = min((i for i, j in pairs if i < j), default=None)
     if first is not None:
-        return w[first + 1 :] + w[: first + 1], False
+        return w[first + 1 :] + w[: first + 1]
     others = ((heap_of_word(g, u), rs.rotation_pairs(u)) for u in seeds)
     for heap, pairs in itertools.chain([(h, pairs)], others):
         for x, y in pairs:
             if x != y and not heap.above[y] >> x & 1:
-                return _moved(heap.word, heap.below[x] | 1 << x), False
-    moved = {_moved(w, d) for d in _down_sets(h)} if cfc else ()
-    return None, cfc and all(_is_fc(heap_of_word(g, r)) for r in moved)
+                return _moved(heap.word, heap.below[x] | 1 << x)
+    return None
 
 
 def _moved(word: Word, d: int) -> Word:

@@ -42,10 +42,13 @@ class Heap:
 
     @cached_property
     def below(self) -> tuple[int, ...]:
-        out = [0] * self.size
-        for i, mask in enumerate(self.above):
-            for j in _bits(mask):
-                out[j] |= 1 << i
+        word, out = self.word, []  # filled forward, as heap_of_word fills above backward
+        for j, s in enumerate(word):
+            row, acc = self.graph.bond_table[s], 0
+            for i in range(j):
+                if row[word[i]] != 2:
+                    acc |= (1 << i) | out[i]
+            out.append(acc)
         return tuple(out)
 
 

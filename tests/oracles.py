@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import permutations
 
+from coxheaps import heaps as H
 from coxheaps import toric
 from coxheaps import words as W
 from coxheaps.coxgraph import INF, CoxeterGraph, Word
@@ -409,6 +410,22 @@ def listing_is_cfc(g: CoxeterGraph, w: Word) -> bool:
     """CFC by listing R(w) and one braid orbit per new rotation."""
     rw, fc = fc_orbit(g, w)
     return fc and listing_rotation_walk(g, w, rw, fc)[1]
+
+
+def down_set_is_cfc(g: CoxeterGraph, w: Word) -> bool:
+    """CFC of the element of the reduced word w by its heap's down-sets.
+    For FC w, R(w) is the linear extensions of the heap, and their
+    rotations are w with a down-set moved to the end, up to commutation;
+    each must be reduced and FC.  Lists down-sets, not words, so it reaches
+    elements whose R(w) is far too large for ``listing_is_cfc``."""
+    h = H.heap_of_word(g, w)
+    if not H._is_fc(h):
+        return False
+    for d in H._down_sets(h):
+        r = tuple(w[i] for i in sorted(range(len(w)), key=lambda i: d >> i & 1))
+        if not (W.is_reduced(g, r) and H._is_fc(H.heap_of_word(g, r))):
+            return False
+    return True
 
 
 def listing_is_cyclically_reduced_element(g: CoxeterGraph, w: Word) -> bool:

@@ -14,7 +14,7 @@ from coxheaps import cyclic as CY
 from coxheaps import heaps as H
 from coxheaps import toric as T
 from coxheaps import words as W
-from coxheaps.coxgraph import CoxeterGraph, load_coxeter_graph
+from coxheaps.coxgraph import INF, CoxeterGraph, load_coxeter_graph
 from coxheaps.errors import (
     NotACoxeterWord,
     NotReduced,
@@ -24,6 +24,7 @@ from coxheaps.errors import (
     SpokeError,
 )
 from oracles import (
+    down_set_is_cfc,
     listing_is_cfc,
     listing_is_cyclically_reduced_element,
     listing_is_fc,
@@ -449,6 +450,33 @@ def test_cyclically_reduced_pins(affine_c3):
     assert listing_is_cyclically_reduced_element(g, w)
 
 
+@pytest.mark.parametrize("name", ["B3", "H3", "A~2", "A4", "C~3"])
+def test_cfc_verdict_same_on_every_reduced_word(name):
+    g = catalog.coxeter_graph(name)
+    for w in _elements_up_to(g, 7):
+        want = listing_is_cfc(g, w)
+        assert all(CL.is_cfc(g, u) == want for u in W.reduced_words(g, w)), g.format(w)
+
+
+def test_cfc_reads_the_last_rotation():
+    # only the last rotation, s0 s2 s1 s0 s3 s1, holds a convex <s0,s1>_4
+    g = CoxeterGraph(["s0", "s1", "s2", "s3"], [("s0", "s1", 4), ("s1", "s2", 3), ("s2", "s3", 3), ("s3", "s0", INF)])
+    w = g.word("s2 s1 s0 s3 s1 s0")
+    assert CY.is_cyclically_reduced_word(g, w)
+    assert [H._is_fc(H.heap_of_word(g, w[k:] + w[:k])) for k in range(len(w))] == [True] * 5 + [False]
+    assert not CL.is_cfc(g, w) and not listing_is_cfc(g, w)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cfc_of_bipartite_powers_in_affine_a7(k):
+    # R(c^2) holds 2,363,392 words, too many to list: the oracle walks down-sets
+    g = catalog.cycle([f"s{i}" for i in range(8)])
+    w = (0, 2, 4, 6, 1, 3, 5, 7) * k
+    assert CL.is_cfc(g, w) and down_set_is_cfc(g, w)
+    u = w[:-1] + (2,)  # reduced and FC, but not CFC
+    assert CL.is_fc(g, u) and not CL.is_cfc(g, u) and not down_set_is_cfc(g, u)
+
+
 @pytest.mark.parametrize("name, text", [
     ("A4", "s1 s2 s3 s2"),  # only the other class, s3 s1 s2 s3, has a bad rotation
     ("H3", "s1 s2 s1 s3 s2 s1 s2 s3"),  # FC; only a commutation of w has one
@@ -458,8 +486,8 @@ def test_bad_rotation_off_w_itself(name, text):
     w = g.word(text)
     assert all(W.is_reduced(g, w[k:] + w[:k]) for k in range(len(w)))
     seeds = [min(c) for c in W.commutativity_classes(g, w) if w not in c]
-    bad, cfc = CY.rotation_walk(g, H.heap_of_word(g, w), seeds, True)
-    assert bad is not None and not W.is_reduced(g, bad) and not cfc
+    bad = CY.rotation_walk(g, H.heap_of_word(g, w), seeds)
+    assert bad is not None and not W.is_reduced(g, bad) and not CL.is_cfc(g, w)
     assert CY.cyclic_word(bad) in {CY.cyclic_word(u) for u in W.reduced_words(g, w)}
     assert not CY.is_cyclically_reduced_element(g, w)
     assert not listing_is_cyclically_reduced_element(g, w)

@@ -2,7 +2,7 @@ import json
 import math
 import os
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -489,6 +489,31 @@ def test_toric_hasse_independent_of_removal_order(o):
     forward = T.toric_hasse(t)
     assert _hasse_with_order(t, o.graph.edges) == forward
     assert _hasse_with_order(t, tuple(reversed(o.graph.edges))) == forward
+    shuffled = random.Random(o.forward).sample(o.graph.edges, len(o.graph.edges))
+    assert _hasse_with_order(t, shuffled) == forward
+
+
+def test_toric_hasse_sweep():
+    # every acyclic orientation of every labelled graph on at most 4
+    # vertices, and the toric heaps of every word of up to 6 letters in A3,
+    # B3 and A~2, each word graph once (its orientation is position order)
+    cases = []
+    for n in range(5):
+        pairs = list(combinations(range(n), 2))
+        for keep in range(1 << len(pairs)):
+            graph = T.Graph(n, tuple(e for k, e in enumerate(pairs) if keep >> k & 1))
+            cases.extend(T.all_acyclic_orientations(graph))
+    heaps = {}
+    for name in ("A3", "B3", "A~2"):
+        g = catalog.coxeter_graph(name)
+        for length in range(7):
+            for word in product(range(g.rank), repeat=length):
+                o = H.word_orientation(g, word)
+                heaps.setdefault(o.graph, o)
+    cases.extend(heaps.values())
+    for o in cases:
+        t = T.ToricPoset(o)
+        assert T.toric_hasse(t) == _hasse_with_order(t, o.graph.edges), o
 
 
 def test_toric_hasse_beyond_total_order_bound(capsys):
