@@ -25,6 +25,8 @@ def cases():
     yield paw, paw.word("s t s t a b a")
     c2 = catalog.coxeter_graph("C~2")
     yield c2, c2.word("s0 s1 s0 s1 s2")
+    c4 = catalog.coxeter_graph("C~4")
+    yield c4, c4.word("s0 s1 s0 s1 s2 s3 s4 s3 s4")
 
 
 def main():

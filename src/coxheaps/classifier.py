@@ -7,9 +7,11 @@ Vocabulary (all for a fixed Coxeter system):
 * TFC: torically reduced with a single cyclic commutativity class;
 * faux CFC: TFC but not CFC.
 
-CFC implies FC and TFC; the reverse inclusions fail.  FC and CFC are
-decided on the heaps of w and its rotations, and the rotations of R(w)
-by ``cyclic.rotation_walk`` from one doubled root sequence per class;
+CFC implies FC and TFC; the reverse inclusions fail.  FC, CFC and TFC
+are decided on the convex <s,t>_m windows of the heaps of w and its
+rotations: CFC has none, and TFC keeps its toric heap under each one's
+braid move.  The rotations of R(w) are decided by
+``cyclic.rotation_walk`` from one doubled root sequence per class;
 ``classify`` lists R(w) only for non-FC w, for its counts and one seed
 word per class, and R_tor([w]) once, as its cyclic classes.  The
 word-level toric search only names the chain of a word that is not
@@ -29,7 +31,10 @@ from .cyclic import (
     is_cyclically_reduced_word,
     is_torically_reduced,
     rotation_walk,
+    rotations,
     rtor_cyclic_class,
+    toric_heap_of_word,
+    toric_heaps_isomorphic,
     toric_reduction_witness,
 )
 from .errors import (
@@ -41,7 +46,7 @@ from .errors import (
     ShapeMismatch,
     SpokeError,
 )
-from .heaps import _down_sets, _is_fc, heap_of_word
+from .heaps import _convex_windows, _down_sets, _is_fc, heap_of_word
 from .words import (
     DEFAULT_ORBIT_CAP,
     _listing,
@@ -81,20 +86,35 @@ def is_cfc(g: CoxeterGraph, w: Word) -> bool:
     which is a rotation of w."""
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    rotations = (w[k:] + w[:k] for k in range(len(w)))
-    return is_cyclically_reduced_word(g, w) and all(_is_fc(heap_of_word(g, r)) for r in rotations)
+    return is_cyclically_reduced_word(g, w) and all(_is_fc(heap_of_word(g, r)) for r in rotations(w))
 
 
-def is_tfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """Torically reduced with exactly one cyclic commutativity class."""
-    try:
-        return len(cyclic_decomposition(g, w, cap)) == 1
-    except NotToricallyReduced:
+def is_tfc(g: CoxeterGraph, w: Word) -> bool:
+    """Torically reduced with one cyclic commutativity class.  A cyclic
+    word of C_tor([w]) has an <s,t>_m factor iff it is a convex window of
+    the heap of a rotation u of w; u commutes to what lies below the
+    window, the window (a chain) and the rest.  If each window's braid move
+    keeps the toric heap, R_tor([w]) = C_tor([w]), torically reduced iff
+    cyclically reduced."""
+    word = g.check_word(w)
+    if not is_cyclically_reduced_word(g, word):
         return False
+    base = None
+    for u in rotations(word):
+        h = heap_of_word(g, u)
+        for window in _convex_windows(h):
+            closed = h.below[window[-1]] | 1 << window[-1]
+            down = closed & ~sum(1 << i for i in window)
+            moved = (tuple(u[i] for i in toric._bits(down)) + alternating(u[window[1]], u[window[0]], len(window))
+                     + tuple(u[i] for i in range(len(u)) if not closed >> i & 1))
+            base = base or toric_heap_of_word(g, word)
+            if not toric_heaps_isomorphic(base, toric_heap_of_word(g, moved)):
+                return False
+    return True
 
 
-def is_faux_cfc(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    return is_tfc(g, w, cap) and not is_cfc(g, w)
+def is_faux_cfc(g: CoxeterGraph, w: Word) -> bool:
+    return is_tfc(g, w) and not is_cfc(g, w)
 
 
 @dataclass(frozen=True)
@@ -161,9 +181,11 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
 
     try:
         decomposition = cyclic_decomposition(g, word, cap)
-    except (NotToricallyReduced, OrbitCapExceeded):
+    except (NotToricallyReduced, OrbitCapExceeded) as exc:
         # the word-level search names the chain; it also settles a cyclic
-        # closure over the cap when it finds a chain within the cap
+        # closure over the cap when it finds a chain, which no TFC word has
+        if isinstance(exc, OrbitCapExceeded) and is_tfc(g, word):
+            raise
         chain = toric_reduction_witness(g, word, cap)
         if chain is None:
             raise
@@ -322,9 +344,7 @@ class TfcConstruction:
     tfc: bool
 
 
-def tfc_constructor(
-    g: CoxeterGraph, spoke: tuple[str | int, str | int], u: Word, cap: int = DEFAULT_ORBIT_CAP
-) -> TfcConstruction:
+def tfc_constructor(g: CoxeterGraph, spoke: tuple[str | int, str | int], u: Word) -> TfcConstruction:
     """Build <s,t>_{m(s,t)} u from an even spoke (s, t) and a CFC seed u.
 
     Preconditions (typed errors): s is an endpoint of the diagram, m(s, t)
@@ -347,7 +367,7 @@ def tfc_constructor(
     if not is_cfc(g, seed):
         raise SeedWordError("seed word is not CFC")
     word = alternating(s, t, int(m)) + seed
-    return TfcConstruction(word, is_tfc(g, word, cap))
+    return TfcConstruction(word, is_tfc(g, word))
 
 
 @dataclass(frozen=True)
@@ -391,13 +411,13 @@ def conjecture_probe(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> 
     if word[:m] != alternating(s, t, m):
         raise ShapeMismatch(f"word does not start with the full factor <{g.name(s)},{g.name(t)}>_{m}")
     seed = word[m:]
-    if not is_faux_cfc(g, word, cap):
+    if not is_faux_cfc(g, word):
         raise ShapeMismatch(f"{g.format(w)} is not faux CFC")
     shortened = alternating(s, t, m - 2) + seed
     return ConjectureProbe(
         word=word,
         shortened=shortened,
         seed_torically_reduced=is_torically_reduced(g, seed, cap),
-        shortened_tfc=is_tfc(g, shortened, cap),
+        shortened_tfc=is_tfc(g, shortened),
         shortened_cfc=is_reduced(g, shortened) and is_cfc(g, shortened),
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .coxgraph import CoxeterGraph, Word
 from .errors import ExtensionCapExceeded, GraphMismatch
@@ -115,11 +115,11 @@ def linear_extensions(h: Heap, cap: int = DEFAULT_EXTENSION_CAP) -> frozenset[Wo
     return frozenset(out)
 
 
-def _is_fc(h: Heap) -> bool:
-    """Whether the heap of a reduced word is FC: no convex chain is labelled
-    <s,t>_m with 3 <= m < inf (Stembridge 1996, Prop. 3.3).  Such a chain is
-    a window of m consecutive alternating {s,t}-occurrences, convex iff no
-    other letter between its ends in position lies between them in order."""
+def _convex_windows(h: Heap) -> Iterator[tuple[int, ...]]:
+    """The positions of each convex chain of h labelled <s,t>_m, 3 <= m < inf:
+    a window of m consecutive alternating {s,t}-occurrences with no other
+    letter between its ends in order.  A reduced word is FC iff it has none
+    (Stembridge 1996, Prop. 3.3)."""
     word, above = h.word, h.above
     for s, t, m in h.graph.bonds():
         chain = [i for i, x in enumerate(word) if x == s or x == t]
@@ -130,8 +130,12 @@ def _is_fc(h: Heap) -> bool:
                 first, last = chain[k + 1 - m], chain[k]
                 if not any(above[first] >> j & 1 and above[j] >> last & 1
                            for j in range(first + 1, last) if word[j] not in (s, t)):
-                    return False
-    return True
+                    yield tuple(chain[k + 1 - m : k + 1])
+
+
+def _is_fc(h: Heap) -> bool:
+    """Whether the heap of a reduced word is FC: it has no convex window."""
+    return next(_convex_windows(h), None) is None
 
 
 def _down_sets(h: Heap) -> dict[int, int]:

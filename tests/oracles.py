@@ -15,11 +15,12 @@ from __future__ import annotations
 from collections import deque
 from itertools import permutations
 
+from coxheaps import cyclic as CY
 from coxheaps import heaps as H
 from coxheaps import toric
 from coxheaps import words as W
 from coxheaps.coxgraph import INF, CoxeterGraph, Word
-from coxheaps.errors import NotAcyclic, OrbitCapExceeded
+from coxheaps.errors import NotAcyclic, NotToricallyReduced, OrbitCapExceeded
 
 # ring element: (a, b) meaning a + b*xi with xi^2 = C0 + C1*xi
 
@@ -431,3 +432,19 @@ def down_set_is_cfc(g: CoxeterGraph, w: Word) -> bool:
 def listing_is_cyclically_reduced_element(g: CoxeterGraph, w: Word) -> bool:
     """Cyclic reducedness of every word of the listed R(w)."""
     return listing_rotation_walk(g, w, W.reduced_words(g, w), False)[0] is None
+
+
+def listing_is_tfc(g: CoxeterGraph, w: Word, known: dict | None = None) -> bool:
+    """TFC as "R_tor([w]) lists as one cyclic commutativity class"; the
+    listing meets a cyclic repeat when w is not torically reduced.  A dict
+    ``known`` caches the verdict of every cyclic word of a listed R_tor."""
+    known = {} if known is None else known
+    key = CY.cyclic_word(w)
+    if key not in known:
+        try:
+            classes = CY.cyclic_decomposition(g, w)
+        except NotToricallyReduced:
+            known[key] = False
+        else:
+            known.update((cw, len(classes) == 1) for c in classes for cw in c)
+    return known[key]
