@@ -8,9 +8,9 @@ Vocabulary (all for a fixed Coxeter system):
 * faux CFC: TFC but not CFC.
 
 CFC implies FC and TFC; the reverse inclusions fail.  FC, CFC and TFC
-are decided on the convex <s,t>_m windows of the heaps of w and its
-rotations: CFC has none, and TFC keeps its toric heap under each one's
-braid move.  The rotations of R(w) are decided by
+are decided on the convex <s,t>_m windows of the heap of w and, for the
+rotations of w, of the one heap of w w: CFC has none, and TFC keeps its
+toric heap under each one's braid move.  The rotations of R(w) are decided by
 ``cyclic.rotation_walk`` from one doubled root sequence per class;
 ``classify`` lists R(w) only for non-FC w, for its counts and one seed
 word per class, and R_tor([w]) once, as its cyclic classes.  The
@@ -22,6 +22,7 @@ partial: they report evidence bounded by their inputs, never theorems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import toric
 from .coxgraph import INF, CoxeterGraph, Word
@@ -31,7 +32,6 @@ from .cyclic import (
     is_cyclically_reduced_word,
     is_torically_reduced,
     rotation_walk,
-    rotations,
     rtor_cyclic_class,
     toric_heap_of_word,
     toric_heaps_isomorphic,
@@ -76,6 +76,23 @@ __all__ = [
 ]
 
 
+def _moved_words(g: CoxeterGraph, w: Word) -> Iterator[Word]:
+    """Each convex <s,t>_m window of each rotation of w, as that rotation
+    commuted to what lies below the window, then <t,s>_m, then the rest.
+    Rotation k is the window [k, k + n) of w w, whose heap is that of w w
+    there, so the windows of heap(w w) that start in w and span fewer than
+    n positions are those of w's rotations, each met once."""
+    n, d = len(w), w + w
+    h = heap_of_word(g, d)
+    for window in _convex_windows(h):
+        first, last = window[0], window[-1]
+        if first < n and last - first < n:
+            rotation, closed = range(first, first + n), h.below[last] | 1 << last
+            yield (tuple(d[i] for i in rotation if closed >> i & 1 and i not in window)
+                   + alternating(d[window[1]], d[first], len(window))
+                   + tuple(d[i] for i in rotation if not closed >> i & 1))
+
+
 def is_cfc(g: CoxeterGraph, w: Word) -> bool:
     """For every reduced word of w, every rotation is reduced and FC
     (Boothby et al. 2012); w's own rotations decide.  For FC w, R(w) is
@@ -83,34 +100,26 @@ def is_cfc(g: CoxeterGraph, w: Word) -> bool:
     consecutive elements of heap(w^Z), convex there.  A bad chain
     (Stembridge: a convex ss or <s,t>_m) convex in one is convex in
     heap(w^Z), so also in the window that starts at its first element,
-    which is a rotation of w."""
-    if not is_reduced(g, w):
+    which is a rotation of w (``_moved_words``)."""
+    word = g.check_word(w)
+    if not is_reduced(g, word):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    return is_cyclically_reduced_word(g, w) and all(_is_fc(heap_of_word(g, r)) for r in rotations(w))
+    return is_cyclically_reduced_word(g, word) and next(_moved_words(g, word), None) is None
 
 
 def is_tfc(g: CoxeterGraph, w: Word) -> bool:
     """Torically reduced with one cyclic commutativity class.  A cyclic
     word of C_tor([w]) has an <s,t>_m factor iff it is a convex window of
     the heap of a rotation u of w; u commutes to what lies below the
-    window, the window (a chain) and the rest.  If each window's braid move
-    keeps the toric heap, R_tor([w]) = C_tor([w]), torically reduced iff
-    cyclically reduced."""
+    window, the window (a chain) and the rest (``_moved_words``).  If each
+    window's braid move keeps the toric heap, R_tor([w]) = C_tor([w]),
+    torically reduced iff cyclically reduced."""
     word = g.check_word(w)
     if not is_cyclically_reduced_word(g, word):
         return False
-    base = None
-    for u in rotations(word):
-        h = heap_of_word(g, u)
-        for window in _convex_windows(h):
-            closed = h.below[window[-1]] | 1 << window[-1]
-            down = closed & ~sum(1 << i for i in window)
-            moved = (tuple(u[i] for i in toric._bits(down)) + alternating(u[window[1]], u[window[0]], len(window))
-                     + tuple(u[i] for i in range(len(u)) if not closed >> i & 1))
-            base = base or toric_heap_of_word(g, word)
-            if not toric_heaps_isomorphic(base, toric_heap_of_word(g, moved)):
-                return False
-    return True
+    moved = list(_moved_words(g, word))
+    base = toric_heap_of_word(g, word) if moved else None
+    return all(toric_heaps_isomorphic(base, toric_heap_of_word(g, u)) for u in moved)
 
 
 def is_faux_cfc(g: CoxeterGraph, w: Word) -> bool:

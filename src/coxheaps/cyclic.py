@@ -10,8 +10,9 @@ conjugation at fixed length:
   reduced (strictly stronger);
 * C_tor([w]): closure of [w] under rotations + short braid moves;
 * R_tor([w]): closure of [w] under rotations + all braid moves, listed one
-  C_tor class at a time by ``words._listing``, which decides toric
-  reducedness too; ``toric_reduction_witness`` only names a chain of moves.
+  C_tor class at a time by ``words._listing``, which reads the moves of
+  every rotation off the doubled word and decides toric reducedness too;
+  ``toric_reduction_witness`` only names a chain of moves.
 
 Element-level cyclic reducedness (``rotation_walk``) needs one seed word
 per commutativity class of R(w): its rotations are windows of the doubled

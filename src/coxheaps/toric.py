@@ -629,20 +629,15 @@ def tutte(graph: Graph, x: int, y: int) -> int:
                     relabel[v] = len(relabel)
         return tuple(sorted((min(relabel[a], relabel[b]), max(relabel[a], relabel[b])) for a, b in edges))
 
-    def components(edges, verts) -> int:
-        parent = {v: v for v in verts}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(v) for v in verts})
+    def reaches(edges: tuple[tuple[int, int], ...], a: int, b: int) -> bool:
+        """Whether the edges join a to b."""
+        seen, stack = {a}, [a]
+        while stack:
+            v = stack.pop()
+            new = {q if p == v else p for p, q in edges if v in (p, q)} - seen
+            seen |= new
+            stack.extend(new)
+        return b in seen
 
     def rec(edges: tuple[tuple[int, int], ...]) -> int:
         if not edges:
@@ -655,16 +650,10 @@ def tutte(graph: Graph, x: int, y: int) -> int:
         if a == b:  # loop
             val = y * rec(rest)
         else:
-            verts = {v for e in edges for v in e}
-            bridge = components(rest, verts) > components(edges, verts)
-            contracted = tuple(
-                sorted((b if u == a else u, b if v == a else v) for u, v in rest)
-            )
-            contracted = tuple((min(u, v), max(u, v)) for u, v in contracted)
-            if bridge:
-                val = x * rec(contracted)
-            else:
-                val = rec(rest) + rec(contracted)
+            merged = ((b if u == a else u, b if v == a else v) for u, v in rest)
+            contracted = rec(tuple(sorted((min(u, v), max(u, v)) for u, v in merged)))
+            # deleting a bridge disconnects a from b, and T = x T(G / e)
+            val = rec(rest) + contracted if reaches(rest, a, b) else x * contracted
         memo[key] = val
         return val
 

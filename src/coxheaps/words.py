@@ -98,9 +98,11 @@ def _listing(
     found to its class index, or to -1 while queued, so each word is
     expanded once.  The first word listed past the cap raises
     OrbitCapExceeded for ``what``, or, with ``what`` None, is queued and
-    ends the search.  With ``cyclic`` the words are least rotations, the
-    moves act on every rotation, and a word with a cyclic repeat raises
-    NotToricallyReduced when met, before the cap.
+    ends the search.  With ``cyclic`` the words are least rotations, and
+    the moves act on every rotation, read off the doubled word u u: the
+    move at position 0 of rotation i is the one at position i of u u.  A
+    word with a cyclic repeat raises NotToricallyReduced when met, before
+    the cap.
     """
     start = g.check_word(w)
     if cyclic:
@@ -109,8 +111,7 @@ def _listing(
             raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
     bond = g.bond_table
     n = len(start)
-    # a cyclic move is the move at position 0 of one rotation
-    positions = range(n > 1) if cyclic else range(n - 1)
+    positions = range(n) if cyclic else range(n - 1)
     found = {start: 0}
     classes = [[start]]
     seeds: deque[Word] = deque()
@@ -118,32 +119,31 @@ def _listing(
     listed = 1
     for index, members in enumerate(classes):
         for cur in members:
-            for u in [cur[k:] + cur[:k] for k in range(n)] if cyclic else (cur,):
-                for i in positions:
-                    m = bond[u[i]][u[i + 1]]
-                    if m == 2:
-                        nxt = u[:i] + (u[i + 1], u[i]) + u[i + 2 :]
-                    elif m > 2 and i + m <= n and u[i + 2 : i + m] == u[i : i + m - 2]:
-                        nxt = u[:i] + u[i + 1 : i + m] + (u[i + m - 2],) + u[i + m :]
-                    else:
+            d = cur + cur if cyclic else cur
+            for i in positions:
+                m = bond[d[i]][d[i + 1]]
+                if m == 2:
+                    move = (d[i + 1], d[i])
+                elif 2 < m <= n and d[i + 2 : i + m] == d[i : i + m - 2]:
+                    move = d[i + 1 : i + m] + (d[i + m - 2],)
+                else:
+                    continue
+                nxt = _least_rotation(move + d[i + m : i + n]) if cyclic else cur[:i] + move + cur[i + m :]
+                state = get(nxt)
+                if state is None:
+                    if cyclic and has_cyclic_repeat(nxt):
+                        raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
+                    if m > 2:
+                        found[nxt] = -1
+                        seeds.append(nxt)
                         continue
-                    if cyclic:
-                        nxt = _least_rotation(nxt)
-                    state = get(nxt)
-                    if state is None:
-                        if cyclic and has_cyclic_repeat(nxt):
-                            raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
-                        if m > 2:
-                            found[nxt] = -1
-                            seeds.append(nxt)
-                            continue
-                    elif state >= 0 or m > 2:
-                        continue
-                    if listed >= cap:
-                        return _cut(g, w, cap, what, found, nxt), classes
-                    listed += 1
-                    found[nxt] = index
-                    members.append(nxt)
+                elif state >= 0 or m > 2:
+                    continue
+                if listed >= cap:
+                    return _cut(g, w, cap, what, found, nxt), classes
+                listed += 1
+                found[nxt] = index
+                members.append(nxt)
         while seeds and found[seeds[0]] >= 0:
             seeds.popleft()
         if seeds:

@@ -13,7 +13,7 @@ listing and search, against the closed criteria of the library.
 from __future__ import annotations
 
 from collections import deque
-from itertools import permutations
+from itertools import chain, combinations, permutations
 
 from coxheaps import cyclic as CY
 from coxheaps import heaps as H
@@ -305,6 +305,27 @@ def brute_total_toric_extensions(t) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
+def subset_tutte(graph, x: int, y: int) -> int:
+    """T_G(x, y) by the subset expansion: the sum over edge sets A of
+    (x-1)^(r(E)-r(A)) (y-1)^(|A|-r(A)), where the rank r(A) is the size of
+    a spanning forest of (V, A)."""
+
+    def rank(edges) -> int:
+        comp = list(range(graph.n))
+        for a, b in edges:
+            ca, cb = comp[a], comp[b]
+            comp = [ca if c == cb else c for c in comp]
+        return graph.n - len(set(comp))
+
+    full = rank(graph.edges)
+    total = 0
+    for size in range(len(graph.edges) + 1):
+        for subset in combinations(graph.edges, size):
+            r = rank(subset)
+            total += (x - 1) ** (full - r) * (y - 1) ** (size - r)
+    return total
+
+
 def walk_cycle_imbalance(o) -> int:
     """Imbalance of an orientation of a cycle graph by walking the cycle from
     vertex 0 towards its lower neighbour: (#edges run along) - (#against)."""
@@ -352,6 +373,22 @@ def search_is_toric_extension(t_big, t) -> bool:
     """Whether some member of the larger toric class, listed by flip search,
     restricts on the smaller graph to a member of the smaller class."""
     return any(toric._restrict(o, t.graph) in t for o in t_big.members)
+
+
+def rtor_closure(g: CoxeterGraph, w: Word) -> frozenset[Word] | None:
+    """R_tor(w) as the closure of the word w under rotations and braid
+    moves, by breadth-first search over words; None once the closure meets
+    two equal adjacent letters, as w is then not torically reduced (Tits)."""
+    start = g.check_word(w)
+    found, queue = {start}, [start]
+    for u in queue:
+        if W.has_adjacent_repeat(u):
+            return None
+        for v in chain((u[k:] + u[:k] for k in range(1, len(u))), W.braid_moves(g, u)):
+            if v not in found:
+                found.add(v)
+                queue.append(v)
+    return frozenset(found)
 
 
 def listing_is_fc(g: CoxeterGraph, w: Word) -> bool:

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_system
+from coxheaps import catalog
 from coxheaps import cyclic as CY
 from coxheaps import heaps as H
 from coxheaps import toric as T
 from coxheaps import words as W
+from coxheaps.coxgraph import CoxeterGraph
 from coxheaps.errors import GraphMismatch, NotReduced, NotToricallyReduced, TooLarge
-from oracles import brute_toric_heaps_isomorphic
+from oracles import brute_toric_heaps_isomorphic, rtor_closure
 
 
 def test_cyclic_word_canonical(b3):
@@ -143,6 +145,36 @@ def test_one_pass_partitions_match_heaps(gw):
     if CY.is_torically_reduced(g, w):
         for cls in CY.cyclic_decomposition(g, w):
             assert cls == CY.ltor(CY.toric_heap_of_word(g, min(cls).canonical))
+
+
+RTOR_SYSTEMS = {
+    **{name: catalog.coxeter_graph(name) for name in ("B3", "H3", "A~2")},
+    "I2(5)": CoxeterGraph(["s", "t"], [("s", "t", 5)]),
+    "I2(7)": CoxeterGraph(["s", "t"], [("s", "t", 7)]),
+    "paw": CoxeterGraph(["s", "t", "a", "b"], [("s", "t", 4), ("t", "a", 3), ("t", "b", 3), ("a", "b", 4)]),
+}
+
+
+@pytest.mark.parametrize("name", RTOR_SYSTEMS)
+def test_rtor_listing_matches_word_closure(name):
+    # the listing reads each rotation of a cyclic word off the doubled word;
+    # in I2(5) and I2(7) a doubled word can hold an <s,t>_m longer than the
+    # word itself, which no rotation holds
+    g = RTOR_SYSTEMS[name]
+    words, checked = [()], set()
+    for u in words:  # every reduced word of up to 6 letters, extending reduced prefixes
+        words.extend(v for v in (u + (s,) for s in range(g.rank)) if len(v) <= 6 and W.is_reduced(g, v))
+    for w in words:
+        want = rtor_closure(g, w)
+        if want is None:
+            with pytest.raises(NotToricallyReduced):
+                CY.rtor_words(g, w)
+            continue
+        assert CY.rtor_words(g, w) == want, g.format(w)
+        if w not in checked:
+            checked |= want
+            for cls in CY.cyclic_decomposition(g, w):
+                assert cls == CY.ltor(CY.toric_heap_of_word(g, min(cls).canonical)), g.format(w)
 
 
 def test_toric_heap_running_example(b3):

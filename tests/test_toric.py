@@ -19,6 +19,7 @@ from oracles import (
     brute_total_toric_extensions,
     filter_acyclic_orientations,
     search_is_toric_extension,
+    subset_tutte,
     walk_cycle_imbalance,
 )
 
@@ -185,6 +186,19 @@ def test_tutte_values():
         assert T.tutte(kn, 1, 0) == math.factorial(n - 1)
     with pytest.raises(TooLarge):
         T.tutte(complete_graph(8), 1, 1)  # 28 edges, past MAX_ENUM_EDGES
+
+
+def test_tutte_matches_subset_expansion():
+    graphs = [T.Graph(n, edges) for n in range(5) for k in range(n * (n - 1) // 2 + 1)
+              for edges in combinations(combinations(range(n), 2), k)]
+    rng = random.Random(2019)
+    for _ in range(12):
+        n = rng.randint(5, 7)
+        edges = rng.sample(list(combinations(range(n), 2)), rng.randint(0, 10))
+        graphs.append(T.Graph(n, tuple(sorted(edges))))
+    for graph in graphs:
+        for x, y in ((1, 1), (2, 1), (1, 2), (2, 2), (0, 2), (3, -1), (2, 0), (1, 0)):
+            assert T.tutte(graph, x, y) == subset_tutte(graph, x, y), (graph, x, y)
 
 
 def test_is_toric_directed_path():
