@@ -13,10 +13,11 @@ rotations of w, of the one heap of w w: CFC has none, and TFC keeps its
 toric heap under each one's braid move.  The rotations of R(w) are decided by
 ``cyclic.rotation_walk`` from one doubled root sequence per class;
 ``classify`` lists R(w) only for non-FC w, for its counts and one seed
-word per class, and R_tor([w]) once, as its cyclic classes.  The
-word-level toric search only names the chain of a word that is not
-torically reduced.  The probes (logarithmic, braid-shortening) are
-partial: they report evidence bounded by their inputs, never theorems.
+word per class, and R_tor([w]) once, as its cyclic classes, unless a
+rotation of R(w) is already not reduced.  The word-level toric search
+only names the chain of a word that is not torically reduced.  The
+probes (logarithmic, braid-shortening) are partial: they report
+evidence bounded by their inputs, never theorems.
 """
 
 from __future__ import annotations
@@ -184,11 +185,13 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
     witnesses: dict = {}
 
     bad_rotation = rotation_walk(g, h, [c[0] for c in classes[1:]])
-    cfc = fc and bad_rotation is None and is_cfc(g, word)
+    cfc = fc and bad_rotation is None and next(_moved_words(g, word), None) is None
     if bad_rotation is not None and cyclic_word(bad_rotation) == cyclic_word(word):
         witnesses["nonReducedRotation"] = bad_rotation
 
     try:
+        if bad_rotation is not None:  # a word of R_tor(w) is not reduced
+            raise NotToricallyReduced(f"{g.format(word)} is not torically reduced")
         decomposition = cyclic_decomposition(g, word, cap)
     except (NotToricallyReduced, OrbitCapExceeded) as exc:
         # the word-level search names the chain; it also settles a cyclic

@@ -1,9 +1,10 @@
 """Words, braid orbits and the word problem.
 
 A braid move replaces a factor <s,t>_{m(s,t)} by <t,s>_{m(s,t)}; moves with
-m = 2 are "short".  The closure of a word under all single braid moves is
-its braid orbit, which for a reduced word is the set R(w) of all reduced
-words of its element (Matsumoto's theorem).
+m = 2 are "short".  The move is built once, in ``_moves``, which
+``braid_moves`` and ``_listing`` read.  The closure of a word under all
+single braid moves is its braid orbit, which for a reduced word is the set
+R(w) of all reduced words of its element (Matsumoto's theorem).
 
 Deciding needs no search: ``is_reduced`` and ``normal_form`` use the exact
 root-sequence criterion in ``roots``, in time polynomial in the length, so
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .coxgraph import CoxeterGraph, Word
 from .errors import ExtensionCapExceeded, NotReduced, NotToricallyReduced, OrbitCapExceeded
@@ -58,22 +59,24 @@ def has_adjacent_repeat(w: Word) -> bool:
     return any(w[i] == w[i + 1] for i in range(len(w) - 1))
 
 
-def braid_moves(g: CoxeterGraph, w: Word, short_only: bool = False) -> Iterator[Word]:
-    """All words obtainable from w by one braid move.
-
-    A factor w[i:i+m] with m = m(w[i], w[i+1]) is <s,t>_m exactly when it
-    repeats with period 2, and the move replaces it by w[i+1:i+m] and one
-    more letter.  Infinite bonds admit no finite braid relation, so they
-    contribute no moves; they only forbid the m = 2 swap.
-    """
-    bond = g.bond_table
-    n = len(w)
-    for i in range(n - 1):
-        m = bond[w[i]][w[i + 1]]
+def _moves(bond: tuple, d: Word, positions: Iterable[int], n: int) -> Iterator[tuple[int, int, Word]]:
+    """Each braid move of d at an i in ``positions``, as (i, m, <t,s>_m) for
+    d[i:i+m] = <s,t>_m, m = m(d[i], d[i+1]): a factor with period 2.  Bonds
+    longer than the words' length n fit no factor; infinite bonds admit no
+    finite braid relation, so they only forbid the m = 2 swap."""
+    for i in positions:
+        m = bond[d[i]][d[i + 1]]
         if m == 2:
-            yield w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
-        elif m > 2 and not short_only and i + m <= n and w[i + 2 : i + m] == w[i : i + m - 2]:
-            yield w[:i] + w[i + 1 : i + m] + (w[i + m - 2],) + w[i + m :]
+            yield i, 2, (d[i + 1], d[i])
+        elif 2 < m <= n and d[i + 2 : i + m] == d[i : i + m - 2]:
+            yield i, m, d[i + 1 : i + m] + (d[i + m - 2],)
+
+
+def braid_moves(g: CoxeterGraph, w: Word) -> Iterator[Word]:
+    """All words obtainable from w by one braid move, by position."""
+    word = g.check_word(w)
+    for i, m, move in _moves(g.bond_table, word, range(len(word) - 1), len(word)):
+        yield word[:i] + move + word[i + m :]
 
 
 def _least_rotation(word: Word) -> Word:
@@ -120,14 +123,7 @@ def _listing(
     for index, members in enumerate(classes):
         for cur in members:
             d = cur + cur if cyclic else cur
-            for i in positions:
-                m = bond[d[i]][d[i + 1]]
-                if m == 2:
-                    move = (d[i + 1], d[i])
-                elif 2 < m <= n and d[i + 2 : i + m] == d[i : i + m - 2]:
-                    move = d[i + 1 : i + m] + (d[i + m - 2],)
-                else:
-                    continue
+            for i, m, move in _moves(bond, d, positions, n):
                 nxt = _least_rotation(move + d[i + m : i + n]) if cyclic else cur[:i] + move + cur[i + m :]
                 state = get(nxt)
                 if state is None:

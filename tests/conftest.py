@@ -51,7 +51,7 @@ def small_system(draw, max_rank=4, max_len=6):
     bonds = []
     for i in range(rank):
         for j in range(i + 1, rank):
-            m = draw(st.sampled_from([2, 2, 2, 3, 3, 4, 5, INF]))
+            m = draw(st.sampled_from([2, 2, 2, 3, 3, 4, 5, 7, INF]))
             if m != 2:
                 bonds.append((names[i], names[j], m))
     g = CoxeterGraph(names, bonds)

@@ -7,7 +7,8 @@ quadratic integer ring (Z, Z[sqrt2], Z[phi], ...), which is faithful, so
 matrix equality decides element equality and a Cayley-ball BFS gives true
 lengths.  Nothing in this module calls the braid machinery, except the
 listing oracles at the end.  Those decide FC, CFC and toric questions by
-listing and search, against the closed criteria of the library.
+listing and search, against the closed criteria of the library; the
+searches follow braid moves of their own (``naive_braid_moves``).
 """
 
 from __future__ import annotations
@@ -375,6 +376,19 @@ def search_is_toric_extension(t_big, t) -> bool:
     return any(toric._restrict(o, t.graph) in t for o in t_big.members)
 
 
+def naive_braid_moves(g: CoxeterGraph, w: Word, short_only: bool = False):
+    """Each word one braid move from w, by position: wherever the m letters
+    from an adjacent pair s t, m = m(s, t), spell <s,t>_m letter by letter,
+    they become <t,s>_m.  Only m = 2 with ``short_only``."""
+    for i in range(len(w) - 1):
+        s, t = w[i], w[i + 1]
+        m = g.m(s, t)
+        if s == t or i + m > len(w) or (short_only and m != 2):
+            continue
+        if all(w[i + k] == (s, t)[k % 2] for k in range(m)):
+            yield w[:i] + tuple((t, s)[k % 2] for k in range(m)) + w[i + m :]
+
+
 def rtor_closure(g: CoxeterGraph, w: Word) -> frozenset[Word] | None:
     """R_tor(w) as the closure of the word w under rotations and braid
     moves, by breadth-first search over words; None once the closure meets
@@ -384,7 +398,7 @@ def rtor_closure(g: CoxeterGraph, w: Word) -> frozenset[Word] | None:
     for u in queue:
         if W.has_adjacent_repeat(u):
             return None
-        for v in chain((u[k:] + u[:k] for k in range(1, len(u))), W.braid_moves(g, u)):
+        for v in chain((u[k:] + u[:k] for k in range(1, len(u))), naive_braid_moves(g, u)):
             if v not in found:
                 found.add(v)
                 queue.append(v)
@@ -401,7 +415,7 @@ def commutativity_class(g: CoxeterGraph, w: Word, cap: int = W.DEFAULT_ORBIT_CAP
     start = g.check_word(w)
     found, queue = {start}, [start]
     for u in queue:
-        for v in W.braid_moves(g, u, short_only=True):
+        for v in naive_braid_moves(g, u, short_only=True):
             if v not in found:
                 if len(found) >= cap:
                     raise OrbitCapExceeded(f"commutativity class of {g.format(w)} exceeds cap {cap}")
@@ -415,7 +429,7 @@ def fc_orbit(g: CoxeterGraph, w: Word, cap: int = W.DEFAULT_ORBIT_CAP) -> tuple[
     commutativity class of w and False.  When no long move leaves the
     class, the class is closed under every braid move and so is R(w)."""
     cls = commutativity_class(g, w, cap)
-    return cls, all(v in cls for u in cls for v in W.braid_moves(g, u))
+    return cls, all(v in cls for u in cls for v in naive_braid_moves(g, u))
 
 
 def listing_rotation_walk(g: CoxeterGraph, w: Word, rw, fc: bool, cap: int = W.DEFAULT_ORBIT_CAP):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -5,8 +7,8 @@ from conftest import small_system
 from coxheaps import catalog
 from coxheaps import words as W
 from coxheaps.coxgraph import INF, CoxeterGraph, support
-from coxheaps.errors import NotReduced, OrbitCapExceeded
-from oracles import GroupOracle
+from coxheaps.errors import NotReduced, OrbitCapExceeded, UnknownGenerator
+from oracles import GroupOracle, naive_braid_moves
 
 
 def test_braid_orbit_long_braid(b3):
@@ -133,8 +135,35 @@ def test_orbit_closed_under_single_moves(gw):
     if orbit.truncated:
         return
     for u in orbit.words:
-        for moved in W.braid_moves(g, u):
+        for moved in naive_braid_moves(g, u):
             assert moved in orbit.words
+
+
+_MOVE_SYSTEMS = {
+    "B3": catalog.coxeter_graph("B3"),
+    "H3": catalog.coxeter_graph("H3"),
+    "A~2": catalog.coxeter_graph("A~2"),
+    "I2(5)": CoxeterGraph(["s", "t"], [("s", "t", 5)]),
+    "I2(7)": CoxeterGraph(["s", "t"], [("s", "t", 7)]),
+    "triangle-inf": CoxeterGraph(["s1", "s2", "s3"], [("s1", "s2", 4), ("s2", "s3", 5), ("s1", "s3", INF)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_MOVE_SYSTEMS))
+def test_braid_moves_match_naive_moves(name):
+    # every word of up to 5 letters, 7 in rank 2, so the bonds 5 and 7 meet
+    # words shorter than the bond as well as words that hold <s,t>_m
+    g = _MOVE_SYSTEMS[name]
+    for n in range(6 if g.rank > 2 else 8):
+        for w in product(range(g.rank), repeat=n):
+            assert list(W.braid_moves(g, w)) == list(naive_braid_moves(g, w)), w
+
+
+def test_braid_moves_check_the_word(b3):
+    for bad in ((-1, 0), (3, 0)):
+        with pytest.raises(UnknownGenerator):
+            list(W.braid_moves(b3, bad))
+    assert list(W.braid_moves(b3, [2, 0])) == [(0, 2)]
 
 
 @given(small_system(max_len=5))
