@@ -15,7 +15,9 @@ toric heap under each one's braid move.  The rotations of R(w) are decided by
 ``classify`` lists R(w) only for non-FC w, for its counts and one seed
 word per class, and R_tor([w]) once, as its cyclic classes, unless a
 rotation of R(w) is already not reduced.  The word-level toric search
-only names the chain of a word that is not torically reduced.  The
+only names the chain of a word that is not torically reduced; when the
+listing trips its cap, ``cyclic.is_torically_reduced`` settles with no
+listing whether the cap error stands or that search runs.  The
 probes (logarithmic, braid-shortening) are partial: they report
 evidence bounded by their inputs, never theorems.
 """
@@ -194,14 +196,11 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
             raise NotToricallyReduced(f"{g.format(word)} is not torically reduced")
         decomposition = cyclic_decomposition(g, word, cap)
     except (NotToricallyReduced, OrbitCapExceeded) as exc:
-        # the word-level search names the chain; it also settles a cyclic
-        # closure over the cap when it finds a chain, which no TFC word has
-        if isinstance(exc, OrbitCapExceeded) and is_tfc(g, word):
+        # a cyclic closure over the cap stands unless w is not torically
+        # reduced; the word-level search then names the chain
+        if isinstance(exc, OrbitCapExceeded) and is_torically_reduced(g, word):
             raise
-        chain = toric_reduction_witness(g, word, cap)
-        if chain is None:
-            raise
-        witnesses["toricWitnessChain"] = chain
+        witnesses["toricWitnessChain"] = toric_reduction_witness(g, word, cap)
         counts["cyclicWords"] = counts["cyclicCommutativityClasses"] = None
         tfc = False
     else:
@@ -409,7 +408,7 @@ class ConjectureProbe:
         return self.shortened_tfc if self.applicable else None
 
 
-def conjecture_probe(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> ConjectureProbe:
+def conjecture_probe(g: CoxeterGraph, w: Word) -> ConjectureProbe:
     """Split w = <s,t>_{m(s,t)} u, require w faux CFC, and classify the
     shortened word <s,t>_{m-2} u."""
     word = g.check_word(w)
@@ -429,7 +428,7 @@ def conjecture_probe(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> 
     return ConjectureProbe(
         word=word,
         shortened=shortened,
-        seed_torically_reduced=is_torically_reduced(g, seed, cap),
+        seed_torically_reduced=is_torically_reduced(g, seed),
         shortened_tfc=is_tfc(g, shortened),
         shortened_cfc=is_reduced(g, shortened) and is_cfc(g, shortened),
     )

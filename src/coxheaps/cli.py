@@ -138,10 +138,9 @@ def _run(args) -> tuple[dict | str, int]:
         classes = CY.cyclic_decomposition(g, word, args.max_orbit)
         result = {"count": len(classes), "classes": [_cyclic_words(g, c) for c in classes]}
     elif key == "cyclic.elements":
-        rtor = CY.rtor_words(g, word, args.max_orbit)
         result = {
-            "words": _words(g, rtor),
-            "elements": sorted({g.format(W.normal_form(g, u).word) for u in rtor}),
+            "words": _words(g, CY.rtor_words(g, word, args.max_orbit)),
+            "elements": _words(g, CY.torically_equivalent_elements(g, word)),
         }
     elif key == "heap.build":
         h = H.heap_of_word(g, word)

@@ -11,8 +11,14 @@ conjugation at fixed length:
 * C_tor([w]): closure of [w] under rotations + short braid moves;
 * R_tor([w]): closure of [w] under rotations + all braid moves, listed one
   C_tor class at a time by ``words._listing``, which reads the moves of
-  every rotation off the doubled word and decides toric reducedness too;
-  ``toric_reduction_witness`` only names a chain of moves.
+  every rotation off the doubled word and meets a cyclic repeat when w is
+  not torically reduced; ``toric_reduction_witness`` only names a chain of
+  moves.
+
+Toric reducedness and [w], the elements named by R_tor(w), need no
+listing: those elements are the cyclic shift class of w's element
+(Geck-Pfeiffer 2000, 3.2; Marquis 2021), which ``_shift_class`` walks one
+element at a time, each read off one root-sequence pass.
 
 Element-level cyclic reducedness (``rotation_walk``) needs one seed word
 per commutativity class of R(w): its rotations are windows of the doubled
@@ -47,7 +53,7 @@ from .words import (
     NormalForm,
     _least_rotation,
     _listing,
-    braid_moves,
+    _moves,
     has_adjacent_repeat,
     is_reduced,
     normal_form,
@@ -142,11 +148,12 @@ def toric_reduction_witness(
 
     if has_adjacent_repeat(start):
         return (start,)
+    bond, n = g.bond_table, len(start)
     queue = deque([start])
     while queue:
         cur = queue.popleft()
-        moves = [cur[k:] + cur[:k] for k in range(1, len(cur))]
-        moves.extend(braid_moves(g, cur))
+        moves = [cur[k:] + cur[:k] for k in range(1, n)]
+        moves.extend(cur[:i] + move + cur[i + m :] for i, m, move in _moves(bond, cur, range(n - 1), n))
         for nxt in moves:
             if nxt in parent:
                 continue
@@ -159,19 +166,43 @@ def toric_reduction_witness(
     return None
 
 
-def is_torically_reduced(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """Reduced under every sequence of rotations and/or braid moves.
+def _shift_class(g: CoxeterGraph, w: Word) -> dict[tuple, Word] | None:
+    """The cyclic shift class of the element x of w, as one reduced word per
+    element key (``roots.RootSystem.descents``), or None when w is not
+    torically reduced.
 
-    By Tits' criterion the listing of R_tor([w]) meets a cyclic repeat
-    exactly when w is not.  Word and element level coincide: any reduced
-    word for a torically reduced element certifies all of them (asserted
-    empirically in tests).
+    Rotating a reduced word of x by its first letter s, a left descent,
+    gives a word for s x s.  If s is also a right descent, either s x s = x,
+    exactly when x(alpha_s) = -alpha_s, or l(s x s) = l(x) - 2 and the
+    rotated word is not reduced.  Otherwise the word u of x with the letter
+    of s deleted and s appended is a reduced word for s x s.  Braid moves
+    keep the element and every rotation is a run of these one-letter ones,
+    so the elements named by R_tor(w) are the closure of x under them, and
+    the first word of R_tor(w) that is not reduced is such a rotation.
     """
-    try:
-        _listing(g, w, cap, "cyclic closure", cyclic=True)
-    except NotToricallyReduced:
-        return False
-    return True
+    word = g.check_word(w)
+    if not is_reduced(g, word):
+        return None
+    rs = g.root_system()
+    found: dict[tuple, Word] = {}
+    queue = [word]
+    for u in queue:
+        key, left, right = rs.descents(u)
+        if key in found:
+            continue
+        found[key] = u
+        for s, j in left.items():
+            if s not in right:
+                queue.append(u[:j] + u[j + 1 :] + (s,))
+            elif key[s] != rs.negative[s]:
+                return None
+    return found
+
+
+def is_torically_reduced(g: CoxeterGraph, w: Word) -> bool:
+    """Reduced under every sequence of rotations and/or braid moves
+    (``_shift_class``)."""
+    return _shift_class(g, w) is not None
 
 
 def rtor_cyclic_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[CyclicWord]:
@@ -204,11 +235,13 @@ def rtor_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozen
     )
 
 
-def torically_equivalent_elements(
-    g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP
-) -> frozenset[NormalForm]:
-    """[w]: the distinct group elements named by the words of R_tor(w)."""
-    return frozenset(normal_form(g, u) for u in rtor_words(g, w, cap))
+def torically_equivalent_elements(g: CoxeterGraph, w: Word) -> frozenset[NormalForm]:
+    """[w]: the distinct group elements named by the words of R_tor(w), which
+    are the cyclic shift class of w's element (``_shift_class``)."""
+    found = _shift_class(g, w)
+    if found is None:
+        raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
+    return frozenset(normal_form(g, u) for u in found.values())
 
 
 @dataclass(frozen=True)

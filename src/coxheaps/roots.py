@@ -6,9 +6,12 @@ c(s, t) = 2 cos(pi / m(s, t)): 0 for commuting pairs and 2 for infinite
 bonds.  For a word s_1 ... s_k put beta_j = s_1 ... s_{j-1}(alpha_{s_j}).
 The word is reduced iff no beta_j equals -beta_i with i < j, and at the
 first such pair deleting letters i and j leaves the same element (the
-exchange condition).  The left descents of the element of a reduced word
-are the s whose simple root alpha_s is among its betas (Björner–Brenti,
-*Combinatorics of Coxeter Groups*, §1.3–1.4 and §4.2).
+exchange condition).  The left descents of the element w of a reduced word
+are the s whose simple root alpha_s is among its betas, and its right
+descents the s with w(alpha_s) among the -beta_j (Björner–Brenti,
+*Combinatorics of Coxeter Groups*, §1.3–1.4 and §4.2).  So one pass over
+the word gives both, and the columns w(alpha_t), an exact and faithful
+key for w (``descents``).
 
 Coordinates lie in Z[x]/psi_M, where M is the lcm of the finite bonds
 other than 3 (2 cos(pi / 3) = 1), x = 2 cos(pi / M) and psi_M is the
@@ -97,7 +100,7 @@ class RootSystem:
     Built on first use by ``CoxeterGraph.root_system``.
     """
 
-    __slots__ = ("identity", "simple", "_steps", "_reflect")
+    __slots__ = ("identity", "negative", "simple", "_steps", "_reflect")
 
     def __init__(self, g: CoxeterGraph):
         n = g.rank
@@ -120,6 +123,7 @@ class RootSystem:
                 reflect[s] += [(s * d + a, t * d + b, f) for a, b, f in terms]
         columns = [tuple(int(k == t * d) for k in range(n * d)) for t in range(n)]
         self.identity = tuple(columns)
+        self.negative = tuple(tuple(map(neg, col)) for col in columns)  # -alpha_t
         self.simple = {col: t for t, col in enumerate(columns)}
         self._steps = tuple(tuple(row) for row in steps)
         self._reflect = tuple((range(s * d, s * d + d), tuple(row)) for s, row in enumerate(reflect))
@@ -152,14 +156,29 @@ class RootSystem:
             negated.add(cols[s])
         return True
 
+    def _pass(self, word: Word) -> tuple[list, dict]:
+        """The columns of the element of the word and the map -beta_j -> j."""
+        cols, negated = list(self.identity), {}
+        for j, s in enumerate(word):
+            self.times(cols, s)
+            negated[cols[s]] = j
+        return cols, negated
+
+    def descents(self, word: Word) -> tuple[tuple, dict[int, int], set[int]]:
+        """(key, left, right) for the element x of the reduced word u.  The
+        key is the tuple of columns x(alpha_t), exact and faithful.  left
+        maps each left descent s to the j with beta_j = alpha_s, so that u
+        with letter j deleted is a reduced word for s x; right holds the
+        right descents, the s with x(alpha_s) among the -beta_j."""
+        cols, negated = self._pass(word)
+        left = {s: negated[a] for s, a in enumerate(self.negative) if a in negated}
+        return tuple(cols), left, {s for s, c in enumerate(cols) if c in negated}
+
     def rotation_pairs(self, word: Word) -> list[tuple[int, int]]:
         """The pairs (i, j) with w(beta_i) = -beta_j, w the element of the
         reduced word.  Rotation k, the window [k, k + n) of the doubled word,
         is reduced iff no pair has i < k <= j."""
-        cols, negated = list(self.identity), {}  # negated: -beta_j -> j
-        for j, s in enumerate(word):
-            self.times(cols, s)
-            negated[cols[s]] = j
+        cols, negated = self._pass(word)
         pairs = []
         for i, s in enumerate(word):
             if cols[s] in negated:

@@ -389,20 +389,48 @@ def naive_braid_moves(g: CoxeterGraph, w: Word, short_only: bool = False):
             yield w[:i] + tuple((t, s)[k % 2] for k in range(m)) + w[i + m :]
 
 
-def rtor_closure(g: CoxeterGraph, w: Word) -> frozenset[Word] | None:
-    """R_tor(w) as the closure of the word w under rotations and braid
-    moves, by breadth-first search over words; None once the closure meets
-    two equal adjacent letters, as w is then not torically reduced (Tits)."""
+def rtor_search(g: CoxeterGraph, w: Word) -> tuple[dict[Word, Word | None], Word | None]:
+    """Breadth-first search of the closure of the word w under rotations and
+    braid moves, each word's neighbours taken in the order rotations
+    k = 1 ... n - 1, then braid moves by position.  Returns each word found
+    with the word it was found from, and the first word found with two
+    equal adjacent letters, where the search stops, or None."""
     start = g.check_word(w)
-    found, queue = {start}, [start]
+    parent: dict[Word, Word | None] = {start: None}
+    queue = [start]
     for u in queue:
         if W.has_adjacent_repeat(u):
-            return None
+            return parent, u
         for v in chain((u[k:] + u[:k] for k in range(1, len(u))), naive_braid_moves(g, u)):
-            if v not in found:
-                found.add(v)
+            if v not in parent:
+                parent[v] = u
                 queue.append(v)
-    return frozenset(found)
+    return parent, None
+
+
+def rtor_closure(g: CoxeterGraph, w: Word) -> frozenset[Word] | None:
+    """R_tor(w) as the closure of the word w under rotations and braid
+    moves (``rtor_search``); None once the closure meets two equal adjacent
+    letters, as w is then not torically reduced (Tits)."""
+    parent, repeat = rtor_search(g, w)
+    return frozenset(parent) if repeat is None else None
+
+
+def witness_chain(g: CoxeterGraph, w: Word) -> tuple[Word, ...] | None:
+    """The search path of ``rtor_search`` from w to its first word with two
+    equal adjacent letters, or None when there is none."""
+    parent, last = rtor_search(g, w)
+    out = []
+    while last is not None:
+        out.append(last)
+        last = parent[last]
+    return tuple(reversed(out)) or None
+
+
+def listing_elements(g: CoxeterGraph, w: Word) -> frozenset[W.NormalForm]:
+    """[w] as the normal forms of the words of the listed R_tor(w); the
+    listing raises NotToricallyReduced when it meets a cyclic repeat."""
+    return frozenset(W.normal_form(g, u) for u in CY.rtor_words(g, w))
 
 
 def listing_is_fc(g: CoxeterGraph, w: Word) -> bool:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from coxheaps import catalog
+from coxheaps import catalog, classifier
 from coxheaps.classifier import coxeter_graph_skeleton
 from coxheaps.cli import main
 from coxheaps.coxgraph import load_coxeter_graph
@@ -80,6 +80,13 @@ def test_cyclic_subcommands(graph_files, capsys):
     result = json.loads(out)["result"]
     assert len(result["words"]) == 10
     assert len(result["elements"]) == 4
+    # the elements come from the element walk, the words from the listing
+    code, out = run(capsys, "cyclic", "elements", "-g", graph_files["A~2"], "s2 s0 s1 s0")
+    result = json.loads(out)["result"]
+    assert result["elements"] == [
+        "s0 s1 s0 s2", "s0 s1 s2 s1", "s0 s2 s0 s1", "s1 s0 s2 s0", "s1 s2 s1 s0", "s2 s0 s1 s0",
+    ]
+    assert len(result["words"]) == 12
 
 
 def test_heap_subcommands(graph_files, capsys):
@@ -162,6 +169,22 @@ def test_cap_exit_code(graph_files, capsys):
                     "s1 s2 s1 s2", "--max-orbit", "1")
     assert code == 3
     assert "CapExceeded" in json.loads(out)["error"]["type"]
+
+
+def test_classify_over_the_cap_of_a_torically_reduced_word(capsys, monkeypatch):
+    # the word is torically reduced, so the cyclic listing's own cap error
+    # stands and no chain search runs
+    def no_search(*args):
+        raise AssertionError("chain search ran")
+
+    monkeypatch.setattr(classifier, "toric_reduction_witness", no_search)
+    word = " ".join(["s0 s1 s2 s3 s4 s5 s6"] * 2)
+    code, out = run(capsys, "word", "classify", "-g", os.path.join(GRAPHS, "affine_e6.json"), word,
+                    "--max-orbit", "20000")
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "OrbitCapExceeded", "message": f"cyclic closure of {word} exceeds cap 20000",
+    }
 
 
 @pytest.mark.parametrize("command", [("graph", "toric-classes"), ("coxeter", "conjugacy")])

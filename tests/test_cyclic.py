@@ -1,17 +1,25 @@
+import inspect
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import small_system
+from conftest import elements_up_to, small_system
 from coxheaps import catalog
+from coxheaps import classifier as CL
 from coxheaps import cyclic as CY
 from coxheaps import heaps as H
 from coxheaps import toric as T
 from coxheaps import words as W
 from coxheaps.coxgraph import CoxeterGraph
 from coxheaps.errors import GraphMismatch, NotReduced, NotToricallyReduced, TooLarge
-from oracles import brute_toric_heaps_isomorphic, naive_braid_moves, rtor_closure
+from oracles import (
+    brute_toric_heaps_isomorphic,
+    listing_elements,
+    naive_braid_moves,
+    rtor_closure,
+    witness_chain,
+)
 
 
 def test_cyclic_word_canonical(b3):
@@ -78,7 +86,7 @@ def test_rtor_and_ctor_running_example(b3):
     assert len(CY.rtor_words(b3, w)) == 10
     # the cap counts the 2 cyclic words, not the 10 words of the closure
     assert CY.ctor_class(b3, w, cap=2) == rt
-    assert CY.is_torically_reduced(b3, w, cap=2)
+    assert CY.is_torically_reduced(b3, w)
     elements = CY.torically_equivalent_elements(b3, w)
     assert len(elements) == 4
 
@@ -135,10 +143,13 @@ def test_decomposition_partitions_rtor(b3, affine_a2):
 @given(small_system(max_len=6))
 @settings(max_examples=30)
 def test_one_pass_partitions_match_heaps(gw):
-    # the class-by-class listings against heaps and toric heaps, and the
-    # cyclic listing's toric reducedness against the word-level chain search
+    # the class-by-class listings against heaps and toric heaps, the chain
+    # search against the oracle's, and the element walk's toric reducedness
+    # against the chain search
     g, w = gw
-    assert CY.is_torically_reduced(g, w) == (CY.toric_reduction_witness(g, w) is None)
+    chain = CY.toric_reduction_witness(g, w)
+    assert chain == witness_chain(g, w)
+    assert CY.is_torically_reduced(g, w) == (chain is None)
     w = W.normal_form(g, w).word
     for cls in W.commutativity_classes(g, w):
         assert cls == H.linear_extensions(H.heap_of_word(g, min(cls)))
@@ -166,15 +177,74 @@ def test_rtor_listing_matches_word_closure(name):
         words.extend(v for v in (u + (s,) for s in range(g.rank)) if len(v) <= 6 and W.is_reduced(g, v))
     for w in words:
         want = rtor_closure(g, w)
+        assert CY.is_torically_reduced(g, w) == (want is not None), g.format(w)
         if want is None:
             with pytest.raises(NotToricallyReduced):
                 CY.rtor_words(g, w)
+            assert CY.toric_reduction_witness(g, w) == witness_chain(g, w), g.format(w)
             continue
         assert CY.rtor_words(g, w) == want, g.format(w)
         if w not in checked:
             checked |= want
+            assert CY.torically_equivalent_elements(g, w) == {W.normal_form(g, u) for u in want}, g.format(w)
             for cls in CY.cyclic_decomposition(g, w):
                 assert cls == CY.ltor(CY.toric_heap_of_word(g, min(cls).canonical)), g.format(w)
+
+
+SWEEP_SYSTEMS = {
+    **{name: catalog.coxeter_graph(name) for name in ("A3", "A4", "B3", "H3", "A~2", "A~3", "C~2", "C~3", "C~4", "E~6")},
+    "paw": RTOR_SYSTEMS["paw"],
+    "I2(7)": RTOR_SYSTEMS["I2(7)"],
+    "4-cycle of 4-bonds": catalog.cycle(["s1", "s2", "s3", "s4"], 4),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_SYSTEMS)
+def test_shift_class_matches_listing(name):
+    # every element of up to 7 letters, 6 in rank 5 and up: toric
+    # reducedness from the element walk against the R_tor listing, and [w]
+    # once per listed class, which is the [w] of each of its elements
+    g = SWEEP_SYSTEMS[name]
+    listed: dict = {}  # normal form -> the listed [w] that holds it
+    for w in elements_up_to(g, 7 if g.rank <= 4 else 6):
+        if w not in listed:
+            try:
+                want = listing_elements(g, w)
+            except NotToricallyReduced:
+                with pytest.raises(NotToricallyReduced, match="is not torically reduced$"):
+                    CY.torically_equivalent_elements(g, w)
+            else:
+                assert CY.torically_equivalent_elements(g, w) == want, g.format(w)
+                listed.update(dict.fromkeys((x.word for x in want), want))
+        assert CY.is_torically_reduced(g, w) == (w in listed), g.format(w)
+
+
+def test_shift_class_of_long_words(affine_a3):
+    g = catalog.coxeter_graph("E~6")
+    w = g.word("s0 s1 s2 s3 s4 s5 s6") * 2
+    assert CY.is_torically_reduced(g, w)
+    elements = {x.word for x in CY.torically_equivalent_elements(g, w)}
+    assert len(elements) == 396 and {len(x) for x in elements} == {14}
+    for x in elements:  # closed under s x s for each left or right descent s
+        for s in range(g.rank):
+            if not (W.is_reduced(g, (s,) + x) and W.is_reduced(g, x + (s,))):
+                assert W.normal_form(g, (s,) + x + (s,)).word in elements
+    c4 = catalog.coxeter_graph("C~4")
+    assert CY.is_torically_reduced(c4, c4.word("s0 s2 s4 s1 s3") * 8)
+    assert CY.is_torically_reduced(affine_a3, affine_a3.word("s1 s3 s2 s4") * 16)
+
+
+def test_non_reduced_words_are_not_torically_reduced(b3):
+    for text in ("s1 s1", "s2 s3 s2 s3 s2 s3", "s1 s2 s1 s2 s1 s2 s1 s2 s3"):
+        w = b3.word(text)
+        assert not CY.is_torically_reduced(b3, w)
+        with pytest.raises(NotToricallyReduced, match=f"^{text} is not torically reduced$"):
+            CY.torically_equivalent_elements(b3, w)
+
+
+def test_toric_reducedness_takes_no_cap():
+    for f in (CY.is_torically_reduced, CY.torically_equivalent_elements, CL.conjecture_probe):
+        assert "cap" not in inspect.signature(f).parameters
 
 
 def test_toric_heap_running_example(b3):
