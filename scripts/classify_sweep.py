@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Sweep all reduced words up to a length bound and tabulate verdicts.
+"""Sweep all elements up to a length bound and tabulate verdicts.
 
-Counts elements (not words) that are FC / CFC / TFC / faux CFC, and lists
+Counts elements that are FC / CFC / TFC / faux CFC, and their reduced
+words (from each element's own count, without listing them), and lists
 the faux-CFC elements next to the diagram's even endpoints.  The observed
 pattern (faux CFC only with an even endpoint in the support) is evidence
 only, not a theorem.
@@ -16,25 +17,8 @@ from collections import Counter
 from coxheaps import catalog
 from coxheaps.classifier import classify
 from coxheaps.coxgraph import INF, load_coxeter_graph, support
-from coxheaps.words import is_reduced, normal_form
-
-
-def reduced_words_up_to(g, max_len):
-    """DFS over reduced words; every prefix of a reduced word is reduced."""
-    out = [()]
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            if len(w) == max_len:
-                continue
-            for s in range(g.rank):
-                cand = w + (s,)
-                if is_reduced(g, cand):
-                    nxt.append(cand)
-        out.extend(nxt)
-        frontier = nxt
-    return out
+from coxheaps.errors import CoxError
+from coxheaps.words import elements_up_to
 
 
 def even_endpoints(g):
@@ -56,18 +40,19 @@ def main():
     args = ap.parse_args()
     if bool(args.type) == bool(args.graph):
         ap.error("give exactly one of --type / --graph")
-    g = catalog.coxeter_graph(args.type) if args.type else load_coxeter_graph(args.graph)
-
-    words = reduced_words_up_to(g, args.max_len)
-    by_element = {}
-    for w in words:
-        by_element.setdefault(normal_form(g, w).word, []).append(w)
+    if args.max_len < 0:
+        ap.error("--max-len must be >= 0")
+    try:
+        g = catalog.coxeter_graph(args.type) if args.type else load_coxeter_graph(args.graph)
+    except (KeyError, CoxError) as exc:
+        ap.error(exc.args[0])
 
     tally = Counter()
     faux = []
-    for rep in sorted(by_element):
+    for rep in sorted(elements_up_to(g, args.max_len)):
         report = classify(g, rep)
         tally["elements"] += 1
+        tally["words"] += report.counts["reducedWords"]
         for flag in ("fc", "cfc", "tfc", "faux_cfc", "torically_reduced",
                      "cyclically_reduced"):
             tally[flag] += getattr(report, flag)
@@ -75,7 +60,7 @@ def main():
             faux.append(rep)
 
     print(f"diagram: {g!r}")
-    print(f"reduced words up to length {args.max_len}: {len(words)}")
+    print(f"reduced words up to length {args.max_len}: {tally['words']}")
     for key in ("elements", "cyclically_reduced", "torically_reduced",
                 "fc", "cfc", "tfc", "faux_cfc"):
         print(f"  {key:22s} {tally[key]}")

@@ -12,6 +12,7 @@ import pathlib
 from coxheaps import catalog
 from coxheaps.coxgraph import load_coxeter_graph
 from coxheaps.cyclic import toric_heap_of_word
+from coxheaps.errors import CoxError
 from coxheaps.heaps import heap_of_word
 from coxheaps.render import coxeter_graph_to_dot, heap_to_dot, toric_heap_to_dot
 
@@ -25,8 +26,11 @@ def main():
     args = ap.parse_args()
     if bool(args.type) == bool(args.graph):
         ap.error("give exactly one of --type / --graph")
-    g = catalog.coxeter_graph(args.type) if args.type else load_coxeter_graph(args.graph)
-    w = g.word(args.word)
+    try:
+        g = catalog.coxeter_graph(args.type) if args.type else load_coxeter_graph(args.graph)
+        w = g.word(args.word)
+    except (KeyError, CoxError) as exc:
+        ap.error(exc.args[0])
 
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

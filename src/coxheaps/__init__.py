@@ -1,6 +1,6 @@
 """Cyclic reducibility in Coxeter groups.
 
-Words and braid orbits, heaps of words, acyclic orientations and toric
+Words, braid orbits and elements, heaps of words, acyclic orientations and toric
 posets, cyclic words and toric heaps, and the FC / CFC / TFC / faux-CFC
 classification, with a CLI (``python -m coxheaps`` or the ``coxheaps``
 entry point).
@@ -8,18 +8,16 @@ entry point).
 
 from .coxgraph import INF, CoxeterGraph, Word, load_coxeter_graph, parse_word, format_word, support
 from .words import (
-    BraidOrbit,
     NormalForm,
-    braid_orbit,
     commutativity_class,
     commutativity_classes,
     conjugate,
+    elements_up_to,
     inverse,
     is_fc,
     is_reduced,
     multiply,
     normal_form,
-    power_length,
     reduced_words,
 )
 from .heaps import (

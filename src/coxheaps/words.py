@@ -1,4 +1,4 @@
-"""Words, braid orbits and the word problem.
+"""Words, braid orbits, elements and the word problem.
 
 A braid move replaces a factor <s,t>_{m(s,t)} by <t,s>_{m(s,t)}; moves with
 m = 2 are "short".  The move is built once, in ``_moves``, which
@@ -8,13 +8,15 @@ R(w) of all reduced words of its element (Matsumoto's theorem).
 
 Deciding needs no search: ``is_reduced`` and ``normal_form`` use the exact
 root-sequence criterion in ``roots``, in time polynomial in the length, so
-they and ``multiply``, ``conjugate`` and ``power_length`` take no cap,
-nor does ``is_fc``, which reads Stembridge's criterion off the heap.
-``commutativity_class`` lists the linear extensions of w's heap, which
-are its words (Cartier-Foata 1969).  Where a whole braid closure must be
-listed, one search, ``_listing``, lists it one commutativity class at a
-time; it also lists R_tor([w]) for ``cyclic``.  Both carry a cap and
-raise ``OrbitCapExceeded`` as an inconclusive outcome, never a guess.
+they and ``multiply`` and ``conjugate`` take no cap, nor does ``is_fc``,
+which reads Stembridge's criterion off the heap.  ``elements_up_to`` lists
+elements, not words: the normal form of each element of the weak order up
+to a length, keyed by its exact columns.  ``commutativity_class`` lists
+the linear extensions of w's heap, which are its words (Cartier-Foata
+1969).  Where a whole braid closure must be listed, one search,
+``_listing``, lists it one commutativity class at a time; it also lists
+R_tor([w]) for ``cyclic``.  Both carry a cap and raise
+``OrbitCapExceeded`` as an inconclusive outcome, never a guess.
 
 All functions are pure; words are tuples of generator indices.
 """
@@ -30,18 +32,6 @@ from .errors import ExtensionCapExceeded, NotReduced, NotToricallyReduced, Orbit
 from .heaps import _is_fc, heap_of_word, linear_extensions
 
 DEFAULT_ORBIT_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class BraidOrbit:
-    """Closure of a seed word under single braid moves."""
-
-    words: frozenset[Word]
-    origin: Word
-    truncated: bool
-
-    def __len__(self) -> int:
-        return len(self.words)
 
 
 @dataclass(frozen=True, order=True)
@@ -92,7 +82,7 @@ def has_cyclic_repeat(word: Word) -> bool:
 
 
 def _listing(
-    g: CoxeterGraph, w: Word, cap: int, what: str | None, cyclic: bool = False
+    g: CoxeterGraph, w: Word, cap: int, what: str, cyclic: bool = False
 ) -> tuple[dict[Word, int], list[list[Word]]]:
     """List the whole braid closure of w, one commutativity class at a time.
 
@@ -100,12 +90,11 @@ def _listing(
     move queues it as the seed of a later class.  ``found`` maps each word
     found to its class index, or to -1 while queued, so each word is
     expanded once.  The first word listed past the cap raises
-    OrbitCapExceeded for ``what``, or, with ``what`` None, is queued and
-    ends the search.  With ``cyclic`` the words are least rotations, and
-    the moves act on every rotation, read off the doubled word u u: the
-    move at position 0 of rotation i is the one at position i of u u.  A
-    word with a cyclic repeat raises NotToricallyReduced when met, before
-    the cap.
+    OrbitCapExceeded for ``what``.  With ``cyclic`` the words are least
+    rotations, and the moves act on every rotation, read off the doubled
+    word u u: the move at position 0 of rotation i is the one at position
+    i of u u.  A word with a cyclic repeat raises NotToricallyReduced when
+    met, before the cap.
     """
     start = g.check_word(w)
     if cyclic:
@@ -136,7 +125,7 @@ def _listing(
                 elif state >= 0 or m > 2:
                     continue
                 if listed >= cap:
-                    return _cut(g, w, cap, what, found, nxt), classes
+                    raise OrbitCapExceeded(f"{what} of {g.format(w)} exceeds cap {cap}")
                 listed += 1
                 found[nxt] = index
                 members.append(nxt)
@@ -144,28 +133,11 @@ def _listing(
             seeds.popleft()
         if seeds:
             if listed >= cap:
-                return _cut(g, w, cap, what, found, seeds[0]), classes
+                raise OrbitCapExceeded(f"{what} of {g.format(w)} exceeds cap {cap}")
             listed += 1
             found[seeds[0]] = len(classes)
             classes.append([seeds.popleft()])
     return found, classes
-
-
-def _cut(g: CoxeterGraph, w: Word, cap: int, what: str | None, found: dict, past: Word) -> dict:
-    if what is not None:
-        raise OrbitCapExceeded(f"{what} of {g.format(w)} exceeds cap {cap}")
-    found.setdefault(past, -1)
-    return found
-
-
-def braid_orbit(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> BraidOrbit:
-    """Closure of {w} under all single braid moves.
-
-    Truncation is a flagged result, not an error.
-    """
-    found, _ = _listing(g, w, cap, None)
-    words = frozenset(u for u, index in found.items() if index >= 0)
-    return BraidOrbit(words, g.check_word(w), len(words) < len(found))
 
 
 def commutativity_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[Word]:
@@ -232,12 +204,31 @@ def conjugate(g: CoxeterGraph, v: Word, w: Word) -> NormalForm:
     return normal_form(g, inverse(g.check_word(v)) + g.check_word(w) + g.check_word(v))
 
 
-def power_length(g: CoxeterGraph, w: Word, k: int) -> int:
-    """Length of w^k, reducing incrementally so intermediate words stay short."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    word = g.check_word(w)
-    cur: Word = ()
-    for _ in range(k):
-        cur = normal_form(g, cur + word).word
-    return len(cur)
+def elements_up_to(g: CoxeterGraph, max_len: int) -> list[Word]:
+    """The shortlex normal form of every element of length <= max_len, by
+    length and sorted within a length, each once.
+
+    A breadth-first walk over the right weak order (Björner–Brenti ch. 3),
+    keyed by the exact columns of ``roots``.  An element y of length L + 1
+    is reached from y s for each of its right descents s and from nothing
+    else, so it records those s, which its own step skips.  Its normal form
+    is the least u + (s,), u the normal form of y s; as each length is
+    walked in shortlex order and s in increasing order, that is the word y
+    is first reached by, and the next length comes out in shortlex order.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    rs = g.root_system()
+    out: list[Word] = [()]
+    level: dict[tuple, tuple[Word, set[int]]] = {rs.identity: ((), set())}
+    for _ in range(max_len):
+        longer: dict[tuple, tuple[Word, set[int]]] = {}
+        for key, (u, right) in level.items():
+            for s in range(g.rank):
+                if s not in right:
+                    cols = list(key)
+                    rs.times(cols, s)
+                    longer.setdefault(tuple(cols), (u + (s,), set()))[1].add(s)
+        level = longer
+        out.extend(u for u, _ in level.values())
+    return out

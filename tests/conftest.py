@@ -3,7 +3,6 @@ import hypothesis.strategies as st
 import pytest
 
 from coxheaps import catalog
-from coxheaps import words as W
 from coxheaps.coxgraph import INF, CoxeterGraph
 
 hypothesis.settings.register_profile(
@@ -58,14 +57,3 @@ def small_system(draw, max_rank=4, max_len=6):
     g = CoxeterGraph(names, bonds)
     word = tuple(draw(st.lists(st.integers(0, rank - 1), max_size=max_len)))
     return g, word
-
-
-def elements_up_to(g, max_len):
-    """Shortlex normal forms of all elements of length <= max_len."""
-    out = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        longer = {W.normal_form(g, w + (s,)).word for w in frontier for s in range(g.rank)}
-        frontier = sorted(u for u in longer if len(u) == len(frontier[0]) + 1)
-        out.extend(frontier)
-    return out

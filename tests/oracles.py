@@ -1,6 +1,7 @@
 """Independent oracles for the test suite.
 
-The main library decides everything by braid-move search on words.  The
+The main library decides the word problem from root sequences (``roots``)
+and lists sets by its own braid-move search (``words._listing``).  The
 oracles here go through the standard geometric representation instead:
 each generator acts on the root-coordinate space by an exact matrix over a
 quadratic integer ring (Z, Z[sqrt2], Z[phi], ...), which is faithful, so
@@ -8,7 +9,9 @@ matrix equality decides element equality and a Cayley-ball BFS gives true
 lengths.  Nothing in this module calls the braid machinery, except the
 listing oracles at the end.  Those decide FC, CFC and toric questions by
 listing and search, against the closed criteria of the library; the
-searches follow braid moves of their own (``naive_braid_moves``).
+searches follow braid moves of their own (``naive_braid_moves``), and
+``braid_closure`` is the Tits search route for reducedness and normal
+forms.
 """
 
 from __future__ import annotations
@@ -438,18 +441,27 @@ def listing_is_fc(g: CoxeterGraph, w: Word) -> bool:
     return len(W.commutativity_classes(g, w)) == 1
 
 
-def commutativity_class(g: CoxeterGraph, w: Word, cap: int = W.DEFAULT_ORBIT_CAP) -> frozenset:
-    """Closure of {w} under short braid moves, by breadth-first search."""
+def braid_closure(g: CoxeterGraph, w: Word, short_only: bool = False, cap: int = W.DEFAULT_ORBIT_CAP) -> frozenset:
+    """Closure of {w} under single braid moves, only short ones with
+    ``short_only``, by breadth-first search over ``naive_braid_moves``.
+    For a reduced word it is R(w) (Matsumoto), and its commutativity class
+    with ``short_only``."""
     start = g.check_word(w)
     found, queue = {start}, [start]
     for u in queue:
-        for v in naive_braid_moves(g, u, short_only=True):
+        for v in naive_braid_moves(g, u, short_only):
             if v not in found:
                 if len(found) >= cap:
-                    raise OrbitCapExceeded(f"commutativity class of {g.format(w)} exceeds cap {cap}")
+                    what = "commutativity class" if short_only else "braid closure"
+                    raise OrbitCapExceeded(f"{what} of {g.format(w)} exceeds cap {cap}")
                 found.add(v)
                 queue.append(v)
     return frozenset(found)
+
+
+def commutativity_class(g: CoxeterGraph, w: Word, cap: int = W.DEFAULT_ORBIT_CAP) -> frozenset:
+    """Closure of {w} under short braid moves, by breadth-first search."""
+    return braid_closure(g, w, True, cap)
 
 
 def fc_orbit(g: CoxeterGraph, w: Word, cap: int = W.DEFAULT_ORBIT_CAP) -> tuple[frozenset, bool]:

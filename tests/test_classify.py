@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import elements_up_to, small_system
+from conftest import small_system
 from coxheaps import catalog
 from coxheaps import classifier as CL
 from coxheaps import cyclic as CY
@@ -353,7 +353,7 @@ def _brute_classify(g, word):
 @pytest.mark.parametrize("name", ["B3", "H3", "A~2"])
 def test_classify_matches_brute_force_route(name):
     g = catalog.coxeter_graph(name)
-    elements = elements_up_to(g, 7)
+    elements = W.elements_up_to(g, 7)
     assert len(set(elements)) == len(elements)
     for w in elements:
         assert CL.classify(g, w).to_json(g) == _brute_classify(g, w), g.format(w)
@@ -384,7 +384,7 @@ def _check_heap_route(g, w):
 @pytest.mark.parametrize("name", ["A4", "B3", "H3", "A~2", "A~3", "C~3"])
 def test_heap_route_matches_listing_oracles(name):
     g = catalog.coxeter_graph(name)
-    for w in elements_up_to(g, 8):
+    for w in W.elements_up_to(g, 8):
         _check_heap_route(g, w)
 
 
@@ -445,7 +445,7 @@ def test_cyclically_reduced_pins(affine_c3):
 @pytest.mark.parametrize("name", ["B3", "H3", "A~2", "A4", "C~3"])
 def test_cfc_verdict_same_on_every_reduced_word(name):
     g = catalog.coxeter_graph(name)
-    for w in elements_up_to(g, 7):
+    for w in W.elements_up_to(g, 7):
         want = listing_is_cfc(g, w)
         assert all(CL.is_cfc(g, u) == want for u in W.reduced_words(g, w)), g.format(w)
 
@@ -512,7 +512,7 @@ def test_tfc_matches_listing_oracle(name):
     # position instead of heap order; keep it in the sweep
     g = TFC_SYSTEMS[name]
     known: dict = {}
-    for w in elements_up_to(g, 6):
+    for w in W.elements_up_to(g, 6):
         for u in {w, max(W.reduced_words(g, w))}:
             want = listing_is_tfc(g, u, known)
             assert CL.is_tfc(g, u) == want, g.format(u)

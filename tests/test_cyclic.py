@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import elements_up_to, small_system
+from conftest import small_system
 from coxheaps import catalog
 from coxheaps import classifier as CL
 from coxheaps import cyclic as CY
@@ -206,7 +206,7 @@ def test_shift_class_matches_listing(name):
     # once per listed class, which is the [w] of each of its elements
     g = SWEEP_SYSTEMS[name]
     listed: dict = {}  # normal form -> the listed [w] that holds it
-    for w in elements_up_to(g, 7 if g.rank <= 4 else 6):
+    for w in W.elements_up_to(g, 7 if g.rank <= 4 else 6):
         if w not in listed:
             try:
                 want = listing_elements(g, w)

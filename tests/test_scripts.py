@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -14,13 +16,55 @@ def _run(script, *args):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+def _tally_block(stdout):
+    """The word count and the verdict tallies, the lines after the diagram."""
+    return stdout.splitlines()[1:9]
+
+
 def test_classify_sweep_b3():
     done = _run("classify_sweep.py", "--type", "B3", "--max-len", "8")
     assert done.returncode == 0, done.stderr
-    tally = dict(line.split() for line in done.stdout.splitlines() if line.startswith("  ") and "support=" not in line)
     # every element of B3 but w0 (length 9), and Stembridge's FC count
-    assert tally["elements"] == "47"
-    assert tally["fc"] == "24"
+    assert _tally_block(done.stdout) == [
+        "reduced words up to length 8: 167",
+        "  elements               47",
+        "  cyclically_reduced     20",
+        "  torically_reduced      18",
+        "  fc                     24",
+        "  cfc                    13",
+        "  tfc                    18",
+        "  faux_cfc               5",
+    ]
+
+
+def test_classify_sweep_graph_file():
+    done = _run("classify_sweep.py", "--graph", os.path.join(ROOT, "graphs", "affine_c2.json"), "--max-len", "6")
+    assert done.returncode == 0, done.stderr
+    assert _tally_block(done.stdout) == [
+        "reduced words up to length 6: 106",
+        "  elements               57",
+        "  cyclically_reduced     31",
+        "  torically_reduced      31",
+        "  fc                     45",
+        "  cfc                    21",
+        "  tfc                    31",
+        "  faux_cfc               10",
+    ]
+    assert done.stdout.count("support=") == 10
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("classify_sweep.py", ("--type", "B3", "--max-len", "-1"), "--max-len must be >= 0"),
+    ("classify_sweep.py", ("--type", "Z9"), "unknown type 'Z9'"),
+    ("classify_sweep.py", ("--graph", "/nonexistent.json"), "cannot read graph file"),
+    ("render_figures.py", ("--type", "B3", "--word", "s9"), "unknown generator 's9'"),
+], ids=["negative-length", "unknown-type", "missing-graph", "unknown-generator"])
+def test_script_input_errors_are_usage_errors(script, args, message):
+    done = _run(script, *args)
+    assert done.returncode == 2, (done.stdout, done.stderr)
+    assert "Traceback" not in done.stderr
+    assert f"error: {message}" in done.stderr
+    assert done.stdout == ""
 
 
 def test_conjecture_evidence_has_no_counterexample():

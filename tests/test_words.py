@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -8,29 +9,20 @@ from coxheaps import catalog
 from coxheaps import words as W
 from coxheaps.coxgraph import INF, CoxeterGraph, support
 from coxheaps.errors import NotReduced, OrbitCapExceeded, UnknownGenerator
-from oracles import GroupOracle, naive_braid_moves
+from oracles import GroupOracle, braid_closure, naive_braid_moves
 
 
 def test_braid_orbit_long_braid(b3):
-    orbit = W.braid_orbit(b3, b3.word("s1 s2 s1 s2"))
-    assert orbit.words == {b3.word("s1 s2 s1 s2"), b3.word("s2 s1 s2 s1")}
-    assert not orbit.truncated
+    w = b3.word("s1 s2 s1 s2")
+    orbit = {w, b3.word("s2 s1 s2 s1")}
+    assert W.reduced_words(b3, w) == orbit
+    assert braid_closure(b3, w) == orbit
 
 
 def test_braid_orbit_m3_and_empty(a3):
     sts = a3.word("s1 s2 s1")
-    assert W.braid_orbit(a3, sts).words == {sts, a3.word("s2 s1 s2")}
-    assert W.braid_orbit(a3, ()).words == {()}
-
-
-def test_braid_orbit_truncation_flagged(b3):
-    w = b3.word("s1 s2 s1 s2")
-    orbit = W.braid_orbit(b3, w, cap=1)
-    assert orbit.truncated
-    assert len(orbit.words) == 1
-    # the cap counts listed words: the long-move neighbour of the one-word
-    # class is found but not listed
-    assert W.commutativity_class(b3, w, cap=1) == {w}
+    assert W.reduced_words(a3, sts) == braid_closure(a3, sts) == {sts, a3.word("s2 s1 s2")}
+    assert W.reduced_words(a3, ()) == braid_closure(a3, ()) == {()}
 
 
 def test_is_reduced_examples(a3, b3):
@@ -44,8 +36,12 @@ def test_is_reduced_decides_without_cap(b3):
     # m(s1, s2) = 4: the full braid <s1,s2>_4 is reduced, one letter more is not
     assert W.is_reduced(b3, b3.word("s1 s2 s1 s2"))
     assert not W.is_reduced(b3, b3.word("s1 s2 s1 s2 s1"))
-    with pytest.raises(OrbitCapExceeded):
-        W.reduced_words(b3, b3.word("s1 s2 s1 s2"), cap=1)
+    w = b3.word("s1 s2 s1 s2")
+    with pytest.raises(OrbitCapExceeded, match="^reduced-word set of s1 s2 s1 s2 exceeds cap 1$"):
+        W.reduced_words(b3, w, cap=1)
+    # the cap counts listed words: the long-move neighbour of the one-word
+    # class is found but not listed
+    assert W.commutativity_class(b3, w, cap=1) == {w}
 
 
 def test_normal_form_examples(a3, b3):
@@ -54,7 +50,7 @@ def test_normal_form_examples(a3, b3):
     assert nf.length == 3
     assert W.normal_form(b3, b3.word("s1 s1")).word == ()
     w = b3.word("s3 s1 s2 s1 s2")
-    assert W.normal_form(b3, w).word == min(W.braid_orbit(b3, w).words)
+    assert W.normal_form(b3, w).word == min(braid_closure(b3, w))
 
 
 def test_normal_form_idempotent(b3):
@@ -112,18 +108,17 @@ def test_group_arithmetic(b3):
 
 def test_power_length(affine_c2, affine_a2):
     w = affine_c2.word("s0 s1 s0 s1 s2")
-    assert W.power_length(affine_c2, w, 2) == 8
-    assert W.power_length(affine_c2, w, 0) == 0
+    assert W.normal_form(affine_c2, w * 2).length == 8
+    assert W.normal_form(affine_c2, w * 0).length == 0
     cox = affine_a2.word("s0 s1 s2")
-    assert W.power_length(affine_a2, cox, 3) == 9
+    assert W.normal_form(affine_a2, cox * 3).length == 9
 
 
 @given(small_system())
 def test_orbit_preserves_length_and_support(gw):
     # <s,t>_m and <t,s>_m use the same letter set, so both are invariant
     g, w = gw
-    orbit = W.braid_orbit(g, w, cap=5000)
-    for u in orbit.words:
+    for u in braid_closure(g, w):
         assert len(u) == len(w)
         assert support(u) == support(w)
 
@@ -131,12 +126,12 @@ def test_orbit_preserves_length_and_support(gw):
 @given(small_system())
 def test_orbit_closed_under_single_moves(gw):
     g, w = gw
-    orbit = W.braid_orbit(g, w, cap=5000)
-    if orbit.truncated:
-        return
-    for u in orbit.words:
-        for moved in naive_braid_moves(g, u):
-            assert moved in orbit.words
+    orbit = braid_closure(g, w)
+    for u in orbit:
+        for moved in W.braid_moves(g, u):
+            assert moved in orbit
+    if W.is_reduced(g, w):
+        assert W.reduced_words(g, w) == orbit
 
 
 _MOVE_SYSTEMS = {
@@ -169,11 +164,36 @@ def test_braid_moves_check_the_word(b3):
 @given(small_system(max_len=5))
 def test_normal_form_is_orbit_invariant(gw):
     g, w = gw
-    orbit = W.braid_orbit(g, w, cap=5000)
-    if orbit.truncated:
-        return
-    forms = {W.normal_form(g, u) for u in orbit.words}
+    forms = {W.normal_form(g, u) for u in braid_closure(g, w)}
     assert len(forms) == 1
+
+
+@pytest.mark.parametrize("name, max_len", [("B3", 8), ("A3", 8), ("H3", 8), ("A~2", 8), ("A~3", 6)])
+def test_elements_up_to_matches_oracle(name, max_len):
+    # the acceptance systems and lengths; the oracle's Cayley ball of radius
+    # max_len holds exactly the elements of length <= max_len
+    g = catalog.coxeter_graph(name)
+    oracle = GroupOracle(g, max_len)
+    elements = W.elements_up_to(g, max_len)
+    mats = [oracle.element(w) for w in elements]
+    assert len(set(mats)) == len(mats)
+    assert set(mats) == set(oracle.dist)
+    assert Counter(map(len, elements)) == Counter(oracle.dist.values())
+    # each is the shortlex-least of the oracle's reduced words for it, listed
+    # by length and sorted within a length
+    least: dict = {}
+    for w in oracle.all_reduced_words(max_len):
+        mat = oracle.element(w)
+        least[mat] = min(least.get(mat, w), w)
+    assert elements == sorted(least.values(), key=lambda w: (len(w), w))
+
+
+def test_elements_up_to_edges(b3):
+    assert W.elements_up_to(b3, 0) == [()]
+    assert W.elements_up_to(b3, 1) == [(), (0,), (1,), (2,)]
+    assert len(W.elements_up_to(b3, 20)) == 48
+    with pytest.raises(ValueError):
+        W.elements_up_to(b3, -1)
 
 
 def test_cayley_oracle_agreement_all_short_words(a3, b3, h3):
@@ -203,15 +223,15 @@ def test_multiply_matches_oracle(b3):
 
 # -- roots against braid search ----------------------------------------------
 # is_reduced and normal_form decide by root sequences; the braid-orbit search
-# below (Tits: reduced iff no orbit member has two equal adjacent letters)
-# is the independent route they must agree with.
+# below (Tits: reduced iff no orbit member has two equal adjacent letters),
+# over the oracle's own closure, is the independent route they must agree with.
 
 
 def _reduce_by_search(g, w):
     """A reduced word for the element of w, by braid moves and deletion of
     equal adjacent letters only."""
     while True:
-        bad = [u for u in W.braid_orbit(g, w).words if W.has_adjacent_repeat(u)]
+        bad = [u for u in braid_closure(g, w) if W.has_adjacent_repeat(u)]
         if not bad:
             return w
         u = min(bad)
@@ -220,10 +240,9 @@ def _reduce_by_search(g, w):
 
 
 def _check_against_search(g, w):
-    orbit = W.braid_orbit(g, w)
-    assert not orbit.truncated
-    assert W.is_reduced(g, w) == (not any(W.has_adjacent_repeat(u) for u in orbit.words)), w
-    least = min(W.braid_orbit(g, _reduce_by_search(g, w)).words)
+    orbit = braid_closure(g, w)
+    assert W.is_reduced(g, w) == (not any(W.has_adjacent_repeat(u) for u in orbit)), w
+    least = min(braid_closure(g, _reduce_by_search(g, w)))
     assert W.normal_form(g, w) == W.NormalForm(len(least), least), w
 
 
