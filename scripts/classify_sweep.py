@@ -44,7 +44,7 @@ def main():
         ap.error("--max-len must be >= 0")
     try:
         g = catalog.coxeter_graph(args.type) if args.type else load_coxeter_graph(args.graph)
-    except (KeyError, CoxError) as exc:
+    except CoxError as exc:
         ap.error(exc.args[0])
 
     tally = Counter()

@@ -29,7 +29,7 @@ def main():
     try:
         g = catalog.coxeter_graph(args.type) if args.type else load_coxeter_graph(args.graph)
         w = g.word(args.word)
-    except (KeyError, CoxError) as exc:
+    except CoxError as exc:
         ap.error(exc.args[0])
 
     out = pathlib.Path(args.out)

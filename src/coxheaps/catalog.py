@@ -10,6 +10,7 @@ which uses s1..s4 so the 4-cycle reads naturally).
 from __future__ import annotations
 
 from .coxgraph import Bond, CoxeterGraph
+from .errors import GraphSpecError
 
 
 def chain(names: list[str], bonds: list[Bond]) -> CoxeterGraph:
@@ -73,7 +74,7 @@ def coxeter_graph(name: str) -> CoxeterGraph:
         return _BUILDERS[name]()
     except KeyError:
         known = ", ".join(sorted(_BUILDERS))
-        raise KeyError(f"unknown type {name!r}; known: {known}") from None
+        raise GraphSpecError(f"unknown type {name!r}; known: {known}") from None
 
 
 def names() -> tuple[str, ...]:

@@ -14,10 +14,10 @@ toric heap under each one's braid move.  The rotations of R(w) are decided by
 ``cyclic.rotation_walk`` from one doubled root sequence per class;
 ``classify`` lists R(w) only for non-FC w, for its counts and one seed
 word per class, and R_tor([w]) once, as its cyclic classes, unless a
-rotation of R(w) is already not reduced.  The word-level toric search
-only names the chain of a word that is not torically reduced; when the
-listing trips its cap, ``cyclic.is_torically_reduced`` settles with no
-listing whether the cap error stands or that search runs.  The
+rotation of R(w) is already not reduced.  A listing of R_tor([w]) past
+its cap is settled in ``cyclic``, as for every caller: the cap error
+stands for a torically reduced w, and otherwise the word-level toric
+search names the chain of moves to a word that is not reduced.  The
 probes (logarithmic, braid-shortening) are partial: they report
 evidence bounded by their inputs, never theorems.
 """
@@ -44,7 +44,6 @@ from .errors import (
     NotACoxeterWord,
     NotReduced,
     NotToricallyReduced,
-    OrbitCapExceeded,
     SeedWordError,
     ShapeMismatch,
     SpokeError,
@@ -181,7 +180,7 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
         )
     h = heap_of_word(g, word)
     fc = _is_fc(h)
-    classes = [[word]] if fc else _listing(g, word, cap, "reduced-word set")[1]
+    classes = [[word]] if fc else _listing(g, word, cap)[1]
     count = _down_sets(h)[(1 << len(word)) - 1] if fc else sum(map(len, classes))
     counts: dict = {"reducedWords": count, "commutativityClasses": len(classes)}
     witnesses: dict = {}
@@ -195,11 +194,7 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
         if bad_rotation is not None:  # a word of R_tor(w) is not reduced
             raise NotToricallyReduced(f"{g.format(word)} is not torically reduced")
         decomposition = cyclic_decomposition(g, word, cap)
-    except (NotToricallyReduced, OrbitCapExceeded) as exc:
-        # a cyclic closure over the cap stands unless w is not torically
-        # reduced; the word-level search then names the chain
-        if isinstance(exc, OrbitCapExceeded) and is_torically_reduced(g, word):
-            raise
+    except NotToricallyReduced:
         witnesses["toricWitnessChain"] = toric_reduction_witness(g, word, cap)
         counts["cyclicWords"] = counts["cyclicCommutativityClasses"] = None
         tfc = False

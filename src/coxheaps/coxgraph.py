@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import GraphFileError, GraphSpecError, UnknownGenerator, WordSyntaxError
 
@@ -45,7 +45,7 @@ class CoxeterGraph:
 
     __slots__ = ("generators", "bond_table", "_index", "_bonds", "_key", "_roots")
 
-    def __init__(self, generators: Iterable[str], bonds: Mapping[tuple[str, str], Bond] | Iterable[tuple[str, str, Bond]] = ()):
+    def __init__(self, generators: Iterable[str], bonds: Iterable[tuple[str, str, Bond]] = ()):
         gens = tuple(generators)
         for name in gens:
             if not isinstance(name, str) or not name or any(c.isspace() for c in name):
@@ -54,12 +54,8 @@ class CoxeterGraph:
             raise GraphSpecError("duplicate generator names")
         index = {name: i for i, name in enumerate(gens)}
 
-        if isinstance(bonds, Mapping):
-            items = [(s, t, m) for (s, t), m in bonds.items()]
-        else:
-            items = [(s, t, m) for s, t, m in bonds]
         bond_map: dict[tuple[int, int], Bond] = {}
-        for s, t, m in items:
+        for s, t, m in bonds:
             missing = [x for x in (s, t) if not isinstance(x, str) or x not in index]
             if missing:
                 raise GraphSpecError(f"bond references unknown generator {missing[0]!r}")

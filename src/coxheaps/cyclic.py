@@ -18,7 +18,9 @@ conjugation at fixed length:
 Toric reducedness and [w], the elements named by R_tor(w), need no
 listing: those elements are the cyclic shift class of w's element
 (Geck-Pfeiffer 2000, 3.2; Marquis 2021), which ``_shift_class`` walks one
-element at a time, each read off one root-sequence pass.
+element at a time, each read off one root-sequence pass; a search past
+its cap asks the walk and keeps its cap error only for a torically
+reduced w.
 
 Element-level cyclic reducedness (``rotation_walk``) needs one seed word
 per commutativity class of R(w): its rotations are windows of the doubled
@@ -94,7 +96,7 @@ def is_cyclically_reduced_element(g: CoxeterGraph, w: Word, cap: int = DEFAULT_O
     if not is_reduced(g, word):
         raise NotReduced(f"{g.format(w)} is not reduced")
     h = heap_of_word(g, word)
-    seeds = () if _is_fc(h) else [c[0] for c in _listing(g, word, cap, "reduced-word set")[1][1:]]
+    seeds = () if _is_fc(h) else [c[0] for c in _listing(g, word, cap)[1][1:]]
     return rotation_walk(g, h, seeds) is None
 
 
@@ -132,20 +134,13 @@ def toric_reduction_witness(
 ) -> tuple[Word, ...] | None:
     """Search the rotation + braid closure of w for a non-reduced word.
 
-    Returns a move-by-move chain from w to a word with two equal adjacent
-    letters, or None when the closure is exhausted without one (w is then
-    torically reduced).  Each consecutive pair differs by one rotation or
-    one braid move.
+    Returns a shortest move-by-move chain from w to a word with two equal
+    adjacent letters, or None when w is torically reduced, which
+    ``_shift_class`` settles past the cap.  Each consecutive pair differs
+    by one rotation or one braid move.
     """
     start = g.check_word(w)
-    parent: dict[Word, Word | None] = {start: None}
-
-    def chain(word: Word) -> tuple[Word, ...]:
-        out = [word]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])
-        return tuple(reversed(out))
-
+    parent = {start: start}
     if has_adjacent_repeat(start):
         return (start,)
     bond, n = g.bond_table, len(start)
@@ -158,10 +153,15 @@ def toric_reduction_witness(
             if nxt in parent:
                 continue
             if len(parent) >= cap:
+                if _shift_class(g, start) is not None:
+                    return None
                 raise OrbitCapExceeded(f"rotation+braid closure of {g.format(w)} exceeds cap {cap}")
             parent[nxt] = cur
             if has_adjacent_repeat(nxt):
-                return chain(nxt)
+                chain = [nxt]
+                while chain[-1] != start:
+                    chain.append(parent[chain[-1]])
+                return tuple(reversed(chain))
             queue.append(nxt)
     return None
 
@@ -180,14 +180,14 @@ def _shift_class(g: CoxeterGraph, w: Word) -> dict[tuple, Word] | None:
     so the elements named by R_tor(w) are the closure of x under them, and
     the first word of R_tor(w) that is not reduced is such a rotation.
     """
-    word = g.check_word(w)
-    if not is_reduced(g, word):
-        return None
     rs = g.root_system()
     found: dict[tuple, Word] = {}
-    queue = [word]
+    queue = [g.check_word(w)]
     for u in queue:
-        key, left, right = rs.descents(u)
+        desc = rs.descents(u)
+        if desc is None:  # only w itself can fail: each neighbour queued is reduced
+            return None
+        key, left, right = desc
         if key in found:
             continue
         found[key] = u
@@ -205,34 +205,42 @@ def is_torically_reduced(g: CoxeterGraph, w: Word) -> bool:
     return _shift_class(g, w) is not None
 
 
+def _rtor_listing(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], list[list[Word]]]:
+    """R_tor([w]) by C_tor classes (``words._listing``).  Past the cap,
+    ``_shift_class`` settles it: the cap error stands only for a torically
+    reduced w.  The walk runs only then, as the listing costs less."""
+    try:
+        return _listing(g, w, cap, cyclic=True)
+    except OrbitCapExceeded:
+        if _shift_class(g, w) is None:
+            raise NotToricallyReduced(f"{g.format(w)} is not torically reduced") from None
+        raise
+
+
 def rtor_cyclic_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[CyclicWord]:
     """R_tor([w]): cyclic words reachable by rotations and all braid moves.
-
-    The listing detects any failure of toric reducedness, so the
-    precondition is checked by the search itself.
-    """
-    return frozenset(map(CyclicWord, _listing(g, w, cap, "cyclic closure", cyclic=True)[0]))
+    NotToricallyReduced for any w that is not torically reduced, whatever
+    the cap; OrbitCapExceeded only past the cap of one that is."""
+    return frozenset(map(CyclicWord, _rtor_listing(g, w, cap)[0]))
 
 
 def ctor_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[CyclicWord]:
     """C_tor([w]): the class of [w] in the listing of R_tor([w]) by classes."""
-    return frozenset(map(CyclicWord, _listing(g, w, cap, "cyclic closure", cyclic=True)[1][0]))
+    return frozenset(map(CyclicWord, _rtor_listing(g, w, cap)[1][0]))
 
 
 def cyclic_decomposition(
     g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP
 ) -> tuple[frozenset[CyclicWord], ...]:
     """Partition of R_tor([w]) into cyclic commutativity classes."""
-    classes = _listing(g, w, cap, "cyclic closure", cyclic=True)[1]
+    classes = _rtor_listing(g, w, cap)[1]
     return tuple(sorted((frozenset(map(CyclicWord, c)) for c in classes), key=min))
 
 
 def rtor_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[Word]:
     """R_tor(w): the word-level class, i.e. every rotation of every cyclic
     word in R_tor([w])."""
-    return frozenset(
-        rot for cw in rtor_cyclic_class(g, w, cap) for rot in rotations(cw)
-    )
+    return frozenset(rot for cw in rtor_cyclic_class(g, w, cap) for rot in rotations(cw))
 
 
 def torically_equivalent_elements(g: CoxeterGraph, w: Word) -> frozenset[NormalForm]:

@@ -147,30 +147,29 @@ class RootSystem:
 
     def is_reduced(self, word: Word) -> bool:
         """True iff no beta_j of the word equals -beta_i for some i < j."""
-        cols = list(self.identity)
-        negated = set()
-        for s in word:
-            if cols[s] in negated:
-                return False
-            self.times(cols, s)
-            negated.add(cols[s])
-        return True
+        return self._pass(word) is not None
 
-    def _pass(self, word: Word) -> tuple[list, dict]:
-        """The columns of the element of the word and the map -beta_j -> j."""
+    def _pass(self, word: Word) -> tuple[list, dict] | None:
+        """The columns of the element of the word and the map -beta_j -> j,
+        or None at the first beta_j = -beta_i (the word is not reduced)."""
         cols, negated = list(self.identity), {}
         for j, s in enumerate(word):
+            if cols[s] in negated:
+                return None
             self.times(cols, s)
             negated[cols[s]] = j
         return cols, negated
 
-    def descents(self, word: Word) -> tuple[tuple, dict[int, int], set[int]]:
-        """(key, left, right) for the element x of the reduced word u.  The
-        key is the tuple of columns x(alpha_t), exact and faithful.  left
-        maps each left descent s to the j with beta_j = alpha_s, so that u
-        with letter j deleted is a reduced word for s x; right holds the
-        right descents, the s with x(alpha_s) among the -beta_j."""
-        cols, negated = self._pass(word)
+    def descents(self, word: Word) -> tuple[tuple, dict[int, int], set[int]] | None:
+        """(key, left, right) for the element x of the word u, or None when
+        u is not reduced.  The key is the tuple of columns x(alpha_t), exact
+        and faithful.  left maps each left descent s to the j with beta_j =
+        alpha_s, so that u with letter j deleted is a reduced word for s x;
+        right holds the right descents, the s with x(alpha_s) among the
+        -beta_j."""
+        if (found := self._pass(word)) is None:
+            return None
+        cols, negated = found
         left = {s: negated[a] for s, a in enumerate(self.negative) if a in negated}
         return tuple(cols), left, {s for s, c in enumerate(cols) if c in negated}
 

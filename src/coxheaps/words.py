@@ -15,7 +15,7 @@ to a length, keyed by its exact columns.  ``commutativity_class`` lists
 the linear extensions of w's heap, which are its words (Cartier-Foata
 1969).  Where a whole braid closure must be listed, one search,
 ``_listing``, lists it one commutativity class at a time; it also lists
-R_tor([w]) for ``cyclic``.  Both carry a cap and raise
+R_tor([w]) for ``cyclic._rtor_listing``.  It carries a cap and raises
 ``OrbitCapExceeded`` as an inconclusive outcome, never a guess.
 
 All functions are pure; words are tuples of generator indices.
@@ -82,7 +82,7 @@ def has_cyclic_repeat(word: Word) -> bool:
 
 
 def _listing(
-    g: CoxeterGraph, w: Word, cap: int, what: str, cyclic: bool = False
+    g: CoxeterGraph, w: Word, cap: int, cyclic: bool = False
 ) -> tuple[dict[Word, int], list[list[Word]]]:
     """List the whole braid closure of w, one commutativity class at a time.
 
@@ -90,17 +90,18 @@ def _listing(
     move queues it as the seed of a later class.  ``found`` maps each word
     found to its class index, or to -1 while queued, so each word is
     expanded once.  The first word listed past the cap raises
-    OrbitCapExceeded for ``what``.  With ``cyclic`` the words are least
-    rotations, and the moves act on every rotation, read off the doubled
-    word u u: the move at position 0 of rotation i is the one at position
-    i of u u.  A word with a cyclic repeat raises NotToricallyReduced when
-    met, before the cap.
+    OrbitCapExceeded for the "reduced-word set", or with ``cyclic`` the
+    "cyclic closure" R_tor([w]): its words are least rotations, and the
+    moves act on every rotation, read off the doubled word u u: the move at
+    position 0 of rotation i is the one at position i of u u.  A word with
+    a cyclic repeat raises NotToricallyReduced when met, before the cap.
     """
     start = g.check_word(w)
     if cyclic:
         start = _least_rotation(start)
         if has_cyclic_repeat(start):
             raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
+    what = "cyclic closure" if cyclic else "reduced-word set"
     bond = g.bond_table
     n = len(start)
     positions = range(n) if cyclic else range(n - 1)
@@ -170,7 +171,7 @@ def reduced_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> fro
     """R(w): all reduced words for the element of the reduced word w."""
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    return frozenset(_listing(g, w, cap, "reduced-word set")[0])
+    return frozenset(_listing(g, w, cap)[0])
 
 
 def commutativity_classes(
@@ -179,7 +180,7 @@ def commutativity_classes(
     """Partition of R(w) under short braid moves, ordered by least member."""
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    classes = _listing(g, w, cap, "reduced-word set")[1]
+    classes = _listing(g, w, cap)[1]
     return tuple(sorted(map(frozenset, classes), key=min))
 
 

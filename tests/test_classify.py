@@ -66,6 +66,8 @@ def test_is_cfc_examples(b3):
     assert not CL.is_cfc(b3, b3.word("s3 s1 s2 s1 s2"))
     e6t = catalog.coxeter_graph("E~6")
     assert CL.is_cfc(e6t, e6t.word("s1 s3 s2 s4 s3 s5 s4 s6 s0 s3 s2 s6"))
+    with pytest.raises(NotReduced):
+        CL.is_cfc(b3, b3.word("s1 s2 s2"))
 
 
 def test_is_tfc_and_faux(b3, affine_c3, paw):
@@ -148,6 +150,10 @@ def test_logarithmic_probe(affine_c2, affine_a2):
     cox = affine_a2.word("s0 s1 s2")
     probe = CL.logarithmic_probe(affine_a2, cox, 4)
     assert probe.holds and probe.up_to == 4
+    with pytest.raises(NotReduced):
+        CL.logarithmic_probe(affine_a2, affine_a2.word("s0 s0"), 2)
+    with pytest.raises(ValueError, match="up_to must be >= 1"):
+        CL.logarithmic_probe(affine_a2, cox, 0)
 
 
 def test_coxeter_orientation_bijection(affine_a3):
@@ -161,6 +167,9 @@ def test_coxeter_orientation_bijection(affine_a3):
         CL.coxeter_to_orientation(g, g.word("s1 s2 s3"))
     with pytest.raises(NotACoxeterWord):
         CL.coxeter_to_orientation(g, g.word("s1 s2 s3 s3"))
+    b3 = catalog.coxeter_graph("B3")
+    with pytest.raises(NotACoxeterWord, match="does not live on this Coxeter graph"):
+        CL.orientation_to_coxeter(g, CL.coxeter_to_orientation(b3, b3.word("s1 s2 s3")))
 
 
 def test_roundtrip_all_orientations(affine_a3):
@@ -209,6 +218,9 @@ def test_source_flip_conjugator(affine_a3):
     assert CL.source_flip_conjugator(g, c1, c3) is None
     # decided from cycle imbalances, so no class search runs into the cap
     assert CL.source_flip_conjugator(g, c1, c3, cap=1) is None
+    a4 = catalog.coxeter_graph("A4")
+    with pytest.raises(NotACoxeterWord, match="different graphs"):
+        CL.source_flip_conjugator(g, c1, CL.coxeter_to_orientation(a4, a4.word("s1 s2 s3 s4")))
 
 
 def test_odd_braid_obstruction(b3, affine_a2):
@@ -228,6 +240,8 @@ def test_tfc_constructor_rejections(b3, affine_c3):
         CL.tfc_constructor(affine_c3, ("s0", "s1"), affine_c3.word("s2 s3 s2 s3"))
     with pytest.raises(SeedWordError):
         CL.tfc_constructor(b3, ("s1", "s2"), b3.word("s1"))
+    with pytest.raises(SeedWordError, match="not reduced"):
+        CL.tfc_constructor(b3, ("s1", "s2"), b3.word("s3 s3"))
     with pytest.raises(SpokeError):
         CL.tfc_constructor(b3, ("s2", "s1"), b3.word("s3"))  # s2 is not an endpoint
     with pytest.raises(SpokeError):
@@ -252,7 +266,11 @@ def test_conjecture_probe_shape_errors(b3):
     with pytest.raises(ShapeMismatch):
         CL.conjecture_probe(b3, b3.word("s3 s1 s2 s1 s2"))  # no braid prefix
     with pytest.raises(ShapeMismatch):
-        CL.conjecture_probe(b3, b3.word("s1 s2 s3"))  # not faux CFC
+        CL.conjecture_probe(b3, b3.word("s1 s2 s3"))  # shorter than <s1,s2>_4
+    with pytest.raises(ShapeMismatch, match="alternating braid factor"):
+        CL.conjecture_probe(b3, b3.word("s1 s2"))  # too short
+    with pytest.raises(ShapeMismatch, match="is not faux CFC"):
+        CL.conjecture_probe(b3, b3.word("s1 s2 s1 s2 s3 s2"))  # the full factor, not faux CFC
 
 
 def test_classify_identity(b3):

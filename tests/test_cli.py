@@ -171,6 +171,24 @@ def test_cap_exit_code(graph_files, capsys):
     assert "CapExceeded" in json.loads(out)["error"]["type"]
 
 
+@pytest.mark.parametrize("command", ["rtor", "ctor", "decompose", "elements"])
+def test_cyclic_listing_past_the_cap_is_settled(capsys, command):
+    # the listing trips cap 3 before it meets a cyclic repeat; the word is
+    # not torically reduced, so it is a domain error, not an open cap
+    word = "s1 s2 s1 s3 s2 s4"
+    code, out = run(capsys, "cyclic", command, "-g", AFFINE_A3_JSON, word, "--max-orbit", "3")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "NotToricallyReduced", "message": f"{word} is not torically reduced",
+    }
+    word = "s3 s1 s2 s1 s2"  # torically reduced: the cap error stands
+    code, out = run(capsys, "cyclic", command, "-g", os.path.join(GRAPHS, "b3.json"), word, "--max-orbit", "1")
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "OrbitCapExceeded", "message": f"cyclic closure of {word} exceeds cap 1",
+    }
+
+
 def test_classify_over_the_cap_of_a_torically_reduced_word(capsys, monkeypatch):
     # the word is torically reduced, so the cyclic listing's own cap error
     # stands and no chain search runs

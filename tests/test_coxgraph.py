@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from conftest import small_system
+from coxheaps import catalog
 from coxheaps.coxgraph import (
     INF,
     MAX_BOND,
@@ -14,7 +15,7 @@ from coxheaps.coxgraph import (
     parse_word,
     support,
 )
-from coxheaps.errors import GraphSpecError, UnknownGenerator, WordSyntaxError
+from coxheaps.errors import CoxError, GraphSpecError, UnknownGenerator, WordSyntaxError
 from coxheaps.words import is_reduced
 
 
@@ -152,6 +153,17 @@ def test_load_errors(tmp_path):
     bad.write_text(json.dumps({"generators": ["a"], "bonds": [["a", 3]]}))
     with pytest.raises(GraphSpecError):
         load_coxeter_graph(str(bad))
+    for doc in ({"generators": "a b"}, {"generators": ["a", "b"], "bonds": {"a": "b"}}):
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(GraphSpecError, match="must be arrays"):
+            load_coxeter_graph(str(bad))
+
+
+def test_catalog_errors():
+    with pytest.raises(CoxError, match="unknown type 'Z9'"):
+        catalog.coxeter_graph("Z9")
+    with pytest.raises(ValueError, match="one bond per consecutive pair"):
+        catalog.chain(["s1", "s2", "s3"], [3])
 
 
 @given(small_system())

@@ -12,7 +12,7 @@ from coxheaps import heaps as H
 from coxheaps import toric as T
 from coxheaps import words as W
 from coxheaps.coxgraph import CoxeterGraph
-from coxheaps.errors import GraphMismatch, NotReduced, NotToricallyReduced, TooLarge
+from coxheaps.errors import GraphMismatch, NotReduced, NotToricallyReduced, OrbitCapExceeded, TooLarge
 from oracles import (
     brute_toric_heaps_isomorphic,
     listing_elements,
@@ -77,6 +77,15 @@ def test_toric_reduction_witness_chain(b3):
         assert nxt in rots | set(naive_braid_moves(b3, cur))
 
 
+def test_toric_reduction_witness_past_its_cap(b3, affine_a3):
+    # the search trips cap 3 on both words; the walk settles the first, which
+    # is torically reduced, and the second has no chain found, so its cap stands
+    assert CY.toric_reduction_witness(b3, b3.word("s3 s1 s2 s1 s2"), cap=3) is None
+    with pytest.raises(OrbitCapExceeded, match=r"^rotation\+braid closure of s1 s2 s1 s3 s2 s4 exceeds cap 3$"):
+        CY.toric_reduction_witness(affine_a3, affine_a3.word("s1 s2 s1 s3 s2 s4"), cap=3)
+    assert CY.toric_reduction_witness(affine_a3, affine_a3.word("s1 s2 s1 s3 s2 s4")) is not None
+
+
 def test_rtor_and_ctor_running_example(b3):
     w = b3.word("s3 s1 s2 s1 s2")
     rt = CY.rtor_cyclic_class(b3, w)
@@ -126,6 +135,20 @@ def test_rtor_rejects_non_torically_reduced(b3):
         CY.rtor_cyclic_class(b3, b3.word("s3 s2 s1 s2"))
     with pytest.raises(NotToricallyReduced):
         CY.ctor_class(b3, b3.word("s3 s2 s1 s2"))
+
+
+def test_rtor_listing_past_its_cap_is_settled_by_the_walk(b3, affine_a3):
+    # the cyclic listing of this word trips cap 3 before it meets a cyclic
+    # repeat; the word is not torically reduced, so every R_tor caller says so
+    w = affine_a3.word("s1 s2 s1 s3 s2 s4")
+    for f in (CY.rtor_cyclic_class, CY.ctor_class, CY.cyclic_decomposition, CY.rtor_words,
+              CL.odd_braid_obstruction):
+        with pytest.raises(NotToricallyReduced, match="^s1 s2 s1 s3 s2 s4 is not torically reduced$"):
+            f(affine_a3, w, 3)
+    # a torically reduced word over the cap keeps the listing's own error
+    for f in (CY.rtor_cyclic_class, CY.ctor_class, CY.cyclic_decomposition):
+        with pytest.raises(OrbitCapExceeded, match="^cyclic closure of s3 s1 s2 s1 s2 exceeds cap 1$"):
+            f(b3, b3.word("s3 s1 s2 s1 s2"), 1)
 
 
 def test_decomposition_partitions_rtor(b3, affine_a2):

@@ -61,6 +61,7 @@ def test_heaps_isomorphic_examples(b3):
     other = H.heap_of_word(b3, b3.word("s3 s2 s1 s2 s1"))
     assert not H.heaps_isomorphic(one, other)
     assert H.heaps_isomorphic(one, one)
+    assert not H.heaps_isomorphic(one, H.heap_of_word(b3, b3.word("s3 s1 s2 s1 s3")))
 
 
 def test_heaps_isomorphic_graph_mismatch(b3, a3):

@@ -72,3 +72,4 @@ def test_rotation_pairs_decide_every_rotation(name):
         for k in range(1, len(word)):
             reduced = rs.is_reduced(word[k:] + word[:k])
             assert reduced == (not any(i < k <= j for i, j in pairs)), (g.format(word), k)
+            assert (rs.descents(word[k:] + word[:k]) is None) == (not reduced)

@@ -13,7 +13,7 @@ from coxheaps import heaps as H
 from coxheaps import toric as T
 from coxheaps import words as W
 from coxheaps.cli import main
-from coxheaps.errors import ClassCapExceeded, GraphMismatch, NotAcyclic, NotASource, TooLarge
+from coxheaps.errors import ClassCapExceeded, GraphMismatch, NotAcyclic, NotASink, NotASource, TooLarge
 from oracles import (
     bfs_toric_classes,
     brute_total_toric_extensions,
@@ -91,6 +91,28 @@ def test_orientation_validation():
     o = T.orientation_from_pairs(tri, [(0, 1), (1, 2), (0, 2)])
     assert o.sources() == (0,)
     assert o.sinks() == (2,)
+    path = path_graph(3)
+    with pytest.raises(ValueError, match="not an edge of the graph"):
+        T.orientation_from_pairs(path, [(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match="directed twice"):
+        T.orientation_from_pairs(path, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="every edge needs a direction"):
+        T.orientation_from_pairs(path, [(0, 1)])
+    with pytest.raises(ValueError, match="every vertex exactly once"):
+        T.orientation_from_linear_order(path, (0, 0, 1))
+    with pytest.raises(ValueError, match="bits beyond the edge list"):
+        T.AcyclicOrientation(path, 0b100)
+
+
+def test_graph_validation():
+    for edges, message in (
+        (((1, 0),), "increasing pair"),
+        (((0, 3),), "increasing pair"),
+        (((0, 1), (0, 1)), "duplicate edge"),
+        (((1, 2), (0, 1)), "must be sorted"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            T.Graph(3, edges)
 
 
 def test_flip_source():
@@ -102,6 +124,8 @@ def test_flip_source():
         T.flip_source(o, 1)
     back = T.flip_sink(flipped, 0)
     assert back == o
+    with pytest.raises(NotASink):
+        T.flip_sink(o, 1)
 
 
 def test_flip_source_matches_cyclic_shift():
@@ -333,6 +357,8 @@ def test_is_toric_extension_examples():
     assert not T.is_toric_extension(T.total_toric_order(4, (0, 1, 2, 3)), T.ToricPoset(W_C3))
     with pytest.raises(GraphMismatch):
         T.is_toric_extension(T.ToricPoset(natural(L4)), T.ToricPoset(natural(C4)))
+    with pytest.raises(GraphMismatch, match="common vertex set"):
+        T.is_toric_extension(T.ToricPoset(natural(K4)), T.ToricPoset(natural(path_graph(3))))
 
 
 def test_extension_consistency_with_total_extensions():

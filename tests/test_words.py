@@ -86,6 +86,10 @@ def test_commutativity_classes(b3, h3, affine_a3):
     assert [len(c) for c in classes] == [2]
     classes = W.commutativity_classes(affine_a3, affine_a3.word("s1 s2 s3 s4"))
     assert [len(c) for c in classes] == [1]
+    with pytest.raises(NotReduced):
+        W.commutativity_classes(b3, b3.word("s1 s2 s2"))
+    with pytest.raises(OrbitCapExceeded, match="^commutativity class of s1 s3 s2 exceeds cap 1$"):
+        W.commutativity_class(b3, b3.word("s1 s3 s2"), 1)
 
 
 def test_commutativity_classes_partition(b3):
