@@ -13,13 +13,13 @@ rotations of w, of the one heap of w w: CFC has none, and TFC keeps its
 toric heap under each one's braid move.  The rotations of R(w) are decided by
 ``cyclic.rotation_walk`` from one doubled root sequence per class;
 ``classify`` lists R(w) only for non-FC w, for its counts and one seed
-word per class, and R_tor([w]) once, as its cyclic classes, unless a
-rotation of R(w) is already not reduced.  A listing of R_tor([w]) past
-its cap is settled in ``cyclic``, as for every caller: the cap error
-stands for a torically reduced w, and otherwise the word-level toric
-search names the chain of moves to a word that is not reduced.  The
-probes (logarithmic, braid-shortening) are partial: they report
-evidence bounded by their inputs, never theorems.
+word per class, and R_tor([w]) once: as its cyclic classes, or up to a
+cyclic repeat, whose chain of moves from w is the toric witness.  A
+listing of R_tor([w]) past its cap is settled in ``cyclic``, as for
+every caller: the cap error stands for a torically reduced w, and any
+other w is reported not torically reduced with no chain.  The probes
+(logarithmic, braid-shortening) are partial: they report evidence
+bounded by their inputs, never theorems.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Iterator
 from . import toric
 from .coxgraph import INF, CoxeterGraph, Word
 from .cyclic import (
+    _rotation_pairs,
     cyclic_decomposition,
     cyclic_word,
     is_cyclically_reduced_word,
@@ -38,7 +39,6 @@ from .cyclic import (
     rtor_cyclic_class,
     toric_heap_of_word,
     toric_heaps_isomorphic,
-    toric_reduction_witness,
 )
 from .errors import (
     NotACoxeterWord,
@@ -104,9 +104,9 @@ def is_cfc(g: CoxeterGraph, w: Word) -> bool:
     heap(w^Z), so also in the window that starts at its first element,
     which is a rotation of w (``_moved_words``)."""
     word = g.check_word(w)
-    if not is_reduced(g, word):
+    if (pairs := _rotation_pairs(g, word)) is None:
         raise NotReduced(f"{g.format(w)} is not reduced")
-    return is_cyclically_reduced_word(g, word) and next(_moved_words(g, word), None) is None
+    return all(i >= j for i, j in pairs) and next(_moved_words(g, word), None) is None
 
 
 def is_tfc(g: CoxeterGraph, w: Word) -> bool:
@@ -191,22 +191,21 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
         witnesses["nonReducedRotation"] = bad_rotation
 
     try:
-        if bad_rotation is not None:  # a word of R_tor(w) is not reduced
-            raise NotToricallyReduced(f"{g.format(word)} is not torically reduced")
         decomposition = cyclic_decomposition(g, word, cap)
-    except NotToricallyReduced:
-        witnesses["toricWitnessChain"] = toric_reduction_witness(g, word, cap)
+    except NotToricallyReduced as exc:
+        if exc.chain is not None:
+            witnesses["toricWitnessChain"] = exc.chain
         counts["cyclicWords"] = counts["cyclicCommutativityClasses"] = None
-        tfc = False
+        torically_reduced = tfc = False
     else:
         counts["cyclicWords"] = sum(len(c) for c in decomposition)
         counts["cyclicCommutativityClasses"] = len(decomposition)
-        tfc = len(decomposition) == 1
+        torically_reduced, tfc = True, len(decomposition) == 1
     return ClassificationReport(
         word=word,
         reduced=True,
         cyclically_reduced=bad_rotation is None,
-        torically_reduced="toricWitnessChain" not in witnesses,
+        torically_reduced=torically_reduced,
         fc=fc,
         cfc=cfc,
         tfc=tfc,

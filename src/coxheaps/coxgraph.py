@@ -129,20 +129,6 @@ class CoxeterGraph:
     def degree(self, s: str | int) -> int:
         return len(self.neighbors(s))
 
-    def induced(self, keep: Iterable[str | int]) -> "CoxeterGraph":
-        """Subgraph on a generator subset, with inherited bonds.
-
-        Declaration order of the kept generators is preserved.
-        """
-        idx = sorted({self.as_index(s) for s in keep})
-        names = [self.generators[i] for i in idx]
-        sub = [
-            (self.generators[i], self.generators[j], m)
-            for (i, j), m in sorted(self._bonds.items())
-            if i in idx and j in idx
-        ]
-        return CoxeterGraph(names, sub)
-
     def root_system(self):
         """The graph's ``roots.RootSystem``, built on first use and kept.
 

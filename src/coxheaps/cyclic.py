@@ -12,15 +12,15 @@ conjugation at fixed length:
 * R_tor([w]): closure of [w] under rotations + all braid moves, listed one
   C_tor class at a time by ``words._listing``, which reads the moves of
   every rotation off the doubled word and meets a cyclic repeat when w is
-  not torically reduced; ``toric_reduction_witness`` only names a chain of
-  moves.
+  not torically reduced (Tits); the one search both decides and names the
+  chain of moves to that repeat, which ``toric_reduction_witness`` returns.
 
 Toric reducedness and [w], the elements named by R_tor(w), need no
 listing: those elements are the cyclic shift class of w's element
 (Geck-Pfeiffer 2000, 3.2; Marquis 2021), which ``_shift_class`` walks one
-element at a time, each read off one root-sequence pass; a search past
-its cap asks the walk and keeps its cap error only for a torically
-reduced w.
+element at a time, each read off one root-sequence pass; a listing past
+its cap asks the walk (``_rtor_listing``), keeps its cap error only for a
+torically reduced w, and names no chain for any other.
 
 Element-level cyclic reducedness (``rotation_walk``) needs one seed word
 per commutativity class of R(w): its rotations are windows of the doubled
@@ -36,7 +36,6 @@ suite checks equals C_tor([w]) by an independent route.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -55,7 +54,6 @@ from .words import (
     NormalForm,
     _least_rotation,
     _listing,
-    _moves,
     has_adjacent_repeat,
     is_reduced,
     normal_form,
@@ -83,9 +81,15 @@ def rotations(cw: CyclicWord | Word) -> tuple[Word, ...]:
 
 
 def is_cyclically_reduced_word(g: CoxeterGraph, w: Word) -> bool:
-    """Every rotation of the word is reduced (``roots.rotation_pairs``)."""
-    word = g.check_word(w)
-    return is_reduced(g, word) and all(i >= j for i, j in g.root_system().rotation_pairs(word))
+    """Every rotation of the word is reduced (``_rotation_pairs``)."""
+    pairs = _rotation_pairs(g, g.check_word(w))
+    return pairs is not None and all(i >= j for i, j in pairs)
+
+
+def _rotation_pairs(g: CoxeterGraph, word: Word) -> list[tuple[int, int]] | None:
+    """``roots.rotation_pairs`` of the word, in one root pass, or None when
+    it is not reduced, which two equal adjacent letters settle first."""
+    return None if has_adjacent_repeat(word) else g.root_system().rotation_pairs(word)
 
 
 def is_cyclically_reduced_element(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
@@ -129,40 +133,20 @@ def _moved(word: Word, d: int) -> Word:
     return tuple(word[i] for i in sorted(range(len(word)), key=lambda i: d >> i & 1))
 
 
-def toric_reduction_witness(
-    g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP
-) -> tuple[Word, ...] | None:
-    """Search the rotation + braid closure of w for a non-reduced word.
-
-    Returns a shortest move-by-move chain from w to a word with two equal
-    adjacent letters, or None when w is torically reduced, which
-    ``_shift_class`` settles past the cap.  Each consecutive pair differs
-    by one rotation or one braid move.
-    """
-    start = g.check_word(w)
-    parent = {start: start}
-    if has_adjacent_repeat(start):
-        return (start,)
-    bond, n = g.bond_table, len(start)
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        moves = [cur[k:] + cur[:k] for k in range(1, n)]
-        moves.extend(cur[:i] + move + cur[i + m :] for i, m, move in _moves(bond, cur, range(n - 1), n))
-        for nxt in moves:
-            if nxt in parent:
-                continue
-            if len(parent) >= cap:
-                if _shift_class(g, start) is not None:
-                    return None
-                raise OrbitCapExceeded(f"rotation+braid closure of {g.format(w)} exceeds cap {cap}")
-            parent[nxt] = cur
-            if has_adjacent_repeat(nxt):
-                chain = [nxt]
-                while chain[-1] != start:
-                    chain.append(parent[chain[-1]])
-                return tuple(reversed(chain))
-            queue.append(nxt)
+def toric_reduction_witness(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Word, ...] | None:
+    """The chain of words, each one rotation or one braid move from the last,
+    from w to one with two equal adjacent letters that the listing of
+    R_tor([w]) names (``_rtor_listing``), or None when w is torically
+    reduced, past the cap too.  OrbitCapExceeded only when the listing
+    trips the cap before it meets a cyclic repeat."""
+    try:
+        _rtor_listing(g, w, cap)
+    except OrbitCapExceeded:  # kept only for a torically reduced w
+        return None
+    except NotToricallyReduced as exc:
+        if exc.chain is None:
+            raise OrbitCapExceeded(f"cyclic closure of {g.format(w)} exceeds cap {cap}") from None
+        return exc.chain
     return None
 
 
@@ -208,7 +192,8 @@ def is_torically_reduced(g: CoxeterGraph, w: Word) -> bool:
 def _rtor_listing(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], list[list[Word]]]:
     """R_tor([w]) by C_tor classes (``words._listing``).  Past the cap,
     ``_shift_class`` settles it: the cap error stands only for a torically
-    reduced w.  The walk runs only then, as the listing costs less."""
+    reduced w, and any other gets NotToricallyReduced with no ``chain``.
+    The walk runs only then, as the listing costs less."""
     try:
         return _listing(g, w, cap, cyclic=True)
     except OrbitCapExceeded:

@@ -56,7 +56,9 @@ class NotReduced(CoxError):
 
 
 class NotToricallyReduced(CoxError):
-    """Operation requires a torically reduced word."""
+    """Operation requires a torically reduced word; ``chain`` shows why, or is None."""
+
+    chain = None
 
 
 class NotASource(CoxError):

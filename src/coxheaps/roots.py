@@ -173,11 +173,13 @@ class RootSystem:
         left = {s: negated[a] for s, a in enumerate(self.negative) if a in negated}
         return tuple(cols), left, {s for s, c in enumerate(cols) if c in negated}
 
-    def rotation_pairs(self, word: Word) -> list[tuple[int, int]]:
+    def rotation_pairs(self, word: Word) -> list[tuple[int, int]] | None:
         """The pairs (i, j) with w(beta_i) = -beta_j, w the element of the
-        reduced word.  Rotation k, the window [k, k + n) of the doubled word,
-        is reduced iff no pair has i < k <= j."""
-        cols, negated = self._pass(word)
+        word, or None if it is not reduced.  Rotation k, the window [k, k + n)
+        of the doubled word, is reduced iff no pair has i < k <= j."""
+        if (found := self._pass(word)) is None:
+            return None
+        cols, negated = found
         pairs = []
         for i, s in enumerate(word):
             if cols[s] in negated:

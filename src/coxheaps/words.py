@@ -13,10 +13,10 @@ which reads Stembridge's criterion off the heap.  ``elements_up_to`` lists
 elements, not words: the normal form of each element of the weak order up
 to a length, keyed by its exact columns.  ``commutativity_class`` lists
 the linear extensions of w's heap, which are its words (Cartier-Foata
-1969).  Where a whole braid closure must be listed, one search,
-``_listing``, lists it one commutativity class at a time; it also lists
-R_tor([w]) for ``cyclic._rtor_listing``.  It carries a cap and raises
-``OrbitCapExceeded`` as an inconclusive outcome, never a guess.
+1969).  One search, ``_listing``, lists a whole braid closure one
+commutativity class at a time, and R_tor([w]) for ``cyclic._rtor_listing``
+up to a cyclic repeat, naming the moves to it.  Past its cap it raises
+``OrbitCapExceeded``, an inconclusive outcome, never a guess.
 
 All functions are pure; words are tuples of generator indices.
 """
@@ -94,18 +94,19 @@ def _listing(
     "cyclic closure" R_tor([w]): its words are least rotations, and the
     moves act on every rotation, read off the doubled word u u: the move at
     position 0 of rotation i is the one at position i of u u.  A word with
-    a cyclic repeat raises NotToricallyReduced when met, before the cap.
+    a cyclic repeat raises NotToricallyReduced when met, before the cap,
+    with the chain of moves along ``parent``, the word each was met from.
     """
     start = g.check_word(w)
     if cyclic:
         start = _least_rotation(start)
         if has_cyclic_repeat(start):
-            raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
+            raise _not_torically_reduced(g, w, {}, start)
     what = "cyclic closure" if cyclic else "reduced-word set"
     bond = g.bond_table
     n = len(start)
     positions = range(n) if cyclic else range(n - 1)
-    found = {start: 0}
+    found, parent = {start: 0}, {}
     classes = [[start]]
     seeds: deque[Word] = deque()
     get = found.get
@@ -117,8 +118,10 @@ def _listing(
                 nxt = _least_rotation(move + d[i + m : i + n]) if cyclic else cur[:i] + move + cur[i + m :]
                 state = get(nxt)
                 if state is None:
-                    if cyclic and has_cyclic_repeat(nxt):
-                        raise NotToricallyReduced(f"{g.format(w)} is not torically reduced")
+                    if cyclic:
+                        parent[nxt] = cur
+                        if has_cyclic_repeat(nxt):
+                            raise _not_torically_reduced(g, w, parent, nxt)
                     if m > 2:
                         found[nxt] = -1
                         seeds.append(nxt)
@@ -139,6 +142,24 @@ def _listing(
             found[seeds[0]] = len(classes)
             classes.append([seeds.popleft()])
     return found, classes
+
+
+def _not_torically_reduced(g: CoxeterGraph, w: Word, parent: dict, last: Word) -> NotToricallyReduced:
+    """The error for w, whose listing met ``last``, with its ``chain``: along
+    the least rotations ``parent`` leads back from ``last``, rotate to each
+    move made and make it; a rotation by 1 joins a repeat that wraps around."""
+    path, x = [last], g.check_word(w)
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    chain, n, bond = [x], len(x), g.bond_table
+    for nxt in path[-2::-1]:
+        r, m, move = next((r, m, move) for r in (x[k:] + x[:k] for k in range(n))
+                          for _, m, move in _moves(bond, r, (0,), n) if _least_rotation(move + r[m:]) == nxt)
+        x = move + r[m:]
+        chain += [x] if r == chain[-1] else [r, x]
+    err = NotToricallyReduced(f"{g.format(w)} is not torically reduced")
+    err.chain = tuple(chain) if has_adjacent_repeat(x) else (*chain, x[1:] + x[:1])
+    return err
 
 
 def commutativity_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[Word]:

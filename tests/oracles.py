@@ -430,6 +430,18 @@ def witness_chain(g: CoxeterGraph, w: Word) -> tuple[Word, ...] | None:
     return tuple(reversed(out)) or None
 
 
+def is_move_chain(g: CoxeterGraph, w: Word, chain) -> bool:
+    """Whether chain starts at w, ends in a word with two equal adjacent
+    letters, and each word is one rotation or one ``naive_braid_moves``
+    move from the one before."""
+    if not chain or chain[0] != w or not W.has_adjacent_repeat(chain[-1]):
+        return False
+    return all(
+        nxt in {cur[k:] + cur[:k] for k in range(1, len(cur))} | set(naive_braid_moves(g, cur))
+        for cur, nxt in zip(chain, chain[1:])
+    )
+
+
 def listing_elements(g: CoxeterGraph, w: Word) -> frozenset[W.NormalForm]:
     """[w] as the normal forms of the words of the listed R_tor(w); the
     listing raises NotToricallyReduced when it meets a cyclic repeat."""

@@ -3,11 +3,11 @@ import os
 
 import pytest
 
-from coxheaps import catalog, classifier
+from coxheaps import catalog
 from coxheaps.classifier import coxeter_graph_skeleton
 from coxheaps.cli import main
 from coxheaps.coxgraph import load_coxeter_graph
-from oracles import filter_acyclic_orientations
+from oracles import filter_acyclic_orientations, is_move_chain
 
 GRAPHS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "graphs")
 AFFINE_A3_JSON = os.path.join(GRAPHS, "affine_a3.json")
@@ -189,13 +189,8 @@ def test_cyclic_listing_past_the_cap_is_settled(capsys, command):
     }
 
 
-def test_classify_over_the_cap_of_a_torically_reduced_word(capsys, monkeypatch):
-    # the word is torically reduced, so the cyclic listing's own cap error
-    # stands and no chain search runs
-    def no_search(*args):
-        raise AssertionError("chain search ran")
-
-    monkeypatch.setattr(classifier, "toric_reduction_witness", no_search)
+def test_classify_over_the_cap_of_a_torically_reduced_word(capsys):
+    # the word is torically reduced, so the cyclic listing's own cap error stands
     word = " ".join(["s0 s1 s2 s3 s4 s5 s6"] * 2)
     code, out = run(capsys, "word", "classify", "-g", os.path.join(GRAPHS, "affine_e6.json"), word,
                     "--max-orbit", "20000")
@@ -203,6 +198,37 @@ def test_classify_over_the_cap_of_a_torically_reduced_word(capsys, monkeypatch):
     assert json.loads(out)["error"] == {
         "type": "OrbitCapExceeded", "message": f"cyclic closure of {word} exceeds cap 20000",
     }
+
+
+@pytest.mark.parametrize("path, word, cap", [
+    (os.path.join(GRAPHS, "b3.json"), "s1 s2 s1 s3", "3"),
+    (AFFINE_A3_JSON, "s2 s3 s4 s1 s3 s4", "40"),
+])
+def test_classify_names_the_chain_its_listing_met(capsys, path, word, cap):
+    # the cyclic listing meets a cyclic repeat below the cap and names the
+    # chain of moves to it, so no second search runs into the cap
+    code, out = run(capsys, "word", "classify", "-g", path, word, "--max-orbit", cap)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert not result["toricallyReduced"]
+    g = load_coxeter_graph(path)
+    assert is_move_chain(g, g.word(word), [g.word(u) for u in result["witnesses"]["toricWitnessChain"]])
+
+
+def test_classify_decided_past_its_cap(capsys):
+    # the listing trips cap 1 before it meets a cyclic repeat, and the walk
+    # decides that the word is not torically reduced: the verdict stands,
+    # with no chain
+    path, word = os.path.join(GRAPHS, "b3.json"), "s3 s2 s1 s2"
+    code, out = run(capsys, "word", "classify", "-g", path, word, "--max-orbit", "1")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert not result["toricallyReduced"] and result["witnesses"] == {}
+    _, out = run(capsys, "word", "classify", "-g", path, word)
+    full = json.loads(out)["result"]
+    assert "toricWitnessChain" in full["witnesses"]
+    del full["witnesses"]["toricWitnessChain"]
+    assert result == full
 
 
 @pytest.mark.parametrize("command", [("graph", "toric-classes"), ("coxeter", "conjugacy")])

@@ -97,19 +97,6 @@ def test_support_examples(b3):
     assert support((0, 0, 0)) == {0}
 
 
-def test_induced_subgraph(b3):
-    sub = b3.induced(["s1", "s2"])
-    assert sub.generators == ("s1", "s2")
-    assert sub.m("s1", "s2") == 4
-    assert b3.induced([]).rank == 0
-    assert b3.induced(["s1", "s2", "s3"]) == b3
-
-
-def test_induced_unknown_generator(b3):
-    with pytest.raises(UnknownGenerator):
-        b3.induced(["s7"])
-
-
 def test_word_parsing(b3):
     assert b3.word("s3 s1 s2 s1 s2") == (2, 0, 1, 0, 1)
     assert b3.word("31212") == (2, 0, 1, 0, 1)  # 1-based declaration indices
