@@ -9,14 +9,17 @@ R(w) of all reduced words of its element (Matsumoto's theorem).
 Deciding needs no search: ``is_reduced`` and ``normal_form`` use the exact
 root-sequence criterion in ``roots``, in time polynomial in the length, so
 they and ``multiply`` and ``conjugate`` take no cap, nor does ``is_fc``,
-which reads Stembridge's criterion off the heap.  ``elements_up_to`` lists
-elements, not words: the normal form of each element of the weak order up
-to a length, keyed by its exact columns.  ``commutativity_class`` lists
-the linear extensions of w's heap, which are its words (Cartier-Foata
-1969).  One search, ``_listing``, lists a whole braid closure one
-commutativity class at a time, and R_tor([w]) for ``cyclic._rtor_listing``
-up to a cyclic repeat, naming the moves to it.  Past its cap it raises
-``OrbitCapExceeded``, an inconclusive outcome, never a guess.
+which reads Stembridge's criterion off the heap.  ``_weak_order_levels``
+walks the right weak order up from e, keyed by exact columns: up to a
+length for ``elements_up_to``, which lists the normal form of each
+element, and over the interval [e, w]_R for ``reduced_words``, which
+builds R(w) from the R(y) of the y below w with no braid search.
+``commutativity_class`` lists the linear extensions of w's heap, which are
+its words (Cartier-Foata 1969).  One search, ``_listing``, lists a whole
+braid closure one commutativity class at a time, for
+``commutativity_classes``, and R_tor([w]) for ``cyclic._rtor_listing`` up
+to a cyclic repeat, naming the moves to it.  Past a cap each listing
+raises ``OrbitCapExceeded``, an inconclusive outcome, never a guess.
 
 All functions are pure; words are tuples of generator indices.
 """
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from operator import neg
 from typing import Iterable, Iterator
 
 from .coxgraph import CoxeterGraph, Word
@@ -84,7 +89,9 @@ def has_cyclic_repeat(word: Word) -> bool:
 def _listing(
     g: CoxeterGraph, w: Word, cap: int, cyclic: bool = False
 ) -> tuple[dict[Word, int], list[list[Word]]]:
-    """List the whole braid closure of w, one commutativity class at a time.
+    """List the whole braid closure of w, one commutativity class at a time:
+    R(w), read only for its classes (``reduced_words`` builds R(w) itself
+    up the weak order), or with ``cyclic`` R_tor([w]).
 
     A short move (m = 2) adds its result to the class being listed; a long
     move queues it as the seed of a later class.  ``found`` maps each word
@@ -189,10 +196,30 @@ def normal_form(g: CoxeterGraph, w: Word) -> NormalForm:
 
 
 def reduced_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[Word]:
-    """R(w): all reduced words for the element of the reduced word w."""
-    if not is_reduced(g, w):
+    """R(w): all reduced words for the element of the reduced word w.
+
+    Built up the interval [e, w]_R of the right weak order by
+    ``_weak_order_levels``: R(x) is the union of R(x s) s over the right
+    descents s of x.  One root pass decides that w is reduced and gives its
+    betas, which are the y(alpha_s) of the edges y <_R y s of the interval
+    (``roots``).  A word of R(w) has one prefix of each length, so no level
+    holds more words than R(w): the first level past the cap raises
+    OrbitCapExceeded.  w itself is listed whatever the cap.
+    """
+    word, rs = g.check_word(w), g.root_system()
+    if (found := rs._pass(word)) is None:
         raise NotReduced(f"{g.format(w)} is not reduced")
-    return frozenset(_listing(g, w, cap)[0])
+    betas = {tuple(map(neg, b)) for b in found[1]}
+    listed: dict[tuple, list[Word]] = {rs.identity: [()]}
+    for level in _weak_order_levels(g, len(word), betas):
+        words, total = {}, 0
+        for key, down in level.items():
+            words[key] = xs = [u + (s,) for s, y in down.items() for u in listed[y]]
+            total += len(xs)
+            if total > max(cap, 1):
+                raise OrbitCapExceeded(f"reduced-word set of {g.format(w)} exceeds cap {cap}")
+        listed = words
+    return frozenset(listed.popitem()[1])
 
 
 def commutativity_classes(
@@ -226,31 +253,42 @@ def conjugate(g: CoxeterGraph, v: Word, w: Word) -> NormalForm:
     return normal_form(g, inverse(g.check_word(v)) + g.check_word(w) + g.check_word(v))
 
 
+def _weak_order_levels(g: CoxeterGraph, length: int, betas: set | None = None) -> Iterator[dict]:
+    """The right weak order from e, breadth first up to ``length``, keyed by
+    the exact columns of ``roots`` (Björner–Brenti ch. 3).  Each level maps
+    the key of each x of the next length, in the order x is first reached,
+    to {s: key of x s} over its right descents s, in the order reached.  x
+    is reached from each x s and from nothing else, so its own step skips
+    those s.  With ``betas``, only the y s with y(alpha_s) in betas are
+    taken: the interval [e, w]_R when betas are w's."""
+    rs = g.root_system()
+    level: dict[tuple, dict[int, tuple]] = {rs.identity: {}}
+    for _ in range(length):
+        longer: dict[tuple, dict[int, tuple]] = {}
+        for key, right in level.items():
+            for s in range(g.rank):
+                if s not in right and (betas is None or key[s] in betas):
+                    cols = list(key)
+                    rs.times(cols, s)
+                    longer.setdefault(tuple(cols), {})[s] = key
+        yield longer
+        level = longer
+
+
 def elements_up_to(g: CoxeterGraph, max_len: int) -> list[Word]:
     """The shortlex normal form of every element of length <= max_len, by
     length and sorted within a length, each once.
 
-    A breadth-first walk over the right weak order (Björner–Brenti ch. 3),
-    keyed by the exact columns of ``roots``.  An element y of length L + 1
-    is reached from y s for each of its right descents s and from nothing
-    else, so it records those s, which its own step skips.  Its normal form
-    is the least u + (s,), u the normal form of y s; as each length is
-    walked in shortlex order and s in increasing order, that is the word y
-    is first reached by, and the next length comes out in shortlex order.
+    The levels of ``_weak_order_levels``: the normal form of y is the least
+    u + (s,), u the normal form of y s; as each length is walked in
+    shortlex order and s in increasing order, that is the first s y is
+    reached by, and the next length comes out in shortlex order.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    rs = g.root_system()
+    forms: dict[tuple, Word] = {g.root_system().identity: ()}
     out: list[Word] = [()]
-    level: dict[tuple, tuple[Word, set[int]]] = {rs.identity: ((), set())}
-    for _ in range(max_len):
-        longer: dict[tuple, tuple[Word, set[int]]] = {}
-        for key, (u, right) in level.items():
-            for s in range(g.rank):
-                if s not in right:
-                    cols = list(key)
-                    rs.times(cols, s)
-                    longer.setdefault(tuple(cols), (u + (s,), set()))[1].add(s)
-        level = longer
-        out.extend(u for u, _ in level.values())
+    for level in _weak_order_levels(g, max_len):
+        forms = {key: forms[y] + (s,) for key, down in level.items() for s, y in islice(down.items(), 1)}
+        out.extend(forms.values())
     return out

@@ -93,7 +93,7 @@ class SystemCorpus:
     # -- property sweeps ------------------------------------------------
 
     def check_matsumoto(self) -> list[str]:
-        """Braid search and the matrix oracle agree on R(w) and normal forms."""
+        """The library and the matrix oracle agree on R(w) and normal forms."""
         bad = []
         for key, group in self.by_element.items():
             rep = group[0]

@@ -1,17 +1,18 @@
 """Independent oracles for the test suite.
 
-The main library decides the word problem from root sequences (``roots``)
-and lists sets by its own braid-move search (``words._listing``).  The
-oracles here go through the standard geometric representation instead:
-each generator acts on the root-coordinate space by an exact matrix over a
-quadratic integer ring (Z, Z[sqrt2], Z[phi], ...), which is faithful, so
-matrix equality decides element equality and a Cayley-ball BFS gives true
-lengths.  Nothing in this module calls the braid machinery, except the
-listing oracles at the end.  Those decide FC, CFC and toric questions by
-listing and search, against the closed criteria of the library; the
-searches follow braid moves of their own (``naive_braid_moves``), and
-``braid_closure`` is the Tits search route for reducedness and normal
-forms.
+The main library decides the word problem from root sequences (``roots``),
+lists R(w) up the weak-order interval [e, w]_R (``words.reduced_words``)
+and lists commutativity classes and R_tor by its own braid-move search
+(``words._listing``).  The oracles here go through the standard geometric
+representation instead: each generator acts on the root-coordinate space
+by an exact matrix over a quadratic integer ring (Z, Z[sqrt2], Z[phi],
+...), which is faithful, so matrix equality decides element equality and a
+Cayley-ball BFS gives true lengths.  Nothing in this module calls the
+braid machinery, except the listing oracles at the end.  Those decide FC,
+CFC and toric questions by listing and search, against the closed criteria
+of the library; the searches follow braid moves of their own
+(``naive_braid_moves``), and ``braid_closure`` is the Tits search route for
+R(w), reducedness and normal forms.
 """
 
 from __future__ import annotations
@@ -533,8 +534,8 @@ def down_set_is_cfc(g: CoxeterGraph, w: Word) -> bool:
 
 
 def listing_is_cyclically_reduced_element(g: CoxeterGraph, w: Word) -> bool:
-    """Cyclic reducedness of every word of the listed R(w)."""
-    return listing_rotation_walk(g, w, W.reduced_words(g, w), False)[0] is None
+    """Cyclic reducedness of every word of R(w), listed by braid search."""
+    return listing_rotation_walk(g, w, braid_closure(g, w), False)[0] is None
 
 
 def listing_is_tfc(g: CoxeterGraph, w: Word, known: dict | None = None) -> bool:

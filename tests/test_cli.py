@@ -171,6 +171,23 @@ def test_cap_exit_code(graph_files, capsys):
     assert "CapExceeded" in json.loads(out)["error"]["type"]
 
 
+@pytest.mark.parametrize("graph, word, cap", [
+    ("b3.json", "s1 s2 s1 s2", 1),
+    ("h3.json", "s1 s2 s1 s2 s1 s3 s2 s1 s2 s1 s3 s2 s1 s2 s3", 285),  # w0: 286 words
+    # c^3 for the Coxeter element c of E~6 has millions of reduced words:
+    # a level of the interval passes the cap long before the top
+    ("affine_e6.json", " ".join(["s0 s1 s2 s3 s4 s5 s6"] * 3), 100_000),
+])
+def test_reduced_words_cap_report(capsys, graph, word, cap):
+    # the exit-3 report, byte for byte
+    code, out = run(capsys, "word", "reduced-words", "-g", os.path.join(GRAPHS, graph), word, "--max-orbit", str(cap))
+    assert code == 3
+    assert out == (
+        '{\n  "schemaVersion": 1,\n  "command": "word.reduced-words",\n  "error": {\n'
+        f'    "type": "OrbitCapExceeded",\n    "message": "reduced-word set of {word} exceeds cap {cap}"\n  }}\n}}\n'
+    )
+
+
 @pytest.mark.parametrize("command", ["rtor", "ctor", "decompose", "elements"])
 def test_cyclic_listing_past_the_cap_is_settled(capsys, command):
     # the listing trips cap 3 before it meets a cyclic repeat; the word is

@@ -192,6 +192,40 @@ def test_elements_up_to_matches_oracle(name, max_len):
     assert elements == sorted(least.values(), key=lambda w: (len(w), w))
 
 
+_INTERVAL_SYSTEMS = {
+    **{name: catalog.coxeter_graph(name) for name in ("B3", "A3", "H3", "A~2", "A~3", "A4", "C~4", "E~6")},
+    "infinite bond": CoxeterGraph(["s1", "s2", "s3", "s4"],
+                                  [("s1", "s2", INF), ("s2", "s3", 3), ("s3", "s4", 4), ("s1", "s3", 3)]),
+    # m = 4 and m = 5 share one ring of degree 8
+    "4-5 ring": CoxeterGraph(["s1", "s2", "s3", "s4"],
+                             [("s1", "s2", 4), ("s2", "s3", 5), ("s3", "s4", 3), ("s4", "s1", 4)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTERVAL_SYSTEMS))
+def test_reduced_words_match_braid_closure(name):
+    # R(w) up the weak-order interval against the tests' own braid search,
+    # on every element of up to 7 letters (6 at rank >= 5)
+    g = _INTERVAL_SYSTEMS[name]
+    for w in W.elements_up_to(g, 7 if g.rank < 5 else 6):
+        assert W.reduced_words(g, w) == braid_closure(g, w), g.format(w)
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "A~3", "infinite bond", "4-5 ring"])
+def test_reduced_words_cap_is_exact(name):
+    # the cap raises iff |R(w)| > cap, and w itself is listed whatever the cap
+    g = _INTERVAL_SYSTEMS[name]
+    for w in W.elements_up_to(g, 6):
+        n = len(braid_closure(g, w))
+        for cap in {0, 1, n - 1, n, n + 1}:
+            if n > max(cap, 1):
+                with pytest.raises(OrbitCapExceeded) as err:
+                    W.reduced_words(g, w, cap)
+                assert str(err.value) == f"reduced-word set of {g.format(w)} exceeds cap {cap}"
+            else:
+                assert len(W.reduced_words(g, w, cap)) == n, (g.format(w), cap)
+
+
 def test_elements_up_to_edges(b3):
     assert W.elements_up_to(b3, 0) == [()]
     assert W.elements_up_to(b3, 1) == [(), (0,), (1,), (2,)]
