@@ -10,14 +10,16 @@ Vocabulary (all for a fixed Coxeter system):
 CFC implies FC and TFC; the reverse inclusions fail.  FC, CFC and TFC
 are decided on the convex <s,t>_m windows of the heap of w and, for the
 rotations of w, of the one heap of w w: CFC has none, and TFC keeps its
-toric heap under each one's braid move.  The rotations of R(w) are decided by
-``cyclic.rotation_walk`` from one doubled root sequence per class;
-``classify`` lists R(w) only for non-FC w, for its counts and one seed
-word per class, and R_tor([w]) once: as its cyclic classes, or up to a
-cyclic repeat, whose chain of moves from w is the toric witness.  A
-listing of R_tor([w]) past its cap is settled in ``cyclic``, as for
-every caller: the cap error stands for a torically reduced w, and any
-other w is reported not torically reduced with no chain.  The probes
+toric heap under each one's braid move.  ``classify`` lists no reduced
+word: for FC w it counts R(w) over the down-sets of the heap and decides
+the rotations of R(w) by ``cyclic.rotation_walk``, and for any other w it
+reads |R(w)|, the class count and cyclic reducedness off one walk of
+[e, w]_R (``cyclic._interval_census``).  It lists R_tor([w]) once, under
+its cap: as its cyclic classes, or up to a cyclic repeat, whose chain of
+moves from w is the toric witness.  A listing of R_tor([w]) past its cap
+is settled in ``cyclic``, as for every caller: the cap error stands for
+a torically reduced w, and any other w is reported not torically reduced
+with no chain.  The probes
 (logarithmic, braid-shortening) are partial: they report evidence
 bounded by their inputs, never theorems.
 """
@@ -30,7 +32,9 @@ from typing import Iterator
 from . import toric
 from .coxgraph import INF, CoxeterGraph, Word
 from .cyclic import (
-    _rotation_pairs,
+    _bad_rotation,
+    _interval_census,
+    _rotation_pass,
     cyclic_decomposition,
     cyclic_word,
     is_cyclically_reduced_word,
@@ -51,7 +55,6 @@ from .errors import (
 from .heaps import _convex_windows, _down_sets, _is_fc, heap_of_word
 from .words import (
     DEFAULT_ORBIT_CAP,
-    _listing,
     is_fc,
     is_reduced,
     normal_form,
@@ -104,9 +107,9 @@ def is_cfc(g: CoxeterGraph, w: Word) -> bool:
     heap(w^Z), so also in the window that starts at its first element,
     which is a rotation of w (``_moved_words``)."""
     word = g.check_word(w)
-    if (pairs := _rotation_pairs(g, word)) is None:
+    if (found := _rotation_pass(g, word)) is None:
         raise NotReduced(f"{g.format(w)} is not reduced")
-    return all(i >= j for i, j in pairs) and next(_moved_words(g, word), None) is None
+    return all(i >= j for i, j in found[1]) and next(_moved_words(g, word), None) is None
 
 
 def is_tfc(g: CoxeterGraph, w: Word) -> bool:
@@ -119,9 +122,11 @@ def is_tfc(g: CoxeterGraph, w: Word) -> bool:
     word = g.check_word(w)
     if not is_cyclically_reduced_word(g, word):
         return False
-    moved = list(_moved_words(g, word))
+    moved: dict[Word, Word] = {}
+    for u in _moved_words(g, word):
+        moved.setdefault(cyclic_word(u).canonical, u)
     base = toric_heap_of_word(g, word) if moved else None
-    return all(toric_heaps_isomorphic(base, toric_heap_of_word(g, u)) for u in moved)
+    return all(toric_heaps_isomorphic(base, toric_heap_of_word(g, u)) for u in moved.values())
 
 
 def is_faux_cfc(g: CoxeterGraph, w: Word) -> bool:
@@ -170,8 +175,11 @@ class ClassificationReport:
 
 
 def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> ClassificationReport:
+    """The verdict sheet of w.  R(w) is counted with no cap: from the heap
+    for FC w, off the walk of [e, w]_R for any other (``_interval_census``).
+    The cap bounds only the listing of R_tor([w])."""
     word = g.check_word(w)
-    if not is_reduced(g, word):
+    if (found := _rotation_pass(g, word)) is None:
         return ClassificationReport(
             word=word, reduced=False, cyclically_reduced=False, torically_reduced=False,
             fc=False, cfc=False, tfc=False, faux_cfc=False,
@@ -180,13 +188,16 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
         )
     h = heap_of_word(g, word)
     fc = _is_fc(h)
-    classes = [[word]] if fc else _listing(g, word, cap)[1]
-    count = _down_sets(h)[(1 << len(word)) - 1] if fc else sum(map(len, classes))
-    counts: dict = {"reducedWords": count, "commutativityClasses": len(classes)}
+    if fc:
+        bad_rotation = rotation_walk(h, found[1])
+        count, classes, cyclically_reduced = _down_sets(h)[(1 << len(word)) - 1], 1, bad_rotation is None
+    else:
+        bad_rotation = _bad_rotation(word, found[1])
+        count, classes, cyclically_reduced = _interval_census(g, len(word), *found)
+    counts: dict = {"reducedWords": count, "commutativityClasses": classes}
     witnesses: dict = {}
 
-    bad_rotation = rotation_walk(g, h, [c[0] for c in classes[1:]])
-    cfc = fc and bad_rotation is None and next(_moved_words(g, word), None) is None
+    cfc = fc and cyclically_reduced and next(_moved_words(g, word), None) is None
     if bad_rotation is not None and cyclic_word(bad_rotation) == cyclic_word(word):
         witnesses["nonReducedRotation"] = bad_rotation
 
@@ -204,7 +215,7 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
     return ClassificationReport(
         word=word,
         reduced=True,
-        cyclically_reduced=bad_rotation is None,
+        cyclically_reduced=cyclically_reduced,
         torically_reduced=torically_reduced,
         fc=fc,
         cfc=cfc,
@@ -382,12 +393,16 @@ class ConjectureProbe:
     For a faux-CFC word <s,t>_m u the conjecture predicts that
     <s,t>_{m-2} u is TFC whenever u is torically reduced.  Shapes whose
     seed is not torically reduced fall outside the hypothesis and are
-    reported with ``applicable = False``.
+    reported with ``applicable = False``.  The paper's statement is not in
+    this repository, so it cannot tell whether the hypothesis also asks u
+    to avoid s and t, as ``tfc_constructor`` asks of its seed; the row
+    records that too (``seed_avoids_st``) and leaves the reading open.
     """
 
     word: Word
     shortened: Word
     seed_torically_reduced: bool
+    seed_avoids_st: bool
     shortened_tfc: bool
     shortened_cfc: bool
 
@@ -423,6 +438,7 @@ def conjecture_probe(g: CoxeterGraph, w: Word) -> ConjectureProbe:
         word=word,
         shortened=shortened,
         seed_torically_reduced=is_torically_reduced(g, seed),
+        seed_avoids_st=s not in seed and t not in seed,
         shortened_tfc=is_tfc(g, shortened),
         shortened_cfc=is_reduced(g, shortened) and is_cfc(g, shortened),
     )

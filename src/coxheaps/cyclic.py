@@ -22,10 +22,13 @@ element at a time, each read off one root-sequence pass; a listing past
 its cap asks the walk (``_rtor_listing``), keeps its cap error only for a
 torically reduced w, and names no chain for any other.
 
-Element-level cyclic reducedness (``rotation_walk``) needs one seed word
-per commutativity class of R(w): its rotations are windows of the doubled
-word, which one root-sequence pass decides, and those of its class move
-down-sets of its heap to the end, which the heap order decides.
+Element-level cyclic reducedness lists no word either.  The rotations of
+a word are windows of the doubled word, which one root-sequence pass
+decides (``roots.rotation_pass``).  For FC w those of every word of R(w)
+move down-sets of w's heap to the end, which the heap order decides
+(``rotation_walk``); for any other w they are settled over the prefixes
+of R(w), the elements of [e, w]_R, on the same walk that counts R(w) and
+its commutativity classes (``_interval_census``).
 
 The toric heap of a word is the toric poset of its dependency graph with
 the position-increasing orientation, labeled by the letters; its total
@@ -35,7 +38,6 @@ suite checks equals C_tor([w]) by an independent route.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -54,8 +56,8 @@ from .words import (
     NormalForm,
     _least_rotation,
     _listing,
+    _weak_order_levels,
     has_adjacent_repeat,
-    is_reduced,
     normal_form,
 )
 
@@ -81,51 +83,110 @@ def rotations(cw: CyclicWord | Word) -> tuple[Word, ...]:
 
 
 def is_cyclically_reduced_word(g: CoxeterGraph, w: Word) -> bool:
-    """Every rotation of the word is reduced (``_rotation_pairs``)."""
-    pairs = _rotation_pairs(g, g.check_word(w))
-    return pairs is not None and all(i >= j for i, j in pairs)
+    """Every rotation of the word is reduced (``_rotation_pass``)."""
+    found = _rotation_pass(g, g.check_word(w))
+    return found is not None and all(i >= j for i, j in found[1])
 
 
-def _rotation_pairs(g: CoxeterGraph, word: Word) -> list[tuple[int, int]] | None:
-    """``roots.rotation_pairs`` of the word, in one root pass, or None when
-    it is not reduced, which two equal adjacent letters settle first."""
-    return None if has_adjacent_repeat(word) else g.root_system().rotation_pairs(word)
+def _rotation_pass(g: CoxeterGraph, word: Word) -> tuple[dict, list[tuple[int, int]]] | None:
+    """``roots.rotation_pass`` of the word, the map -beta_j -> j and the
+    rotation pairs, or None when it is not reduced, which two equal
+    adjacent letters settle first."""
+    return None if has_adjacent_repeat(word) else g.root_system().rotation_pass(word)
 
 
-def is_cyclically_reduced_element(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """Every reduced word for the element of w is cyclically reduced
-    (``rotation_walk``); R(w) is listed, for one seed word per
-    commutativity class, only when w is not FC."""
+def _bad_rotation(word: Word, pairs: list[tuple[int, int]]) -> Word | None:
+    """The first rotation of the word that is not reduced, or None: rotation
+    k is reduced iff no rotation pair has i < k <= j, so it is k = 1 + the
+    least i of a pair with i < j."""
+    first = min((i for i, j in pairs if i < j), default=None)
+    return None if first is None else word[first + 1 :] + word[: first + 1]
+
+
+def is_cyclically_reduced_element(g: CoxeterGraph, w: Word) -> bool:
+    """Every reduced word for the element of w is cyclically reduced: by
+    ``rotation_walk`` when w is FC, and off the walk of [e, w]_R
+    (``_interval_census``) when it is not."""
     word = g.check_word(w)
-    if not is_reduced(g, word):
+    if (found := _rotation_pass(g, word)) is None:
         raise NotReduced(f"{g.format(w)} is not reduced")
     h = heap_of_word(g, word)
-    seeds = () if _is_fc(h) else [c[0] for c in _listing(g, word, cap)[1][1:]]
-    return rotation_walk(g, h, seeds) is None
+    if _is_fc(h):
+        return rotation_walk(h, found[1]) is None
+    return _interval_census(g, len(word), *found)[2]
 
 
-def rotation_walk(g: CoxeterGraph, h: Heap, seeds: Iterable[Word]) -> Word | None:
-    """Settle element-level cyclic reducedness from w's heap ``h`` and one
-    seed word per other commutativity class of R(w).  Rotation k of a word
-    u is the window [k, k + n) of u u, which ``roots.rotation_pairs``
-    decides: w's first bad rotation is k = 1 + the least i of a pair with
-    i < j.  Pairs belong to heap elements, as commuting adjacent letters
-    swaps their betas; a rotation of a word of u's class moves a down-set D
-    to the end, and some D holds x but not y iff y is not below x.  So the
-    class passes iff each pair (x, y) has y <= x.  Returns a rotation of a
-    word of R(w) that is not reduced, w's first if any, or None.
+def rotation_walk(h: Heap, pairs: list[tuple[int, int]]) -> Word | None:
+    """Settle element-level cyclic reducedness for FC w from its heap ``h``
+    and the rotation pairs of its word (``roots.rotation_pass``).
+    Rotation k of a word u is the window [k, k + n) of u u; w's own are
+    settled first (``_bad_rotation``).  Pairs belong to heap elements, as
+    commuting adjacent letters swaps their betas; a rotation of a word of
+    w's class moves a down-set D to the end, and some D holds x but not y
+    iff y is not below x.  So the class, all of R(w), passes iff each pair
+    (x, y) has y <= x.  Returns a rotation of a word of R(w) that is not
+    reduced, w's first if any, or None.
     """
-    w, rs = h.word, g.root_system()
-    pairs = rs.rotation_pairs(w)
-    first = min((i for i, j in pairs if i < j), default=None)
+    first = _bad_rotation(h.word, pairs)
     if first is not None:
-        return w[first + 1 :] + w[: first + 1]
-    others = ((heap_of_word(g, u), rs.rotation_pairs(u)) for u in seeds)
-    for heap, pairs in itertools.chain([(h, pairs)], others):
-        for x, y in pairs:
-            if x != y and not heap.above[y] >> x & 1:
-                return _moved(heap.word, heap.below[x] | 1 << x)
+        return first
+    for x, y in pairs:
+        if x != y and not h.above[y] >> x & 1:
+            return _moved(h.word, h.below[x] | 1 << x)
     return None
+
+
+def _interval_census(g: CoxeterGraph, n: int, negated: dict, pairs: list[tuple[int, int]]) -> tuple[int, int, bool]:
+    """|R(w)|, the number of commutativity classes of R(w), and whether
+    every word of R(w) is cyclically reduced, off one walk of [e, w]_R
+    (``words._weak_order_levels``) from w's root pass (``_rotation_pass``),
+    with no word listed.
+
+    * |R(x)| is the sum of |R(x s)| over the right descents s of x.
+    * A commutativity class is a heap, and the pieces on top of it are
+      pairwise commuting right descents of x; by inclusion-exclusion over
+      them (Viennot 1986), c(x) is the sum of (-1)^(|S|+1) c(x w_S) over
+      the non-empty pairwise commuting S of right descents, x w_S reached
+      one letter at a time through the ``down`` maps.
+    * Rotation k of a word u of R(w) is reduced iff no pair (i, j) has
+      beta_i among the betas of u's prefix y of length k and beta_j not
+      (``roots.rotation_pass``), and the prefixes are the y in [e, w]_R,
+      keyed by the mask of their betas.  An x holds the bits of the x s
+      it is first reached from and one more, the only one to check.
+    """
+    need = [0] * n  # need[i]: the j of the pairs (i, j), i != j
+    for i, j in pairs:
+        if i != j:
+            need[i] |= 1 << j
+    commuting = [sum(1 << t for t, m in enumerate(row) if m == 2) for row in g.bond_table]
+    words, classes, downs = {0: 1}, {0: 1}, {}
+    cyclically_reduced = True
+    for level in _weak_order_levels(g, n, negated):
+        for x, down in level.items():
+            downs[x] = down
+            y = next(iter(down.values()))
+            if cyclically_reduced and need[(x ^ y).bit_length() - 1] & ~x:
+                cyclically_reduced = False
+            if len(down) == 1:
+                words[x], classes[x] = words[y], classes[y]
+                continue
+            if len(down) == 2:
+                (s, y), (t, z) = down.items()
+                words[x] = words[y] + words[z]
+                classes[x] = classes[y] + classes[z] - (classes[downs[y][t]] if commuting[s] >> t & 1 else 0)
+                continue
+            words[x] = sum(words[z] for z in down.values())
+            tops, count = [(x, 0, -1)], 0  # (x w_S, S, (-1)^(|S|+1))
+            for s in down:
+                for k in range(len(tops)):
+                    z, used, sign = tops[k]
+                    if not used & ~commuting[s]:
+                        z = downs[z][s]
+                        tops.append((z, used | 1 << s, -sign))
+                        count -= sign * classes[z]
+            classes[x] = count
+    top = (1 << n) - 1
+    return words[top], classes[top], cyclically_reduced
 
 
 def _moved(word: Word, d: int) -> Word:
@@ -195,7 +256,7 @@ def _rtor_listing(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], 
     reduced w, and any other gets NotToricallyReduced with no ``chain``.
     The walk runs only then, as the listing costs less."""
     try:
-        return _listing(g, w, cap, cyclic=True)
+        return _listing(g, w, cap)
     except OrbitCapExceeded:
         if _shift_class(g, w) is None:
             raise NotToricallyReduced(f"{g.format(w)} is not torically reduced") from None

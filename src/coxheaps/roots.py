@@ -22,9 +22,10 @@ at index t * d + a, d = deg psi_M.  When M = 1 the ring is Z.
 
 from __future__ import annotations
 
+import functools
 import math
-from operator import add, neg
-from typing import TYPE_CHECKING
+from operator import neg
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from .coxgraph import CoxeterGraph, Word
@@ -100,7 +101,7 @@ class RootSystem:
     Built on first use by ``CoxeterGraph.root_system``.
     """
 
-    __slots__ = ("identity", "negative", "simple", "_steps", "_reflect")
+    __slots__ = ("identity", "negative", "simple", "_times", "_reflect")
 
     def __init__(self, g: CoxeterGraph):
         n = g.rank
@@ -117,23 +118,22 @@ class RootSystem:
         reflect: list[list] = [[] for _ in range(n)]
         for i, j, m in g.bonds():
             terms = _scale_terms(unit if m == 3 else cheb[0] if m == math.inf else cheb[M // m], psi)
-            axpy = _axpy(terms, n, d)
             for s, t in ((i, j), (j, i)):
-                steps[s].append((t, axpy))
+                steps[s].append((t, terms))
                 reflect[s] += [(s * d + a, t * d + b, f) for a, b, f in terms]
         columns = [tuple(int(k == t * d) for k in range(n * d)) for t in range(n)]
         self.identity = tuple(columns)
         self.negative = tuple(tuple(map(neg, col)) for col in columns)  # -alpha_t
         self.simple = {col: t for t, col in enumerate(columns)}
-        self._steps = tuple(tuple(row) for row in steps)
+        self._times = tuple(
+            _step_maker(n * d, d, tuple(tuple(terms) for _, terms in row))(s, *(t for t, _ in row))
+            for s, row in enumerate(steps)
+        )
         self._reflect = tuple((range(s * d, s * d + d), tuple(row)) for s, row in enumerate(reflect))
 
     def times(self, cols: list, s: int) -> None:
         """Right-multiply the element whose columns are cols by s, in place."""
-        col = cols[s]
-        for t, axpy in self._steps[s]:
-            cols[t] = axpy(cols[t], col)
-        cols[s] = tuple(map(neg, col))
+        self._times[s](cols)
 
     def reflect(self, s: int, v: tuple) -> tuple:
         """s(v): only coordinate s changes, to -v_s + sum_t c(s, t) v_t."""
@@ -152,11 +152,11 @@ class RootSystem:
     def _pass(self, word: Word) -> tuple[list, dict] | None:
         """The columns of the element of the word and the map -beta_j -> j,
         or None at the first beta_j = -beta_i (the word is not reduced)."""
-        cols, negated = list(self.identity), {}
+        cols, negated, times = list(self.identity), {}, self._times
         for j, s in enumerate(word):
             if cols[s] in negated:
                 return None
-            self.times(cols, s)
+            times[s](cols)
             negated[cols[s]] = j
         return cols, negated
 
@@ -173,19 +173,20 @@ class RootSystem:
         left = {s: negated[a] for s, a in enumerate(self.negative) if a in negated}
         return tuple(cols), left, {s for s, c in enumerate(cols) if c in negated}
 
-    def rotation_pairs(self, word: Word) -> list[tuple[int, int]] | None:
-        """The pairs (i, j) with w(beta_i) = -beta_j, w the element of the
-        word, or None if it is not reduced.  Rotation k, the window [k, k + n)
-        of the doubled word, is reduced iff no pair has i < k <= j."""
+    def rotation_pass(self, word: Word) -> tuple[dict, list[tuple[int, int]]] | None:
+        """The map -beta_j -> j of ``_pass`` and the rotation pairs of the
+        word, the (i, j) with w(beta_i) = -beta_j for w its element, or
+        None if it is not reduced.  Rotation k, the window [k, k + n) of
+        the doubled word, is reduced iff no pair has i < k <= j."""
         if (found := self._pass(word)) is None:
             return None
         cols, negated = found
-        pairs = []
+        pairs, times = [], self._times
         for i, s in enumerate(word):
             if cols[s] in negated:
                 pairs.append((i, negated[cols[s]]))
-            self.times(cols, s)
-        return pairs
+            times[s](cols)
+        return negated, pairs
 
     def shortlex_form(self, word: Word) -> Word:
         """The shortlex-least reduced word for the element of word.
@@ -225,19 +226,25 @@ class RootSystem:
         return tuple(out)
 
 
-def _axpy(terms, n: int, d: int):
-    """The map (u, v) -> u + c * v on vectors, for c given by its terms."""
-    if all(a == b for a, b, _ in terms):  # c is an integer f
-        f = terms[0][2]
-        if f == 1:
-            return lambda u, v: tuple(map(add, u, v))
-        return lambda u, v: tuple([a + f * b for a, b in zip(u, v)])
-    flat = tuple((t * d + a, t * d + b, f) for t in range(n) for a, b, f in terms)
-
-    def axpy(u, v):
-        out = list(u)
-        for k, src, f in flat:
-            out[k] += f * v[src]
-        return tuple(out)
-
-    return axpy
+@functools.cache
+def _step_maker(size: int, d: int, bonds: tuple) -> Callable:
+    """make(s, t_0, ..., t_k-1) -> the step cols -> cols * s, in place, for
+    an s with k bonds whose c(s, t_i) have the given terms: column t_i +=
+    c(s, t_i) * column s, then column s negated.  The step is compiled to
+    one tuple display per changed column, as it is the inner loop of every
+    root pass and walk and a display makes no call per term; each shape is
+    compiled once, and generators and graphs of one shape share it."""
+    ts = [f"t{i}" for i in range(len(bonds))]
+    lines = [f"def make({', '.join(['s', *ts])}):", "    def times(cols):", "        v = cols[s]"]
+    for t, terms in zip(ts, bonds):
+        coords = []
+        for k in range(size):
+            base, a = k - k % d, k % d
+            coords.append(" + ".join([f"u[{k}]"] + [
+                f"v[{base + b}]" if f == 1 else f"{f} * v[{base + b}]" for out, b, f in terms if out == a
+            ]))
+        lines += [f"        u = cols[{t}]", f"        cols[{t}] = ({', '.join(coords)},)"]
+    lines += [f"        cols[s] = ({', '.join(f'-v[{k}]' for k in range(size))},)", "    return times"]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["make"]

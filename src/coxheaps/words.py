@@ -10,16 +10,18 @@ Deciding needs no search: ``is_reduced`` and ``normal_form`` use the exact
 root-sequence criterion in ``roots``, in time polynomial in the length, so
 they and ``multiply`` and ``conjugate`` take no cap, nor does ``is_fc``,
 which reads Stembridge's criterion off the heap.  ``_weak_order_levels``
-walks the right weak order up from e, keyed by exact columns: up to a
-length for ``elements_up_to``, which lists the normal form of each
-element, and over the interval [e, w]_R for ``reduced_words``, which
-builds R(w) from the R(y) of the y below w with no braid search.
-``commutativity_class`` lists the linear extensions of w's heap, which are
-its words (Cartier-Foata 1969).  One search, ``_listing``, lists a whole
-braid closure one commutativity class at a time, for
-``commutativity_classes``, and R_tor([w]) for ``cyclic._rtor_listing`` up
-to a cyclic repeat, naming the moves to it.  Past a cap each listing
-raises ``OrbitCapExceeded``, an inconclusive outcome, never a guess.
+walks the right weak order up from e, each element keyed by the bitmask
+of its inversions, with one root step per element: up to a length for
+``elements_up_to``, which lists the normal form of each element, and over
+the interval [e, w]_R for ``reduced_words``, which builds R(w) from the
+R(y) of the y below w with no braid search, and for the counts that
+``cyclic._interval_census`` reads off it.  ``commutativity_class`` lists
+the linear extensions of w's heap, which are its words (Cartier-Foata
+1969), and ``commutativity_classes`` takes them, least word first, over
+R(w).  The one search, ``_listing``, lists R_tor([w]) one C_tor class at
+a time for ``cyclic._rtor_listing``, up to a cyclic repeat, naming the
+moves to it.  Past a cap each listing raises ``OrbitCapExceeded``, an
+inconclusive outcome, never a guess.
 
 All functions are pure; words are tuples of generator indices.
 """
@@ -86,33 +88,25 @@ def has_cyclic_repeat(word: Word) -> bool:
     return m > 1 and any(word[i] == word[(i + 1) % m] for i in range(m))
 
 
-def _listing(
-    g: CoxeterGraph, w: Word, cap: int, cyclic: bool = False
-) -> tuple[dict[Word, int], list[list[Word]]]:
-    """List the whole braid closure of w, one commutativity class at a time:
-    R(w), read only for its classes (``reduced_words`` builds R(w) itself
-    up the weak order), or with ``cyclic`` R_tor([w]).
+def _listing(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], list[list[Word]]]:
+    """List R_tor([w]), one C_tor class at a time.
 
-    A short move (m = 2) adds its result to the class being listed; a long
-    move queues it as the seed of a later class.  ``found`` maps each word
-    found to its class index, or to -1 while queued, so each word is
-    expanded once.  The first word listed past the cap raises
-    OrbitCapExceeded for the "reduced-word set", or with ``cyclic`` the
-    "cyclic closure" R_tor([w]): its words are least rotations, and the
-    moves act on every rotation, read off the doubled word u u: the move at
-    position 0 of rotation i is the one at position i of u u.  A word with
-    a cyclic repeat raises NotToricallyReduced when met, before the cap,
-    with the chain of moves along ``parent``, the word each was met from.
+    Its words are least rotations, and the moves act on every rotation,
+    read off the doubled word u u: the move at position 0 of rotation i is
+    the one at position i of u u.  A short move (m = 2) adds its result to
+    the class being listed; a long move queues it as the seed of a later
+    class.  ``found`` maps each word found to its class index, or to -1
+    while queued, so each word is expanded once.  The first word listed
+    past the cap raises OrbitCapExceeded for the "cyclic closure".  A word
+    with a cyclic repeat raises NotToricallyReduced when met, before the
+    cap, with the chain of moves along ``parent``, the word each was met
+    from.
     """
-    start = g.check_word(w)
-    if cyclic:
-        start = _least_rotation(start)
-        if has_cyclic_repeat(start):
-            raise _not_torically_reduced(g, w, {}, start)
-    what = "cyclic closure" if cyclic else "reduced-word set"
+    start = _least_rotation(g.check_word(w))
+    if has_cyclic_repeat(start):
+        raise _not_torically_reduced(g, w, {}, start)
     bond = g.bond_table
     n = len(start)
-    positions = range(n) if cyclic else range(n - 1)
     found, parent = {start: 0}, {}
     classes = [[start]]
     seeds: deque[Word] = deque()
@@ -120,15 +114,14 @@ def _listing(
     listed = 1
     for index, members in enumerate(classes):
         for cur in members:
-            d = cur + cur if cyclic else cur
-            for i, m, move in _moves(bond, d, positions, n):
-                nxt = _least_rotation(move + d[i + m : i + n]) if cyclic else cur[:i] + move + cur[i + m :]
+            d = cur + cur
+            for i, m, move in _moves(bond, d, range(n), n):
+                nxt = _least_rotation(move + d[i + m : i + n])
                 state = get(nxt)
                 if state is None:
-                    if cyclic:
-                        parent[nxt] = cur
-                        if has_cyclic_repeat(nxt):
-                            raise _not_torically_reduced(g, w, parent, nxt)
+                    parent[nxt] = cur
+                    if has_cyclic_repeat(nxt):
+                        raise _not_torically_reduced(g, w, parent, nxt)
                     if m > 2:
                         found[nxt] = -1
                         seeds.append(nxt)
@@ -136,7 +129,7 @@ def _listing(
                 elif state >= 0 or m > 2:
                     continue
                 if listed >= cap:
-                    raise OrbitCapExceeded(f"{what} of {g.format(w)} exceeds cap {cap}")
+                    raise OrbitCapExceeded(f"cyclic closure of {g.format(w)} exceeds cap {cap}")
                 listed += 1
                 found[nxt] = index
                 members.append(nxt)
@@ -144,7 +137,7 @@ def _listing(
             seeds.popleft()
         if seeds:
             if listed >= cap:
-                raise OrbitCapExceeded(f"{what} of {g.format(w)} exceeds cap {cap}")
+                raise OrbitCapExceeded(f"cyclic closure of {g.format(w)} exceeds cap {cap}")
             listed += 1
             found[seeds[0]] = len(classes)
             classes.append([seeds.popleft()])
@@ -206,12 +199,11 @@ def reduced_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> fro
     holds more words than R(w): the first level past the cap raises
     OrbitCapExceeded.  w itself is listed whatever the cap.
     """
-    word, rs = g.check_word(w), g.root_system()
-    if (found := rs._pass(word)) is None:
+    word = g.check_word(w)
+    if (found := g.root_system()._pass(word)) is None:
         raise NotReduced(f"{g.format(w)} is not reduced")
-    betas = {tuple(map(neg, b)) for b in found[1]}
-    listed: dict[tuple, list[Word]] = {rs.identity: [()]}
-    for level in _weak_order_levels(g, len(word), betas):
+    listed: dict[int, list[Word]] = {0: [()]}
+    for level in _weak_order_levels(g, len(word), found[1]):
         words, total = {}, 0
         for key, down in level.items():
             words[key] = xs = [u + (s,) for s, y in down.items() for u in listed[y]]
@@ -225,11 +217,16 @@ def reduced_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> fro
 def commutativity_classes(
     g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP
 ) -> tuple[frozenset[Word], ...]:
-    """Partition of R(w) under short braid moves, ordered by least member."""
-    if not is_reduced(g, w):
-        raise NotReduced(f"{g.format(w)} is not reduced")
-    classes = _listing(g, w, cap)[1]
-    return tuple(sorted(map(frozenset, classes), key=min))
+    """Partition of R(w) under short braid moves, ordered by least member:
+    the ``commutativity_class`` of the least word of R(w) not yet in a
+    class, repeatedly.  The cap is that of ``reduced_words``."""
+    out: list[frozenset[Word]] = []
+    placed: set[Word] = set()
+    for u in sorted(reduced_words(g, w, cap)):
+        if u not in placed:
+            out.append(commutativity_class(g, u))
+            placed |= out[-1]
+    return tuple(out)
 
 
 def is_fc(g: CoxeterGraph, w: Word) -> bool:
@@ -253,26 +250,44 @@ def conjugate(g: CoxeterGraph, v: Word, w: Word) -> NormalForm:
     return normal_form(g, inverse(g.check_word(v)) + g.check_word(w) + g.check_word(v))
 
 
-def _weak_order_levels(g: CoxeterGraph, length: int, betas: set | None = None) -> Iterator[dict]:
-    """The right weak order from e, breadth first up to ``length``, keyed by
-    the exact columns of ``roots`` (Björner–Brenti ch. 3).  Each level maps
-    the key of each x of the next length, in the order x is first reached,
-    to {s: key of x s} over its right descents s, in the order reached.  x
-    is reached from each x s and from nothing else, so its own step skips
-    those s.  With ``betas``, only the y s with y(alpha_s) in betas are
-    taken: the interval [e, w]_R when betas are w's."""
+def _weak_order_levels(g: CoxeterGraph, length: int, negated: dict | None = None) -> Iterator[dict[int, dict]]:
+    """The right weak order from e, breadth first up to ``length``, each
+    element keyed by its inversion mask (Björner–Brenti ch. 3).  y s > y
+    has the inversions of y and y(alpha_s), which gets a bit: with
+    ``negated``, the map -beta_j -> j of w's root pass, bit j for beta_j,
+    and only the y s with y(alpha_s) among w's betas are taken, the
+    interval [e, w]_R; without it, the next free bit for each new root.
+    Each level maps the mask of each x of the next length, in the order x
+    is first reached, to {s: mask of x s} over its right descents s, in the
+    order reached.  x is reached from each x s and from nothing else, so
+    its own step skips those s.  The columns of ``roots`` give y(alpha_s);
+    x's are made once, from the first edge into it."""
     rs = g.root_system()
-    level: dict[tuple, dict[int, tuple]] = {rs.identity: {}}
+    if negated is None:
+        bits: dict[tuple, int] = {}
+
+        def bit(root: tuple) -> int:
+            return bits.setdefault(root, len(bits))
+    else:
+        bit = {tuple(map(neg, b)): j for b, j in negated.items()}.get
+    level: dict[int, dict[int, int]] = {0: {}}
+    columns, times = {0: rs.identity}, rs._times
     for _ in range(length):
-        longer: dict[tuple, dict[int, tuple]] = {}
+        longer: dict[int, dict[int, int]] = {}
+        made = {}
         for key, right in level.items():
+            cols = columns[key]
             for s in range(g.rank):
-                if s not in right and (betas is None or key[s] in betas):
-                    cols = list(key)
-                    rs.times(cols, s)
-                    longer.setdefault(tuple(cols), {})[s] = key
+                if s not in right and (j := bit(cols[s])) is not None:
+                    x = key | 1 << j
+                    if x in longer:
+                        longer[x][s] = key
+                    else:
+                        longer[x] = {s: key}
+                        made[x] = up = list(cols)
+                        times[s](up)
         yield longer
-        level = longer
+        level, columns = longer, made
 
 
 def elements_up_to(g: CoxeterGraph, max_len: int) -> list[Word]:
@@ -286,7 +301,7 @@ def elements_up_to(g: CoxeterGraph, max_len: int) -> list[Word]:
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    forms: dict[tuple, Word] = {g.root_system().identity: ()}
+    forms: dict[int, Word] = {0: ()}
     out: list[Word] = [()]
     for level in _weak_order_levels(g, max_len):
         forms = {key: forms[y] + (s,) for key, down in level.items() for s, y in islice(down.items(), 1)}

@@ -24,6 +24,8 @@ from coxheaps.errors import (
     SpokeError,
 )
 from oracles import (
+    braid_closure,
+    commutativity_class,
     down_set_is_cfc,
     is_move_chain,
     listing_is_cfc,
@@ -250,7 +252,7 @@ def test_tfc_constructor_rejections(b3, affine_c3):
 
 def test_conjecture_probe_three_shapes(b3, affine_c3, paw):
     probe = CL.conjecture_probe(b3, b3.word("s1 s2 s1 s2 s3"))
-    assert probe.applicable and probe.confirmed and probe.shortened_cfc
+    assert probe.applicable and probe.confirmed and probe.shortened_cfc and probe.seed_avoids_st
     probe = CL.conjecture_probe(affine_c3, affine_c3.word("s0 s1 s0 s1 s2 s3 s2 s3"))
     assert probe.applicable and probe.confirmed and not probe.shortened_cfc
     probe = CL.conjecture_probe(paw, paw.word("s t s t a b a"))
@@ -258,6 +260,14 @@ def test_conjecture_probe_three_shapes(b3, affine_c3, paw):
     assert not probe.shortened_tfc
     assert probe.confirmed is None
     assert "not a theorem" in probe.note
+
+
+def test_conjecture_probe_seed_that_uses_s_and_t(paw):
+    # the seed a b t s t a b is torically reduced but uses s and t: the row
+    # breaks the prediction only if the hypothesis asks no more of the seed
+    probe = CL.conjecture_probe(paw, paw.word("s t s t a b t s t a b"))
+    assert probe.applicable and not probe.seed_avoids_st
+    assert probe.confirmed is False and not listing_is_tfc(paw, probe.shortened)
 
 
 def test_conjecture_probe_shape_errors(b3):
@@ -451,11 +461,39 @@ def test_cyclically_reduced_pins(affine_c3):
     assert (report.counts["reducedWords"], report.counts["commutativityClasses"]) == (39, 3)
     # w's own pass has pairs, each with i >= j, which bound no rotation
     w = g.word("s0 s1 s0 s1 s2 s3 s2 s3")
-    pairs = rs.rotation_pairs(w)
+    pairs = rs.rotation_pass(w)[1]
     assert pairs and all(i >= j for i, j in pairs)
     assert CY.is_cyclically_reduced_element(g, w)
     assert CL.classify(g, w).cyclically_reduced
     assert listing_is_cyclically_reduced_element(g, w)
+
+
+CENSUS_SYSTEMS = {
+    **{f"{name} <= {n}": (catalog.coxeter_graph(name), n)
+       for name, n in (("B3", 9), ("H3", 9), ("A4", 8), ("A~2", 8), ("A~3", 7), ("C~3", 7))},
+    **{f"{os.path.basename(p)} <= 6": (load_coxeter_graph(p), 6) for p in sorted(glob.glob(os.path.join(GRAPHS, "*.json")))},
+    "4-cycle of 4-bonds <= 6": (catalog.cycle(["s1", "s2", "s3", "s4"], 4), 6),
+    "infinite bond <= 7": (CoxeterGraph(["s1", "s2", "s3", "s4"],
+                                        [("s1", "s2", INF), ("s2", "s3", 3), ("s3", "s4", 4), ("s1", "s3", 3)]), 7),
+    "7-3 path <= 9": (CoxeterGraph(["a", "b", "c"], [("a", "b", 7), ("b", "c", 3)]), 9),
+}
+
+
+@pytest.mark.parametrize("name", CENSUS_SYSTEMS)
+def test_interval_census_matches_word_oracles(name):
+    # |R(w)|, its class count and element-level cyclic reducedness off the
+    # walk of [e, w]_R, against R(w) listed by the tests' own braid search,
+    # partitioned by their own short-move search, and the rotations of
+    # every listed word; on every element, FC or not
+    g, max_len = CENSUS_SYSTEMS[name]
+    for w in W.elements_up_to(g, max_len):
+        left, classes = set(braid_closure(g, w)), 0
+        count = len(left)
+        while left:
+            left -= commutativity_class(g, min(left))
+            classes += 1
+        want = (count, classes, listing_is_cyclically_reduced_element(g, w))
+        assert CY._interval_census(g, len(w), *g.root_system().rotation_pass(w)) == want, g.format(w)
 
 
 @pytest.mark.parametrize("name", ["B3", "H3", "A~2", "A4", "C~3"])
@@ -493,14 +531,30 @@ def test_bad_rotation_off_w_itself(name, text):
     g = catalog.coxeter_graph(name)
     w = g.word(text)
     assert all(W.is_reduced(g, w[k:] + w[:k]) for k in range(len(w)))
-    seeds = [min(c) for c in W.commutativity_classes(g, w) if w not in c]
-    bad = CY.rotation_walk(g, H.heap_of_word(g, w), seeds)
-    assert bad is not None and not W.is_reduced(g, bad) and not CL.is_cfc(g, w)
-    assert CY.cyclic_word(bad) in {CY.cyclic_word(u) for u in W.reduced_words(g, w)}
+    negated, pairs = g.root_system().rotation_pass(w)
+    assert CY._bad_rotation(w, pairs) is None
+    if CL.is_fc(g, w):
+        # the heap walk names a rotation of a commutation of w
+        bad = CY.rotation_walk(H.heap_of_word(g, w), pairs)
+        assert bad is not None and not W.is_reduced(g, bad) and not CL.is_cfc(g, w)
+        assert CY.cyclic_word(bad) in {CY.cyclic_word(u) for u in W.reduced_words(g, w)}
+    else:
+        # a prefix y of another word of R(w), an element of [e, w]_R, fails
+        assert not CY._interval_census(g, len(w), negated, pairs)[2]
     assert not CY.is_cyclically_reduced_element(g, w)
     assert not listing_is_cyclically_reduced_element(g, w)
     report = CL.classify(g, w)
     assert not report.cyclically_reduced and "nonReducedRotation" not in report.witnesses
+
+
+def test_classify_counts_a5_w0_under_a_small_cap():
+    # R(w0) holds 292,864 words in 908 classes, far past the cap, which
+    # bounds only the R_tor listing; that listing meets a cyclic repeat
+    g = catalog.chain([f"s{i}" for i in range(1, 6)], [3] * 4)
+    w0 = W.normal_form(g, tuple(s for k in range(5) for s in range(k, -1, -1))).word
+    report = CL.classify(g, w0, 1000)
+    assert (report.counts["reducedWords"], report.counts["commutativityClasses"]) == (292_864, 908)
+    assert not report.fc and not report.torically_reduced and not report.cyclically_reduced
 
 
 @given(small_system(max_len=5), st.integers(1, 64))
@@ -543,6 +597,12 @@ def test_tfc_pins(affine_a3, affine_c3, paw):
         assert CL.is_faux_cfc(g, w) and listing_is_tfc(g, w) and not listing_is_cfc(g, w), text
     w = c4t.word("s0 s1 s0 s1 s2 s3 s2 s3 s4")
     assert not CL.is_faux_cfc(c4t, w) and not listing_is_tfc(c4t, w)
+    # cyclically reduced, and of its three windows' moved words only the
+    # last has a toric heap that is not w's: each distinct one is tested
+    g = TFC_SYSTEMS["4/6/3"]
+    w = g.word("a b a b c d c")
+    assert len({CY.cyclic_word(u) for u in CL._moved_words(g, w)}) == 3
+    assert not CL.is_tfc(g, w) and not listing_is_tfc(g, w)
     # far past any listing: R_tor of c^4 alone takes seconds to list
     assert CL.is_tfc(c4t, c4t.word("s0 s2 s4 s1 s3") * 20)
     assert CL.is_tfc(affine_a3, affine_a3.word("s1 s3 s2 s4") * 20)

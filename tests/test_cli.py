@@ -217,6 +217,29 @@ def test_classify_over_the_cap_of_a_torically_reduced_word(capsys):
     }
 
 
+H3_W0 = "s1 s2 s1 s2 s1 s3 s2 s1 s2 s1 s3 s2 s1 s2 s3"
+
+
+def test_classify_counts_r_w_past_the_cap(capsys):
+    # R(w) is counted over [e, w]_R with no cap: only the R_tor listing
+    # (22 cyclic words) is bounded, so cap 100 answers as the default does
+    path = os.path.join(GRAPHS, "h3.json")
+    reports = []
+    for cap in ([], ["--max-orbit", "100"]):
+        code, out = run(capsys, "word", "classify", "-g", path, H3_W0, *cap)
+        assert code == 0
+        reports.append(json.loads(out)["result"])
+    assert reports[0] == reports[1]
+    assert reports[0]["counts"] == {
+        "reducedWords": 286, "commutativityClasses": 44, "cyclicWords": 22, "cyclicCommutativityClasses": 4,
+    }
+    code, out = run(capsys, "word", "classify", "-g", path, H3_W0, "--max-orbit", "20")
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "OrbitCapExceeded", "message": f"cyclic closure of {H3_W0} exceeds cap 20",
+    }
+
+
 @pytest.mark.parametrize("path, word, cap", [
     (os.path.join(GRAPHS, "b3.json"), "s1 s2 s1 s3", "3"),
     (AFFINE_A3_JSON, "s2 s3 s4 s1 s3 s4", "40"),

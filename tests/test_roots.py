@@ -68,7 +68,7 @@ def test_rotation_pairs_decide_every_rotation(name):
             s = rng.randrange(g.rank)
             if rs.is_reduced(word + (s,)):
                 word += (s,)
-        pairs = rs.rotation_pairs(word)
+        pairs = rs.rotation_pass(word)[1]
         for k in range(1, len(word)):
             reduced = rs.is_reduced(word[k:] + word[:k])
             assert reduced == (not any(i < k <= j for i, j in pairs)), (g.format(word), k)
@@ -80,8 +80,8 @@ def test_rotation_pairs_of_a_word_that_is_not_reduced(name):
     # None, as from descents: the root pass stops at the first beta_j = -beta_i
     g = ROTATION_PAIR_SYSTEMS[name]()
     rs = g.root_system()
-    assert rs.rotation_pairs((0, 0)) is None
+    assert rs.rotation_pass((0, 0)) is None
     rng = random.Random(name)
     for _ in range(30):
         word = tuple(rng.randrange(g.rank) for _ in range(rng.randrange(9)))
-        assert (rs.rotation_pairs(word) is None) == (not rs.is_reduced(word)), g.format(word)
+        assert (rs.rotation_pass(word) is None) == (not rs.is_reduced(word)), g.format(word)
