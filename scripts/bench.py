@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Time the listing layers at fixed sizes and write the medians as JSON.
+
+    python scripts/bench.py BENCH_<n>.json
+
+Each case builds its input first and then times one call, in this process,
+REPEATS times; the report keeps every run, their median and the size of
+the result, so that two checkouts can be compared case by case.  The
+cases are the linear extensions of the free heap (pairwise commuting
+letters, n! orders) on 7, 8 and 9 letters, L_tor of the free 8-letter word
+(7! cyclic words), and the toric classes of K6, K7 and C12.  The report
+also records the Python version, the CPU count and the git commit of the
+checkout, with whether its tree had uncommitted changes.  The package is
+imported from this checkout's ``src/``.
+"""
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from functools import partial
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from coxheaps import cyclic as CY  # noqa: E402
+from coxheaps import heaps as H  # noqa: E402
+from coxheaps import toric as T  # noqa: E402
+from coxheaps.coxgraph import CoxeterGraph  # noqa: E402
+
+REPEATS = 5
+
+
+def _free_word(n):
+    """n generators with no bonds, and the word using each once."""
+    return CoxeterGraph([f"s{i}" for i in range(1, n + 1)]), tuple(range(n))
+
+
+def _complete(n):
+    return T.Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def _cycle(n):
+    return T.graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+# (layer, input family) -> size -> the call to time, its input built here
+BUILDERS = {
+    ("heaps.linear_extensions", "free word"): lambda n: partial(H.linear_extensions, H.heap_of_word(*_free_word(n))),
+    ("cyclic.ltor", "free word"): lambda n: partial(CY.ltor, CY.toric_heap_of_word(*_free_word(n))),
+    ("toric.toric_classes", "complete graph"): lambda n: partial(T.toric_classes, _complete(n)),
+    ("toric.toric_classes", "cycle graph"): lambda n: partial(T.toric_classes, _cycle(n)),
+}
+CASES = (
+    ("heaps.linear_extensions", "free word", 7),
+    ("heaps.linear_extensions", "free word", 8),
+    ("heaps.linear_extensions", "free word", 9),
+    ("cyclic.ltor", "free word", 8),
+    ("toric.toric_classes", "complete graph", 6),
+    ("toric.toric_classes", "complete graph", 7),
+    ("toric.toric_classes", "cycle graph", 12),
+)
+
+
+def _git(*args):
+    try:
+        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=30)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def measure(layer, family, size, repeats):
+    call = BUILDERS[layer, family](size)
+    runs, result = [], None
+    for _ in range(repeats):
+        result = None  # the previous result is freed outside the timing
+        start = time.perf_counter()
+        result = call()
+        runs.append(time.perf_counter() - start)
+    return {"layer": layer, "input": family, "size": size, "result_size": len(result),
+            "median_s": statistics.median(runs), "runs_s": runs}
+
+
+def main(argv, cases=CASES, repeats=REPEATS):
+    if len(argv) != 1:
+        print("usage: bench.py OUTPUT.json", file=sys.stderr)
+        return 2
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    report = {
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "git_sha": _git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "repeats": repeats,
+        "cases": [],
+    }
+    for layer, family, size in cases:
+        row = measure(layer, family, size, repeats)
+        report["cases"].append(row)
+        print(f"{layer:26s} {family:15s} {size:3d}  {row['median_s']:.4f} s  ({row['result_size']} out)")
+    Path(argv[0]).write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -282,7 +282,7 @@ def orientation_to_coxeter(g: CoxeterGraph, o: toric.AcyclicOrientation) -> Word
     if o.graph != skel:
         raise NotACoxeterWord("orientation does not live on this Coxeter graph")
     preds = toric._successors(g.rank, ((b, a) for a, b in o.directed_edges()))
-    return next(toric._linear_orders(preds))  # the least order comes first
+    return toric._least_order(preds)
 
 
 def coxeter_elements(g: CoxeterGraph) -> tuple[Word, ...]:

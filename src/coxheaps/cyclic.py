@@ -381,13 +381,12 @@ def toric_heaps_isomorphic(t1: ToricHeap, t2: ToricHeap) -> bool:
 def ltor(t: ToricHeap) -> frozenset[CyclicWord]:
     """L_tor(T(w)): total toric extensions of the toric heap, as cyclic words.
 
-    Each extension is a cyclic ordering of positions; reading it through the
-    labels and merging duplicates yields cyclic words.
+    Each extension is listed once, as its linear order that starts at
+    position 0, read straight through the labels (``toric._toric_orders``);
+    the least rotation of each such word names its cyclic word, and
+    duplicates merge.
     """
     bound = toric.MAX_TOTAL_ORDER_VERTICES
     if t.size > bound:
         raise TooLarge(f"word length {t.size} exceeds the total-order bound {bound}")
-    out = set()
-    for cyc in toric.total_toric_extensions(t.poset):
-        out.add(cyclic_word(tuple(t.word[i] for i in cyc)))
-    return frozenset(out)
+    return frozenset(map(CyclicWord, {_least_rotation(w) for w in toric._toric_orders(t.poset, t.word)}))

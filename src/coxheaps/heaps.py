@@ -102,16 +102,17 @@ def hasse_edges(h: Heap) -> tuple[tuple[int, int], ...]:
 def linear_extensions(h: Heap, cap: int = DEFAULT_EXTENSION_CAP) -> frozenset[Word]:
     """All labeled linear extensions of the heap, as words.
 
-    The position orders come from ``toric._linear_orders``; the result is
-    the set L(H) of words whose heap is an extension of h, which for the
-    heap of w is the commutativity class of w (Cartier-Foata 1969).
+    ``toric._linear_orders`` lists the position orders read through the
+    word, one word per order; the result is the set L(H) of words whose
+    heap is an extension of h, which for the heap of w is the commutativity
+    class of w (Cartier-Foata 1969).  More than ``cap`` orders raise
+    ExtensionCapExceeded.
     """
-    word = h.word
     out = set()
-    for k, order in enumerate(toric._linear_orders(h.below)):
+    for k, word in enumerate(toric._linear_orders(h.below, h.word)):
         if k >= cap:
             raise ExtensionCapExceeded(f"more than {cap} linear extensions")
-        out.add(tuple(word[i] for i in order))
+        out.add(word)
     return frozenset(out)
 
 

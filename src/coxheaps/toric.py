@@ -16,7 +16,8 @@ check, which only the public constructor runs.
 
 Equivalence is decided by cycle imbalances, with no search (Pretzel,
 *On reorienting graphs by pushing down maximal vertices*, Order 3, 1986;
-see ``_imbalance``); the class BFS ``_class_masks`` runs only where
+see ``_imbalance``), which the listing of Acyc(G) carries edge by edge
+for ``toric_classes``; the class BFS ``_class_masks`` runs only where
 members are listed.
 
 Toric chains, the toric transitive closure and the toric Hasse diagram are
@@ -24,7 +25,9 @@ decided by closed criteria on one pass of reachability bitsets of the
 representative (Develin-Macauley-Reiner, *Toric partial orders*, Trans.
 AMS 368, 2016), with no path search and no listing of total toric
 extensions; the test suite checks each against a search-based route.
-Only the total toric extensions, a set that must be listed, are listed.
+Only the total toric extensions, a set that must be listed, are listed,
+by the constant-amortized-time enumerator of linear extensions that also
+lists the words of heaps (``_linear_orders``).
 """
 
 from __future__ import annotations
@@ -172,32 +175,62 @@ def _successors(n: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
     return succ
 
 
-def _linear_orders(preds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Every order of 0..n-1 that puts each v after the vertices in the
-    bitmask preds[v], least first; none if the preds form a cycle.  The
-    search is depth first, its stack the order placed so far, so long chains
-    need no recursion; each depth resumes after the vertex it last tried.
-    Heap extensions, total toric extensions and Coxeter words come from it."""
-    n = len(preds)
-    full = (1 << n) - 1
-    order: list[int] = []
-    used = v = 0  # v: the next vertex to try at the current depth
-    while True:
-        if used == full:
-            yield tuple(order)
+def _least_order(preds: Sequence[int]) -> tuple[int, ...] | None:
+    """The least order of 0..n-1 that puts each v after the vertices in the
+    bitmask preds[v]: the least vertex whose predecessors are all placed,
+    repeatedly; None if the preds form a cycle."""
+    order, left, placed = [], list(range(len(preds))), 0
+    while left:
+        for i, v in enumerate(left):
+            if not preds[v] & ~placed:
+                break
         else:
-            while v < n and (used >> v & 1 or preds[v] & ~used):
-                v += 1
-            if v < n:
-                order.append(v)
-                used |= 1 << v
-                v = (used + 1 & ~used).bit_length() - 1  # the least vertex not placed
-                continue
-        if not order:
+            return None
+        del left[i]
+        order.append(v)
+        placed |= 1 << v
+    return tuple(order)
+
+
+def _linear_orders(preds: Sequence[int], labels: Sequence) -> Iterator[tuple]:
+    """Every order of 0..n-1 that puts each v after the vertices in the
+    bitmask preds[v], read through the labels: tuple(labels[v] for v in
+    order).  No order if the preds form a cycle, one empty order if n = 0.
+
+    Varol-Rotem (1981; Knuth, TAOCP 4A, 7.2.1.2, Algorithm V), in constant
+    amortized time.  The vertices are ranked by ``_least_order``, behind a
+    sentinel that precedes them all, at position 0.  Each next order moves
+    the highest-ranked vertex v that can go one place left past a vertex
+    that does not precede it; the vertices ranked above v, which could not
+    move, go back to their home positions.  The labels are swapped in step
+    with the vertices, so an order costs one tuple.  Heap extensions, total
+    toric extensions and their words come from it.
+    """
+    order = _least_order(preds)
+    if order is None:
+        return
+    n = len(order)
+    before = [p | 1 << n for p in preds]  # vertex n is the sentinel
+    at = [n, *order]  # at[j]: the vertex at position j, ranked j at home
+    pos = sorted(range(n + 1), key=at.__getitem__)  # pos[v]: the position of v
+    lab = [None, *map(labels.__getitem__, order)]
+    while True:
+        yield tuple(lab[1:])
+        for k in range(n, 0, -1):
+            v = order[k - 1]
+            j = pos[v]
+            u = at[j - 1]
+            if not before[v] >> u & 1:
+                at[j - 1], at[j], pos[v], pos[u] = v, u, j - 1, j
+                lab[j - 1], lab[j] = lab[j], lab[j - 1]
+                break
+            if j < k:  # v goes home: the vertices after it move one place left
+                at[j:k], at[k] = at[j + 1 : k + 1], v
+                lab[j:k], lab[k] = lab[j + 1 : k + 1], lab[j]
+                for i in range(j, k + 1):
+                    pos[at[i]] = i
+        else:
             return
-        v = order.pop()
-        used ^= 1 << v
-        v += 1
 
 
 def _sink_layers(succ: Sequence[int]) -> list[int]:
@@ -305,8 +338,10 @@ def orientation_from_linear_order(graph: Graph, order: Sequence[int]) -> Acyclic
     return _trusted(graph, mask)
 
 
-def all_acyclic_orientations(graph: Graph) -> tuple[AcyclicOrientation, ...]:
-    """Every acyclic orientation, in increasing mask order.
+def _acyclic_masks(graph: Graph) -> list[tuple[int, int]]:
+    """Every acyclic orientation as (mask, key), in increasing mask order;
+    key packs ``_imbalance`` with one signed digit of base 4E + 1 per basis
+    cycle, so equal keys mean equal imbalances.
 
     Edges are directed from the last in the canonical order to the first,
     b -> a (bit 0) before a -> b (bit 1), which yields increasing masks.
@@ -314,29 +349,44 @@ def all_acyclic_orientations(graph: Graph) -> tuple[AcyclicOrientation, ...]:
     admitted unless y already reaches x.  Each admitted partial orientation
     is acyclic and extends along a linear extension, so every branch ends in
     an acyclic orientation and none is tested for cycles: the cost is
-    proportional to the output, not to 2^E.  The test suite checks the
-    result against the 2^E filter.
+    proportional to the output, not to 2^E.  Directing edge k low -> high
+    adds weight[k] to the key, which starts at the all-against imbalance.
     """
     e = len(graph.edges)
     if e > MAX_ENUM_EDGES:
         raise TooLarge(f"{e} edges exceeds the exhaustive enumeration bound {MAX_ENUM_EDGES}")
+    base, weight, start = 4 * e + 1, [0] * e, 0
+    for c, (up, down) in enumerate(graph.cycle_basis):
+        digit = base ** c
+        start += (down.bit_count() - up.bit_count()) * digit
+        for k in _bits(up):
+            weight[k] += 2 * digit
+        for k in _bits(down):
+            weight[k] -= 2 * digit
     out = []
 
-    def extend(k: int, forward: int, down: list[int]) -> None:
+    def extend(k: int, forward: int, key: int, down: list[int]) -> None:
         if k < 0:
-            out.append(_trusted(graph, forward))
+            out.append((forward, key))
             return
         a, b = graph.edges[k]
         if down[a] >> b & 1:  # a -> b is forced and adds no reach; likewise b -> a below
-            extend(k - 1, forward | 1 << k, down)
+            extend(k - 1, forward | 1 << k, key + weight[k], down)
         elif down[b] >> a & 1:
-            extend(k - 1, forward, down)
+            extend(k - 1, forward, key, down)
         else:
-            for bit, x, y in ((0, b, a), (1, a, b)):
-                extend(k - 1, forward | bit << k, [d | down[y] if d >> x & 1 else d for d in down])
+            extend(k - 1, forward, key, [d | down[a] if d >> b & 1 else d for d in down])
+            extend(k - 1, forward | 1 << k, key + weight[k], [d | down[b] if d >> a & 1 else d for d in down])
 
-    extend(e - 1, 0, [1 << v for v in range(graph.n)])
-    return tuple(out)
+    extend(e - 1, 0, start, [1 << v for v in range(graph.n)])
+    return out
+
+
+def all_acyclic_orientations(graph: Graph) -> tuple[AcyclicOrientation, ...]:
+    """Every acyclic orientation, in increasing mask order, listed edge by
+    edge by ``_acyclic_masks`` with no 2^E filter; the test suite checks the
+    result against that filter."""
+    return tuple(_trusted(graph, forward) for forward, _ in _acyclic_masks(graph))
 
 
 def flip_source(o: AcyclicOrientation, v: int) -> AcyclicOrientation:
@@ -390,9 +440,9 @@ def toric_class(o: AcyclicOrientation, cap: int = DEFAULT_CLASS_CAP) -> frozense
 def toric_classes(graph: Graph) -> tuple[frozenset[AcyclicOrientation], ...]:
     """Partition of Acyc(graph) into toric equivalence classes, grouped by
     cycle imbalances and listed by least member."""
-    classes: dict[tuple[int, ...], list[AcyclicOrientation]] = {}
-    for o in all_acyclic_orientations(graph):  # in increasing mask order
-        classes.setdefault(_imbalance(graph, o.forward), []).append(o)
+    classes: dict[int, list[AcyclicOrientation]] = {}
+    for forward, key in _acyclic_masks(graph):  # in increasing mask order
+        classes.setdefault(key, []).append(_trusted(graph, forward))
     return tuple(map(frozenset, classes.values()))
 
 
@@ -563,6 +613,25 @@ def canonical_cycle(order: Sequence[int]) -> tuple[int, ...]:
     return order[k:] + order[:k]
 
 
+def _toric_orders(t: ToricPoset, labels: Sequence) -> Iterator[tuple]:
+    """The linearizations that start at vertex 0 of the total toric
+    extensions of t, read through the labels: the linear orders of each
+    class member in which 0 is a source, with 0 made a predecessor of every
+    other vertex.  Arcs are read straight off the member's direction mask."""
+    g = t.graph
+    zero = g.incident[0] if g.n else 0  # edges (0, b): bit set means 0 -> b
+    for member in t.members:
+        forward = member.forward
+        if forward & zero == zero:  # else 0 has an in-edge and starts no order
+            preds = [int(v > 0) for v in range(g.n)]
+            for k, (a, b) in enumerate(g.edges):
+                if forward >> k & 1:
+                    preds[b] |= 1 << a
+                else:
+                    preds[a] |= 1 << b
+            yield from _linear_orders(preds, labels)
+
+
 def total_toric_extensions(t: ToricPoset) -> frozenset[tuple[int, ...]]:
     """All total toric orders extending t, as canonical cyclic orderings.
 
@@ -573,20 +642,14 @@ def total_toric_extensions(t: ToricPoset) -> frozenset[tuple[int, ...]]:
     restriction to G into a sink, so all n linearizations of a cyclic
     ordering restrict into the one class (Develin-Macauley-Reiner 2016).
     Each cyclic ordering is therefore listed once, as its linearization
-    that starts at vertex 0, made a predecessor of every other vertex.
-    The brute-force scan over all (n-1)! cyclic orderings is kept in the
-    test suite as an independent oracle.
+    that starts at vertex 0 (``_toric_orders``).  The brute-force scan over
+    all (n-1)! cyclic orderings is kept in the test suite as an independent
+    oracle.
     """
     n = t.graph.n
     if n > MAX_TOTAL_ORDER_VERTICES:
         raise TooLarge(f"{n} vertices exceeds the total-order search bound {MAX_TOTAL_ORDER_VERTICES}")
-    zero = t.graph.incident[0] if n else 0  # edges (0, b): bit set means 0 -> b
-    out: list[tuple[int, ...]] = []
-    for member in t.members:
-        if member.forward & zero == zero:  # else 0 has an in-edge and starts no order
-            preds = _successors(n, ((b, a) for a, b in member.directed_edges()))
-            out.extend(_linear_orders([p | 1 if v else p for v, p in enumerate(preds)]))
-    return frozenset(out)
+    return frozenset(_toric_orders(t, range(n)))
 
 
 def total_toric_order(n: int, order: Sequence[int], cap: int = DEFAULT_CLASS_CAP) -> ToricPoset:

@@ -18,7 +18,8 @@ R(y) of the y below w with no braid search, and for the counts that
 ``cyclic._interval_census`` reads off it.  ``commutativity_class`` lists
 the linear extensions of w's heap, which are its words (Cartier-Foata
 1969), and ``commutativity_classes`` takes them, least word first, over
-R(w).  The one search, ``_listing``, lists R_tor([w]) one C_tor class at
+R(w), or, for FC w, takes the one class without listing R(w).  The one
+search, ``_listing``, lists R_tor([w]) one C_tor class at
 a time for ``cyclic._rtor_listing``, up to a cyclic repeat, naming the
 moves to it.  Past a cap each listing raises ``OrbitCapExceeded``, an
 inconclusive outcome, never a guess.
@@ -219,7 +220,17 @@ def commutativity_classes(
 ) -> tuple[frozenset[Word], ...]:
     """Partition of R(w) under short braid moves, ordered by least member:
     the ``commutativity_class`` of the least word of R(w) not yet in a
-    class, repeatedly.  The cap is that of ``reduced_words``."""
+    class, repeatedly.  The cap is that of ``reduced_words``.  For FC w the
+    one class is the linear extensions of w's heap, and R(w) is not listed:
+    |L(h)| = |R(w)|, so the cap trips exactly as it would on R(w)."""
+    h = heap_of_word(g, w)
+    if _is_fc(h):  # which means FC only for reduced w; reduced_words checks the others
+        if not is_reduced(g, w):
+            raise NotReduced(f"{g.format(w)} is not reduced")
+        try:
+            return (linear_extensions(h, max(cap, 1)),)
+        except ExtensionCapExceeded:
+            raise OrbitCapExceeded(f"reduced-word set of {g.format(w)} exceeds cap {cap}") from None
     out: list[frozenset[Word]] = []
     placed: set[Word] = set()
     for u in sorted(reduced_words(g, w, cap)):

@@ -1,8 +1,12 @@
 """Smoke tests: the evidence scripts run end to end on the package."""
 
+import importlib.util
+import json
 import os
+import platform
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -85,3 +89,22 @@ def test_render_figures_b3(tmp_path):
         text = (tmp_path / name).read_text()
         assert text.startswith(kind) and text.endswith("}\n"), name
         assert "->" in text or "--" in text, name
+
+
+def test_bench_writes_report(tmp_path):
+    # one small case of each family, once: the report's shape, not its timings
+    spec = importlib.util.spec_from_file_location("bench", os.path.join(ROOT, "scripts", "bench.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert all((layer, family) in bench.BUILDERS for layer, family, _ in bench.CASES)
+    small = [(layer, family, 4) for layer, family in bench.BUILDERS]
+    out = tmp_path / "bench.json"
+    start = time.perf_counter()
+    assert bench.main([str(out)], cases=small, repeats=1) == 0
+    assert time.perf_counter() - start < 1
+    report = json.loads(out.read_text())
+    assert report["python"] == platform.python_version() and report["cpus"] == os.cpu_count()
+    assert set(report) == {"python", "cpus", "git_sha", "git_dirty", "repeats", "cases"}
+    # 4! linear extensions, 3! cyclic words, (4-1)! classes on K4, 4-1 on C4
+    assert [row["result_size"] for row in report["cases"]] == [24, 6, 6, 3]
+    assert bench.main([]) == 2

@@ -1,3 +1,4 @@
+import glob
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from coxheaps import heaps as H
 from coxheaps import toric as T
 from coxheaps import words as W
 from coxheaps.cli import main
+from coxheaps.coxgraph import load_coxeter_graph
 from coxheaps.errors import ClassCapExceeded, GraphMismatch, NotAcyclic, NotASink, NotASource, TooLarge
 from oracles import (
     bfs_toric_classes,
@@ -294,7 +296,8 @@ def test_toric_chains_closed_under_subsets():
                         assert T.is_toric_chain(t, sub)
 
 
-B3_JSON = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "graphs", "b3.json")
+GRAPHS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "graphs")
+B3_JSON = os.path.join(GRAPHS, "b3.json")
 # the reports for the README's B3 word, pinned byte for byte
 B3_RESULTS = {
     "hasse": {"edges": [[1, 3], [1, 5], [2, 3], [2, 5], [3, 4], [4, 5]]},
@@ -424,6 +427,30 @@ def test_cycle_imbalances_decide_equivalence(o):
     assert T.toric_classes(graph) == bfs_toric_classes(graph)
 
 
+def _named_graphs():
+    out = [(f"C{n}", cycle_graph(n)) for n in range(3, 10)]
+    out += [(f"K{n}", complete_graph(n)) for n in range(3, 7)]
+    for path in sorted(glob.glob(os.path.join(GRAPHS, "*.json"))):
+        g = load_coxeter_graph(path)
+        out.append((os.path.basename(path), T.Graph(g.rank, g.edges())))
+    rng = random.Random(7)
+    for k in range(6):
+        n = rng.randrange(3, 8)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        out.append((f"random{k}", T.graph_from_edges(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))))
+    return out
+
+
+@pytest.mark.parametrize("name, graph", _named_graphs())
+def test_carried_keys_group_like_the_flip_search(name, graph):
+    # the key the enumerator carries edge by edge is the packed _imbalance,
+    # and it groups Acyc(G) as the flip search does
+    base = 4 * len(graph.edges) + 1
+    for forward, key in T._acyclic_masks(graph):
+        assert key == sum(d * base ** c for c, d in enumerate(T._imbalance(graph, forward))), forward
+    assert T.toric_classes(graph) == bfs_toric_classes(graph)
+
+
 @given(small_graph_orientation())
 @settings(max_examples=25)
 def test_total_extensions_match_bruteforce(o):
@@ -446,21 +473,41 @@ def test_total_extensions_match_bruteforce_on_toric_heaps(name):
             assert T.total_toric_extensions(t) == brute_total_toric_extensions(t), word
 
 
+def _random_preds(rng, n):
+    """A seeded random DAG on 0..n-1, relabelled so that 0..n-1 need not be an order."""
+    label = rng.sample(range(n), n)
+    preds = [0] * n
+    for i, j in combinations(range(n), 2):
+        if rng.random() < 0.35:
+            preds[label[j]] |= 1 << label[i]
+    return preds
+
+
+def _filtered_orders(preds):
+    arcs = [(u, v) for v in range(len(preds)) for u in range(len(preds)) if preds[v] >> u & 1]
+    return [p for p in permutations(range(len(preds))) if all(p.index(u) < p.index(v) for u, v in arcs)]
+
+
 def test_linear_orders_match_permutation_filter():
-    # seeded random DAGs, relabelled so that 0..n-1 need not be an order;
-    # the filtered permutations come out least first
+    # labels from 3 letters repeat, so a missed order and an order listed twice both show
     rng = random.Random(11)
     for _ in range(300):
         n = rng.randrange(8)
-        label = rng.sample(range(n), n)
-        preds = [0] * n
-        for i, j in combinations(range(n), 2):
-            if rng.random() < 0.35:
-                preds[label[j]] |= 1 << label[i]
-        arcs = [(u, v) for v in range(n) for u in range(n) if preds[v] >> u & 1]
-        want = [p for p in permutations(range(n)) if all(p.index(u) < p.index(v) for u, v in arcs)]
-        assert list(T._linear_orders(preds)) == want, preds
-    assert list(T._linear_orders([0b10, 0b01, 0])) == []  # a cycle admits no order
+        preds = _random_preds(rng, n)
+        labels = [rng.randrange(3) for _ in range(n)]
+        want = sorted(tuple(labels[v] for v in p) for p in _filtered_orders(preds))
+        assert sorted(T._linear_orders(preds, labels)) == want, (preds, labels)
+    assert list(T._linear_orders([], [])) == [()]  # n = 0: one empty order
+    assert list(T._linear_orders([0b10, 0b01, 0], "abc")) == []  # a cycle admits no order
+
+
+def test_least_order_is_least_filtered_order():
+    rng = random.Random(12)
+    for _ in range(300):
+        preds = _random_preds(rng, rng.randrange(8))
+        assert T._least_order(preds) == _filtered_orders(preds)[0], preds
+    assert T._least_order([]) == ()
+    assert T._least_order([0b10, 0b01, 0]) is None
 
 
 def _hasse_with_order(t, edge_order):

@@ -226,6 +226,35 @@ def test_reduced_words_cap_is_exact(name):
                 assert len(W.reduced_words(g, w, cap)) == n, (g.format(w), cap)
 
 
+def _classes_over_rw(g, w, cap):
+    """The R(w) route: the commutativity class of the least word of R(w)
+    not yet placed, repeatedly, with R(w) listed first."""
+    out, placed = [], set()
+    for u in sorted(W.reduced_words(g, w, cap)):
+        if u not in placed:
+            out.append(W.commutativity_class(g, u))
+            placed |= out[-1]
+    return tuple(out)
+
+
+def _outcome(route, g, w, cap):
+    try:
+        return route(g, w, cap)
+    except OrbitCapExceeded as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name", ["B3", "H3", "A~3"])
+def test_commutativity_classes_match_rw_route(name):
+    # the FC shortcut lists the heap's extensions, not R(w): same classes,
+    # and the same cap error at cap |R(w)| - 1
+    g = _INTERVAL_SYSTEMS[name]
+    for w in W.elements_up_to(g, 8):
+        n = len(W.reduced_words(g, w))
+        for cap in (n, n - 1):
+            assert _outcome(W.commutativity_classes, g, w, cap) == _outcome(_classes_over_rw, g, w, cap), (g.format(w), cap)
+
+
 def test_elements_up_to_edges(b3):
     assert W.elements_up_to(b3, 0) == [()]
     assert W.elements_up_to(b3, 1) == [(), (0,), (1,), (2,)]
