@@ -8,7 +8,8 @@ REPEATS times; the report keeps every run, their median and the size of
 the result, so that two checkouts can be compared case by case.  The
 cases are the linear extensions of the free heap (pairwise commuting
 letters, n! orders) on 7, 8 and 9 letters, L_tor of the free 8-letter word
-(7! cyclic words), and the toric classes of K6, K7 and C12.  The report
+(7! cyclic words), the R_tor listing of the square of the Coxeter element
+of C~4 and C~5, and the toric classes of K6, K7 and C12.  The report
 also records the Python version, the CPU count and the git commit of the
 checkout, with whether its tree had uncommitted changes.  The package is
 imported from this checkout's ``src/``.
@@ -27,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from coxheaps import catalog  # noqa: E402
 from coxheaps import cyclic as CY  # noqa: E402
 from coxheaps import heaps as H  # noqa: E402
 from coxheaps import toric as T  # noqa: E402
@@ -38,6 +40,13 @@ REPEATS = 5
 def _free_word(n):
     """n generators with no bonds, and the word using each once."""
     return CoxeterGraph([f"s{i}" for i in range(1, n + 1)]), tuple(range(n))
+
+
+def _affine_c_coxeter_squared(n):
+    """The C~n chain s0 - s1 - ... - sn, with 4-bonds at both ends, and the
+    square of its Coxeter element s0 s2 ... s1 s3 ... (even letters first)."""
+    g = catalog.chain([f"s{i}" for i in range(n + 1)], [4] + [3] * (n - 2) + [4])
+    return g, (tuple(range(0, n + 1, 2)) + tuple(range(1, n + 1, 2))) * 2
 
 
 def _complete(n):
@@ -52,6 +61,8 @@ def _cycle(n):
 BUILDERS = {
     ("heaps.linear_extensions", "free word"): lambda n: partial(H.linear_extensions, H.heap_of_word(*_free_word(n))),
     ("cyclic.ltor", "free word"): lambda n: partial(CY.ltor, CY.toric_heap_of_word(*_free_word(n))),
+    ("cyclic.rtor_cyclic_class", "C~n Coxeter element squared"):
+        lambda n: partial(CY.rtor_cyclic_class, *_affine_c_coxeter_squared(n)),
     ("toric.toric_classes", "complete graph"): lambda n: partial(T.toric_classes, _complete(n)),
     ("toric.toric_classes", "cycle graph"): lambda n: partial(T.toric_classes, _cycle(n)),
 }
@@ -60,6 +71,8 @@ CASES = (
     ("heaps.linear_extensions", "free word", 8),
     ("heaps.linear_extensions", "free word", 9),
     ("cyclic.ltor", "free word", 8),
+    ("cyclic.rtor_cyclic_class", "C~n Coxeter element squared", 4),
+    ("cyclic.rtor_cyclic_class", "C~n Coxeter element squared", 5),
     ("toric.toric_classes", "complete graph", 6),
     ("toric.toric_classes", "complete graph", 7),
     ("toric.toric_classes", "cycle graph", 12),
@@ -102,7 +115,7 @@ def main(argv, cases=CASES, repeats=REPEATS):
     for layer, family, size in cases:
         row = measure(layer, family, size, repeats)
         report["cases"].append(row)
-        print(f"{layer:26s} {family:15s} {size:3d}  {row['median_s']:.4f} s  ({row['result_size']} out)")
+        print(f"{layer:26s} {family:27s} {size:3d}  {row['median_s']:.4f} s  ({row['result_size']} out)")
     Path(argv[0]).write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

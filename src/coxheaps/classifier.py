@@ -109,7 +109,7 @@ def is_cfc(g: CoxeterGraph, w: Word) -> bool:
     word = g.check_word(w)
     if (found := _rotation_pass(g, word)) is None:
         raise NotReduced(f"{g.format(w)} is not reduced")
-    return all(i >= j for i, j in found[1]) and next(_moved_words(g, word), None) is None
+    return _bad_rotation(word, found[1]) is None and next(_moved_words(g, word), None) is None
 
 
 def is_tfc(g: CoxeterGraph, w: Word) -> bool:

@@ -10,17 +10,18 @@ conjugation at fixed length:
   reduced (strictly stronger);
 * C_tor([w]): closure of [w] under rotations + short braid moves;
 * R_tor([w]): closure of [w] under rotations + all braid moves, listed one
-  C_tor class at a time by ``words._listing``, which reads the moves of
+  C_tor class at a time by ``_rtor_listing``, which reads the moves of
   every rotation off the doubled word and meets a cyclic repeat when w is
-  not torically reduced (Tits); the one search both decides and names the
-  chain of moves to that repeat, which ``toric_reduction_witness`` returns.
+  not torically reduced (Tits).  It records the move it first meets each
+  word by, so the chain of moves to that repeat, which
+  ``toric_reduction_witness`` returns, is replayed, not searched for.
 
 Toric reducedness and [w], the elements named by R_tor(w), need no
 listing: those elements are the cyclic shift class of w's element
 (Geck-Pfeiffer 2000, 3.2; Marquis 2021), which ``_shift_class`` walks one
 element at a time, each read off one root-sequence pass; a listing past
-its cap asks the walk (``_rtor_listing``), keeps its cap error only for a
-torically reduced w, and names no chain for any other.
+its cap asks the walk, keeps its cap error only for a torically reduced
+w, and names no chain for any other.
 
 Element-level cyclic reducedness lists no word either.  The rotations of
 a word are windows of the doubled word, which one root-sequence pass
@@ -38,6 +39,7 @@ suite checks equals C_tor([w]) by an independent route.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -54,8 +56,7 @@ from .heaps import Heap, _is_fc, heap_of_word, word_orientation
 from .words import (
     DEFAULT_ORBIT_CAP,
     NormalForm,
-    _least_rotation,
-    _listing,
+    _moves,
     _weak_order_levels,
     has_adjacent_repeat,
     normal_form,
@@ -72,6 +73,12 @@ class CyclicWord:
         return len(self.canonical)
 
 
+def _least_rotation(word: Word) -> Word:
+    """The least rotation, which starts at an occurrence of the least letter."""
+    n, doubled, least = len(word), word + word, min(word, default=None)
+    return min([doubled[k : k + n] for k in range(n) if word[k] == least], default=())
+
+
 def cyclic_word(w: Iterable[int]) -> CyclicWord:
     return CyclicWord(_least_rotation(tuple(w)))
 
@@ -83,9 +90,10 @@ def rotations(cw: CyclicWord | Word) -> tuple[Word, ...]:
 
 
 def is_cyclically_reduced_word(g: CoxeterGraph, w: Word) -> bool:
-    """Every rotation of the word is reduced (``_rotation_pass``)."""
-    found = _rotation_pass(g, g.check_word(w))
-    return found is not None and all(i >= j for i, j in found[1])
+    """Every rotation of the word is reduced (``_bad_rotation``)."""
+    word = g.check_word(w)
+    found = _rotation_pass(g, word)
+    return found is not None and _bad_rotation(word, found[1]) is None
 
 
 def _rotation_pass(g: CoxeterGraph, word: Word) -> tuple[dict, list[tuple[int, int]]] | None:
@@ -251,16 +259,89 @@ def is_torically_reduced(g: CoxeterGraph, w: Word) -> bool:
 
 
 def _rtor_listing(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], list[list[Word]]]:
-    """R_tor([w]) by C_tor classes (``words._listing``).  Past the cap,
-    ``_shift_class`` settles it: the cap error stands only for a torically
-    reduced w, and any other gets NotToricallyReduced with no ``chain``.
-    The walk runs only then, as the listing costs less."""
-    try:
-        return _listing(g, w, cap)
-    except OrbitCapExceeded:
-        if _shift_class(g, w) is None:
-            raise NotToricallyReduced(f"{g.format(w)} is not torically reduced") from None
-        raise
+    """List R_tor([w]), one C_tor class at a time.
+
+    Its words are least rotations, and the moves act on every rotation,
+    read off the doubled word u u: the move at position 0 of rotation i is
+    the one at position i of u u.  A short move (m = 2) adds its result to
+    the class being listed; a long move queues it as the seed of a later
+    class.  ``found`` maps each word found to its class index, or to -1
+    while queued, so each word is expanded once, and ``made`` maps it to
+    the (u, i) of the move it was first met by.  A word with a cyclic
+    repeat raises NotToricallyReduced when met, before the cap, with the
+    ``chain`` those moves replay (``_witness``).  The first word listed
+    past the cap is settled by ``_shift_class`` (``_past_cap``).
+    """
+    x = g.check_word(w)
+    start, n, bond = _least_rotation(x), len(x), g.bond_table
+    if n > 1 and has_adjacent_repeat(start + start[:1]):
+        raise _witness(g, x, {}, start)
+    found, made = {start: 0}, {}
+    classes = [[start]]
+    seeds: deque[Word] = deque()
+    get = found.get
+    listed = 1
+    for index, members in enumerate(classes):
+        for cur in members:
+            d = cur + cur
+            for i, m, move in _moves(bond, d, range(n), n):
+                nxt = _least_rotation(move + d[i + m : i + n])
+                state = get(nxt)
+                if state is None:
+                    made[nxt] = cur, i
+                    if has_adjacent_repeat(nxt + nxt[:1]):
+                        raise _witness(g, x, made, nxt)
+                    if m > 2:
+                        found[nxt] = -1
+                        seeds.append(nxt)
+                        continue
+                elif state >= 0 or m > 2:
+                    continue
+                if listed >= cap:
+                    raise _past_cap(g, x, cap)
+                listed += 1
+                found[nxt] = index
+                members.append(nxt)
+        while seeds and found[seeds[0]] >= 0:
+            seeds.popleft()
+        if seeds:
+            if listed >= cap:
+                raise _past_cap(g, x, cap)
+            listed += 1
+            found[seeds[0]] = len(classes)
+            classes.append([seeds.popleft()])
+    return found, classes
+
+
+def _witness(g: CoxeterGraph, x: Word, made: dict, last: Word) -> NotToricallyReduced:
+    """The error for x, whose listing met ``last``, with its ``chain``: the
+    moves ``made`` records from x to ``last``, replayed.  Each is the move
+    at position 0 of rotation i of its u: rotate to that rotation, unless
+    the chain is at it, and make the move; a rotation by 1 joins a repeat
+    that wraps around."""
+    steps = []
+    while last in made:
+        steps.append(made[last])
+        last = steps[-1][0]
+    chain, y, n, bond = [x], x, len(x), g.bond_table
+    for u, i in reversed(steps):
+        r = (u + u)[i : i + n]
+        _, m, move = next(_moves(bond, r, (0,), n))
+        y = move + r[m:]
+        chain += [y] if r == chain[-1] else [r, y]
+    err = NotToricallyReduced(f"{g.format(x)} is not torically reduced")
+    err.chain = tuple(chain) if has_adjacent_repeat(y) else (*chain, y[1:] + y[:1])
+    return err
+
+
+def _past_cap(g: CoxeterGraph, x: Word, cap: int) -> Exception:
+    """The error of a listing of R_tor([x]) past its cap: the cap error
+    stands only for a torically reduced x (``_shift_class``), and any other
+    gets NotToricallyReduced with no ``chain``.  The walk runs only then,
+    as the listing costs less."""
+    if _shift_class(g, x) is None:
+        return NotToricallyReduced(f"{g.format(x)} is not torically reduced")
+    return OrbitCapExceeded(f"cyclic closure of {g.format(x)} exceeds cap {cap}")
 
 
 def rtor_cyclic_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[CyclicWord]:

@@ -233,24 +233,6 @@ def _linear_orders(preds: Sequence[int], labels: Sequence) -> Iterator[tuple]:
             return
 
 
-def _sink_layers(succ: Sequence[int]) -> list[int]:
-    """Bitmasks of the layers of sinks peeled off a digraph in turn, so that
-    every vertex lies in a later layer than each vertex it points to.  The
-    layers miss some vertex exactly when the digraph has a directed cycle."""
-    layers = []
-    left = (1 << len(succ)) - 1
-    while left:
-        sinks = 0
-        for v in _bits(left):
-            if not succ[v] & left:
-                sinks |= 1 << v
-        if not sinks:
-            break
-        layers.append(sinks)
-        left ^= sinks
-    return layers
-
-
 def _imbalance(graph: Graph, forward: int) -> tuple[int, ...]:
     """(#edges run along) - (#against) on each cycle of ``graph.cycle_basis``.
 
@@ -274,18 +256,19 @@ def _has_cycle(graph: Graph, forward: int) -> bool:
             succ[a] |= 1 << b
         else:
             succ[b] |= 1 << a
-    return sum(_sink_layers(succ)) != (1 << graph.n) - 1
+    return _least_order(succ) is None
 
 
 def _reach(succ: Sequence[int]) -> tuple[list[int], list[int]]:
     """down[v] / up[v]: bitmasks of the vertices that v reaches / that reach
-    v along arcs of an acyclic digraph, v itself included."""
+    v along arcs of an acyclic digraph, v itself included, folded in the
+    order of ``_least_order``, where each vertex comes after the vertices
+    it points to."""
     n = len(succ)
     down = [1 << v for v in range(n)]
-    for layer in _sink_layers(succ):
-        for u in _bits(layer):
-            for v in _bits(succ[u]):
-                down[u] |= down[v]
+    for u in _least_order(succ):
+        for v in _bits(succ[u]):
+            down[u] |= down[v]
     up = [0] * n
     for u in range(n):
         for v in _bits(down[u]):

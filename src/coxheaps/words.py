@@ -2,9 +2,10 @@
 
 A braid move replaces a factor <s,t>_{m(s,t)} by <t,s>_{m(s,t)}; moves with
 m = 2 are "short".  The move is built once, in ``_moves``, which
-``braid_moves`` and ``_listing`` read.  The closure of a word under all
-single braid moves is its braid orbit, which for a reduced word is the set
-R(w) of all reduced words of its element (Matsumoto's theorem).
+``braid_moves`` and the R_tor listing of ``cyclic`` read.  The closure of a
+word under all single braid moves is its braid orbit, which for a reduced
+word is the set R(w) of all reduced words of its element (Matsumoto's
+theorem).
 
 Deciding needs no search: ``is_reduced`` and ``normal_form`` use the exact
 root-sequence criterion in ``roots``, in time polynomial in the length, so
@@ -18,25 +19,22 @@ R(y) of the y below w with no braid search, and for the counts that
 ``cyclic._interval_census`` reads off it.  ``commutativity_class`` lists
 the linear extensions of w's heap, which are its words (Cartier-Foata
 1969), and ``commutativity_classes`` takes them, least word first, over
-R(w), or, for FC w, takes the one class without listing R(w).  The one
-search, ``_listing``, lists R_tor([w]) one C_tor class at
-a time for ``cyclic._rtor_listing``, up to a cyclic repeat, naming the
-moves to it.  Past a cap each listing raises ``OrbitCapExceeded``, an
-inconclusive outcome, never a guess.
+R(w), or, for FC w, takes the one class without listing R(w).  Past a cap
+each listing raises ``OrbitCapExceeded``, an inconclusive outcome, never
+a guess.
 
 All functions are pure; words are tuples of generator indices.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from operator import neg
 from typing import Iterable, Iterator
 
 from .coxgraph import CoxeterGraph, Word
-from .errors import ExtensionCapExceeded, NotReduced, NotToricallyReduced, OrbitCapExceeded
+from .errors import ExtensionCapExceeded, NotReduced, OrbitCapExceeded
 from .heaps import _is_fc, heap_of_word, linear_extensions
 
 DEFAULT_ORBIT_CAP = 2_000_000
@@ -75,92 +73,6 @@ def braid_moves(g: CoxeterGraph, w: Word) -> Iterator[Word]:
     word = g.check_word(w)
     for i, m, move in _moves(g.bond_table, word, range(len(word) - 1), len(word)):
         yield word[:i] + move + word[i + m :]
-
-
-def _least_rotation(word: Word) -> Word:
-    """The least rotation, which starts at an occurrence of the least letter."""
-    n, doubled, least = len(word), word + word, min(word, default=None)
-    return min([doubled[k : k + n] for k in range(n) if word[k] == least], default=())
-
-
-def has_cyclic_repeat(word: Word) -> bool:
-    """Two equal letters adjacent in the cyclic order (wrap-around included)."""
-    m = len(word)
-    return m > 1 and any(word[i] == word[(i + 1) % m] for i in range(m))
-
-
-def _listing(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], list[list[Word]]]:
-    """List R_tor([w]), one C_tor class at a time.
-
-    Its words are least rotations, and the moves act on every rotation,
-    read off the doubled word u u: the move at position 0 of rotation i is
-    the one at position i of u u.  A short move (m = 2) adds its result to
-    the class being listed; a long move queues it as the seed of a later
-    class.  ``found`` maps each word found to its class index, or to -1
-    while queued, so each word is expanded once.  The first word listed
-    past the cap raises OrbitCapExceeded for the "cyclic closure".  A word
-    with a cyclic repeat raises NotToricallyReduced when met, before the
-    cap, with the chain of moves along ``parent``, the word each was met
-    from.
-    """
-    start = _least_rotation(g.check_word(w))
-    if has_cyclic_repeat(start):
-        raise _not_torically_reduced(g, w, {}, start)
-    bond = g.bond_table
-    n = len(start)
-    found, parent = {start: 0}, {}
-    classes = [[start]]
-    seeds: deque[Word] = deque()
-    get = found.get
-    listed = 1
-    for index, members in enumerate(classes):
-        for cur in members:
-            d = cur + cur
-            for i, m, move in _moves(bond, d, range(n), n):
-                nxt = _least_rotation(move + d[i + m : i + n])
-                state = get(nxt)
-                if state is None:
-                    parent[nxt] = cur
-                    if has_cyclic_repeat(nxt):
-                        raise _not_torically_reduced(g, w, parent, nxt)
-                    if m > 2:
-                        found[nxt] = -1
-                        seeds.append(nxt)
-                        continue
-                elif state >= 0 or m > 2:
-                    continue
-                if listed >= cap:
-                    raise OrbitCapExceeded(f"cyclic closure of {g.format(w)} exceeds cap {cap}")
-                listed += 1
-                found[nxt] = index
-                members.append(nxt)
-        while seeds and found[seeds[0]] >= 0:
-            seeds.popleft()
-        if seeds:
-            if listed >= cap:
-                raise OrbitCapExceeded(f"cyclic closure of {g.format(w)} exceeds cap {cap}")
-            listed += 1
-            found[seeds[0]] = len(classes)
-            classes.append([seeds.popleft()])
-    return found, classes
-
-
-def _not_torically_reduced(g: CoxeterGraph, w: Word, parent: dict, last: Word) -> NotToricallyReduced:
-    """The error for w, whose listing met ``last``, with its ``chain``: along
-    the least rotations ``parent`` leads back from ``last``, rotate to each
-    move made and make it; a rotation by 1 joins a repeat that wraps around."""
-    path, x = [last], g.check_word(w)
-    while path[-1] in parent:
-        path.append(parent[path[-1]])
-    chain, n, bond = [x], len(x), g.bond_table
-    for nxt in path[-2::-1]:
-        r, m, move = next((r, m, move) for r in (x[k:] + x[:k] for k in range(n))
-                          for _, m, move in _moves(bond, r, (0,), n) if _least_rotation(move + r[m:]) == nxt)
-        x = move + r[m:]
-        chain += [x] if r == chain[-1] else [r, x]
-    err = NotToricallyReduced(f"{g.format(w)} is not torically reduced")
-    err.chain = tuple(chain) if has_adjacent_repeat(x) else (*chain, x[1:] + x[:1])
-    return err
 
 
 def commutativity_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[Word]:

@@ -4,7 +4,7 @@ The main library decides the word problem from root sequences (``roots``),
 lists R(w) up the weak-order interval [e, w]_R (``words.reduced_words``),
 counts it and its commutativity classes on the same walk
 (``cyclic._interval_census``) and lists R_tor by its own braid-move search
-(``words._listing``).  The oracles here go through the standard geometric
+(``cyclic._rtor_listing``).  The oracles here go through the standard geometric
 representation instead: each generator acts on the root-coordinate space
 by an exact matrix over a quadratic integer ring (Z, Z[sqrt2], Z[phi],
 ...), which is faithful, so matrix equality decides element equality and a

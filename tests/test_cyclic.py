@@ -227,7 +227,9 @@ SWEEP_SYSTEMS = {
 def test_shift_class_matches_listing(name):
     # every element of up to 7 letters, 6 in rank 5 and up: toric
     # reducedness from the element walk against the R_tor listing, and [w]
-    # once per listed class, which is the [w] of each of its elements
+    # once per listed class, which is the [w] of each of its elements; and
+    # the chain the listing replays is a chain of moves to a repeat, named
+    # exactly when w is not torically reduced
     g = SWEEP_SYSTEMS[name]
     listed: dict = {}  # normal form -> the listed [w] that holds it
     for w in W.elements_up_to(g, 7 if g.rank <= 4 else 6):
@@ -241,6 +243,9 @@ def test_shift_class_matches_listing(name):
                 assert CY.torically_equivalent_elements(g, w) == want, g.format(w)
                 listed.update(dict.fromkeys((x.word for x in want), want))
         assert CY.is_torically_reduced(g, w) == (w in listed), g.format(w)
+        chain = CY.toric_reduction_witness(g, w)
+        assert (chain is None) == (w in listed), g.format(w)
+        assert chain is None or is_move_chain(g, w, chain), g.format(w)
 
 
 def test_shift_class_of_long_words(affine_a3):

@@ -105,6 +105,7 @@ def test_bench_writes_report(tmp_path):
     report = json.loads(out.read_text())
     assert report["python"] == platform.python_version() and report["cpus"] == os.cpu_count()
     assert set(report) == {"python", "cpus", "git_sha", "git_dirty", "repeats", "cases"}
-    # 4! linear extensions, 3! cyclic words, (4-1)! classes on K4, 4-1 on C4
-    assert [row["result_size"] for row in report["cases"]] == [24, 6, 6, 3]
+    # 4! linear extensions, 3! cyclic words, 260 cyclic words in R_tor of
+    # (s0 s2 s4 s1 s3)^2 over C~4, (4-1)! classes on K4, 4-1 on C4
+    assert [row["result_size"] for row in report["cases"]] == [24, 6, 260, 6, 3]
     assert bench.main([]) == 2
