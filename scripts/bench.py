@@ -1,18 +1,25 @@
 #!/usr/bin/env python3
-"""Time the listing layers at fixed sizes and write the medians as JSON.
+"""Time the listing layers and the CLI at fixed sizes and write the medians as JSON.
 
     python scripts/bench.py BENCH_<n>.json
 
-Each case builds its input first and then times one call, in this process,
-REPEATS times; the report keeps every run, their median and the size of
-the result, so that two checkouts can be compared case by case.  The
-cases are the linear extensions of the free heap (pairwise commuting
-letters, n! orders) on 7, 8 and 9 letters, L_tor of the free 8-letter word
-(7! cyclic words), the R_tor listing of the square of the Coxeter element
-of C~4 and C~5, and the toric classes of K6, K7 and C12.  The report
-also records the Python version, the CPU count and the git commit of the
-checkout, with whether its tree had uncommitted changes.  The package is
-imported from this checkout's ``src/``.
+Each case builds its input first and then times one call REPEATS times;
+the report keeps every run, their median and the size of the result, so
+that two checkouts can be compared case by case.  The in-process cases
+are the linear extensions of the free heap (pairwise commuting letters,
+n! orders) on 7, 8 and 9 letters, L_tor of the free 8-letter word (7!
+cyclic words), the R_tor listing of the square of the Coxeter element of
+C~4 and C~5, and the toric classes of K6, K7 and C12.  The CLI cases each
+time one fresh ``python -m coxheaps`` process, start to exit, and count
+the characters it prints: ``graph toric-classes`` on graphs/affine_c<n>.json
+for C~2, C~3 and C~4, and ``word classify`` on graphs/b3.json for the
+first 3, 6 and 9 letters of a reduced word of the longest element of B3.
+The report also records the Python version, the CPU count, whether the
+interpreter writes no bytecode (``sys.flags.dont_write_bytecode``; the CLI
+processes inherit the setting, and without cached bytecode each compiles
+the modules it imports), and the git commit of the checkout, with whether
+its tree had uncommitted changes.  The package is imported from this
+checkout's ``src/``.
 """
 
 import json
@@ -57,6 +64,16 @@ def _cycle(n):
     return T.graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+B3_LONGEST = "s1 s2 s1 s2 s3 s2 s1 s2 s3"  # a reduced word of w0, so each prefix is reduced
+
+
+def _cli(*argv):
+    """What one ``python -m coxheaps`` process on this checkout prints."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "coxheaps", *argv], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
 # (layer, input family) -> size -> the call to time, its input built here
 BUILDERS = {
     ("heaps.linear_extensions", "free word"): lambda n: partial(H.linear_extensions, H.heap_of_word(*_free_word(n))),
@@ -65,6 +82,10 @@ BUILDERS = {
         lambda n: partial(CY.rtor_cyclic_class, *_affine_c_coxeter_squared(n)),
     ("toric.toric_classes", "complete graph"): lambda n: partial(T.toric_classes, _complete(n)),
     ("toric.toric_classes", "cycle graph"): lambda n: partial(T.toric_classes, _cycle(n)),
+    ("cli graph toric-classes", "C~n graph file"):
+        lambda n: partial(_cli, "graph", "toric-classes", "-g", f"graphs/affine_c{n}.json"),
+    ("cli word classify", "B3 word of n letters"):
+        lambda n: partial(_cli, "word", "classify", "-g", "graphs/b3.json", " ".join(B3_LONGEST.split()[:n])),
 }
 CASES = (
     ("heaps.linear_extensions", "free word", 7),
@@ -76,6 +97,12 @@ CASES = (
     ("toric.toric_classes", "complete graph", 6),
     ("toric.toric_classes", "complete graph", 7),
     ("toric.toric_classes", "cycle graph", 12),
+    ("cli graph toric-classes", "C~n graph file", 2),
+    ("cli graph toric-classes", "C~n graph file", 3),
+    ("cli graph toric-classes", "C~n graph file", 4),
+    ("cli word classify", "B3 word of n letters", 3),
+    ("cli word classify", "B3 word of n letters", 6),
+    ("cli word classify", "B3 word of n letters", 9),
 )
 
 
@@ -107,6 +134,7 @@ def main(argv, cases=CASES, repeats=REPEATS):
     report = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "git_sha": _git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
         "repeats": repeats,

@@ -26,7 +26,6 @@ bounded by their inputs, never theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import toric
@@ -53,6 +52,7 @@ from .errors import (
     SpokeError,
 )
 from .heaps import _convex_windows, _down_sets, _is_fc, heap_of_word
+from .records import Record, _set
 from .words import (
     DEFAULT_ORBIT_CAP,
     is_fc,
@@ -133,8 +133,7 @@ def is_faux_cfc(g: CoxeterGraph, w: Word) -> bool:
     return is_tfc(g, w) and not is_cfc(g, w)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     """Full verdict sheet for one input word.
 
     ``cyclically_reduced`` is the element-level notion (every reduced word
@@ -151,8 +150,22 @@ class ClassificationReport:
     cfc: bool
     tfc: bool
     faux_cfc: bool
-    counts: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
+    counts: dict
+    witnesses: dict
+
+    def __init__(self, word: Word, reduced: bool, cyclically_reduced: bool, torically_reduced: bool,
+                 fc: bool, cfc: bool, tfc: bool, faux_cfc: bool,
+                 counts: dict | None = None, witnesses: dict | None = None):
+        _set(self, "word", word)
+        _set(self, "reduced", reduced)
+        _set(self, "cyclically_reduced", cyclically_reduced)
+        _set(self, "torically_reduced", torically_reduced)
+        _set(self, "fc", fc)
+        _set(self, "cfc", cfc)
+        _set(self, "tfc", tfc)
+        _set(self, "faux_cfc", faux_cfc)
+        _set(self, "counts", {} if counts is None else counts)
+        _set(self, "witnesses", {} if witnesses is None else witnesses)
 
     def to_json(self, g: CoxeterGraph) -> dict:
         witnesses = {}
@@ -226,14 +239,19 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
     )
 
 
-@dataclass(frozen=True)
-class LogProbe:
+class LogProbe(Record):
     """K-bounded logarithmicity check; a positive report is not a proof."""
 
     word: Word
     up_to: int
     lengths: tuple[int, ...]  # lengths of w^1 .. w^K
     violation_at: int | None
+
+    def __init__(self, word: Word, up_to: int, lengths: tuple[int, ...], violation_at: int | None):
+        _set(self, "word", word)
+        _set(self, "up_to", up_to)
+        _set(self, "lengths", lengths)
+        _set(self, "violation_at", violation_at)
 
     @property
     def holds(self) -> bool:
@@ -354,10 +372,13 @@ def alternating(s: int, t: int, m: int) -> Word:
     return tuple(s if k % 2 == 0 else t for k in range(m))
 
 
-@dataclass(frozen=True)
-class TfcConstruction:
+class TfcConstruction(Record):
     word: Word
     tfc: bool
+
+    def __init__(self, word: Word, tfc: bool):
+        _set(self, "word", word)
+        _set(self, "tfc", tfc)
 
 
 def tfc_constructor(g: CoxeterGraph, spoke: tuple[str | int, str | int], u: Word) -> TfcConstruction:
@@ -386,8 +407,7 @@ def tfc_constructor(g: CoxeterGraph, spoke: tuple[str | int, str | int], u: Word
     return TfcConstruction(word, is_tfc(g, word))
 
 
-@dataclass(frozen=True)
-class ConjectureProbe:
+class ConjectureProbe(Record):
     """Evidence row for the braid-shortening conjecture; never a proof.
 
     For a faux-CFC word <s,t>_m u the conjecture predicts that
@@ -405,8 +425,17 @@ class ConjectureProbe:
     seed_avoids_st: bool
     shortened_tfc: bool
     shortened_cfc: bool
+    note: str
 
-    note: str = "evidence only, not a theorem"
+    def __init__(self, word: Word, shortened: Word, seed_torically_reduced: bool, seed_avoids_st: bool,
+                 shortened_tfc: bool, shortened_cfc: bool, note: str = "evidence only, not a theorem"):
+        _set(self, "word", word)
+        _set(self, "shortened", shortened)
+        _set(self, "seed_torically_reduced", seed_torically_reduced)
+        _set(self, "seed_avoids_st", seed_avoids_st)
+        _set(self, "shortened_tfc", shortened_tfc)
+        _set(self, "shortened_cfc", shortened_cfc)
+        _set(self, "note", note)
 
     @property
     def applicable(self) -> bool:

@@ -7,6 +7,12 @@ with the input echoed; ``--format dot`` switches to DOT where a diagram
 makes sense.  Exit codes: 0 success, 1 domain error, 2 usage error, 3
 resource cap exceeded.  Output is byte-identical across runs on identical
 inputs.
+
+Each branch of ``_run`` imports the modules its command calls, so a call
+loads only those: ``graph validate`` loads none beyond ``coxgraph`` and
+``errors``, the other ``graph`` commands build their ``toric.Graph``
+without ``classifier``, and the ``word`` commands but ``classify`` load
+``words`` without ``toric`` or ``cyclic``.
 """
 
 from __future__ import annotations
@@ -15,19 +21,14 @@ import argparse
 import json
 import sys
 
-from . import cyclic as CY
-from . import heaps as H
-from . import render
-from . import toric as T
-from . import words as W
-from .classifier import (
-    classify,
-    coxeter_conjugacy_classes,
-    coxeter_elements,
-    coxeter_graph_skeleton,
-)
 from .coxgraph import CoxeterGraph, load_coxeter_graph
-from .errors import CoxError, ResourceCapExceeded
+from .errors import (
+    DEFAULT_CLASS_CAP,
+    DEFAULT_EXTENSION_CAP,
+    DEFAULT_ORBIT_CAP,
+    CoxError,
+    ResourceCapExceeded,
+)
 
 SCHEMA_VERSION = 1
 
@@ -45,11 +46,11 @@ def _positive_int(text: str) -> int:
 _ARGUMENTS = {
     "word": dict(help='word, e.g. "s3 s1 s2 s1 s2" or "31212"'),
     "--format": dict(choices=["json", "dot"], default="json"),
-    "--max-orbit": dict(type=_positive_int, default=W.DEFAULT_ORBIT_CAP,
+    "--max-orbit": dict(type=_positive_int, default=DEFAULT_ORBIT_CAP,
                         help="cap on braid-orbit listings; deciding reducedness needs none"),
-    "--max-class": dict(type=_positive_int, default=T.DEFAULT_CLASS_CAP,
+    "--max-class": dict(type=_positive_int, default=DEFAULT_CLASS_CAP,
                         help="cap on the toric class that toric ltor lists"),
-    "--max-extensions": dict(type=_positive_int, default=H.DEFAULT_EXTENSION_CAP),
+    "--max-extensions": dict(type=_positive_int, default=DEFAULT_EXTENSION_CAP),
     "--x": dict(type=int, required=True),
     "--y": dict(type=int, required=True),
 }
@@ -90,7 +91,8 @@ def _cyclic_words(g: CoxeterGraph, items) -> list[str]:
     return sorted("[" + g.format(cw.canonical) + "]" for cw in items)
 
 
-def _edge_list(graph: T.Graph) -> list[list[int]]:
+def _edge_list(graph) -> list[list[int]]:
+    """The edges of a ``toric.Graph``, 1-based."""
     return [[a + 1, b + 1] for a, b in graph.edges]
 
 
@@ -102,82 +104,102 @@ def _run(args) -> tuple[dict | str, int]:
 
     if key == "graph.validate":
         result = {"generators": list(g.generators), "rank": g.rank, "graph": g.to_json()}
-    elif key == "graph.orientations":
-        skel = coxeter_graph_skeleton(g)
-        orients = T.all_acyclic_orientations(skel)
-        if args.format == "dot":
-            return "".join(render.orientation_to_dot(o, g.generators) for o in orients), 0
-        result = {"count": len(orients), "orientations": [o.bitstring() for o in orients],
-                  "edgeOrder": [[g.name(a), g.name(b)] for a, b in skel.edges]}
-    elif key == "graph.toric-classes":
-        skel = coxeter_graph_skeleton(g)
-        classes = T.toric_classes(skel)
-        result = {
-            "count": len(classes),
-            "classes": [sorted(o.bitstring() for o in cls) for cls in classes],
-            "edgeOrder": [[g.name(a), g.name(b)] for a, b in skel.edges],
-        }
-    elif key == "graph.tutte":
-        skel = coxeter_graph_skeleton(g)
-        result = {"x": args.x, "y": args.y, "value": T.tutte(skel, args.x, args.y)}
-    elif key == "word.reduce":
-        nf = W.normal_form(g, word)
-        result = {"word": g.format(nf.word), "length": nf.length}
-    elif key == "word.reduced-words":
-        result = {"words": _words(g, W.reduced_words(g, word, args.max_orbit))}
-    elif key == "word.comm-classes":
-        classes = W.commutativity_classes(g, word, args.max_orbit)
-        result = {"count": len(classes), "classes": [_words(g, c) for c in classes]}
+    elif args.group == "graph":
+        from . import toric as T
+
+        skel = T.Graph(g.rank, g.edges())
+        edge_order = [[g.name(a), g.name(b)] for a, b in skel.edges]
+        if args.command == "tutte":
+            result = {"x": args.x, "y": args.y, "value": T.tutte(skel, args.x, args.y)}
+        elif args.command == "orientations":
+            orients = T.all_acyclic_orientations(skel)
+            if args.format == "dot":
+                from .render import orientation_to_dot
+
+                return "".join(orientation_to_dot(o, g.generators) for o in orients), 0
+            result = {"count": len(orients), "orientations": [o.bitstring() for o in orients],
+                      "edgeOrder": edge_order}
+        else:
+            classes = T.toric_classes(skel)
+            result = {"count": len(classes), "classes": [sorted(o.bitstring() for o in cls) for cls in classes],
+                      "edgeOrder": edge_order}
     elif key == "word.classify":
+        from .classifier import classify
+
         result = classify(g, word, args.max_orbit).to_json(g)
-    elif key == "cyclic.rtor":
-        result = {"cyclicWords": _cyclic_words(g, CY.rtor_cyclic_class(g, word, args.max_orbit))}
-    elif key == "cyclic.ctor":
-        result = {"cyclicWords": _cyclic_words(g, CY.ctor_class(g, word, args.max_orbit))}
-    elif key == "cyclic.decompose":
-        classes = CY.cyclic_decomposition(g, word, args.max_orbit)
-        result = {"count": len(classes), "classes": [_cyclic_words(g, c) for c in classes]}
-    elif key == "cyclic.elements":
-        result = {
-            "words": _words(g, CY.rtor_words(g, word, args.max_orbit)),
-            "elements": _words(g, CY.torically_equivalent_elements(g, word)),
-        }
-    elif key == "heap.build":
+    elif args.group == "word":
+        from . import words as W
+
+        if args.command == "reduce":
+            nf = W.normal_form(g, word)
+            result = {"word": g.format(nf.word), "length": nf.length}
+        elif args.command == "reduced-words":
+            result = {"words": _words(g, W.reduced_words(g, word, args.max_orbit))}
+        else:
+            classes = W.commutativity_classes(g, word, args.max_orbit)
+            result = {"count": len(classes), "classes": [_words(g, c) for c in classes]}
+    elif args.group == "cyclic":
+        from . import cyclic as CY
+
+        if args.command == "rtor":
+            result = {"cyclicWords": _cyclic_words(g, CY.rtor_cyclic_class(g, word, args.max_orbit))}
+        elif args.command == "ctor":
+            result = {"cyclicWords": _cyclic_words(g, CY.ctor_class(g, word, args.max_orbit))}
+        elif args.command == "decompose":
+            classes = CY.cyclic_decomposition(g, word, args.max_orbit)
+            result = {"count": len(classes), "classes": [_cyclic_words(g, c) for c in classes]}
+        else:
+            result = {
+                "words": _words(g, CY.rtor_words(g, word, args.max_orbit)),
+                "elements": _words(g, CY.torically_equivalent_elements(g, word)),
+            }
+    elif args.group == "heap":
+        from . import heaps as H
+
         h = H.heap_of_word(g, word)
-        result = {
-            "size": h.size,
-            "labels": [g.name(s) for s in h.word],
-            "hasse": [[i + 1, j + 1] for i, j in sorted(H.hasse_edges(h))],
-            "closure": [[i + 1, j + 1] for i, j in sorted(H.closure_edges(h))],
-        }
-    elif key == "heap.linexts":
-        h = H.heap_of_word(g, word)
-        result = {"words": _words(g, H.linear_extensions(h, args.max_extensions))}
-    elif key == "heap.dot":
-        return render.heap_to_dot(H.heap_of_word(g, word)), 0
-    elif key == "toric.heap":
-        th = CY.toric_heap_of_word(g, word)
-        if args.format == "dot":
-            return render.toric_heap_to_dot(th), 0
-        hasse = T.toric_hasse(th.poset)
-        result = {
-            "size": th.size,
-            "labels": [g.name(s) for s in th.word],
-            "toricHasse": _edge_list(hasse),
-            "representative": th.poset.representative.bitstring(),
-        }
-    elif key == "toric.ltor":
-        th = CY.toric_heap_of_word(g, word, args.max_class)
-        result = {"cyclicWords": _cyclic_words(g, CY.ltor(th))}
-    elif key == "toric.hasse":
-        result = {"edges": _edge_list(T.toric_hasse(CY.toric_heap_of_word(g, word).poset))}
-    elif key == "toric.closure":
-        result = {"edges": _edge_list(T.toric_transitive_closure(CY.toric_heap_of_word(g, word).poset))}
-    elif key == "coxeter.elements":
-        result = {"elements": [g.format(c) for c in coxeter_elements(g)]}
-    elif key == "coxeter.conjugacy":
-        classes = coxeter_conjugacy_classes(g)
-        result = {"count": len(classes), "classes": [[g.format(c) for c in cls] for cls in classes]}
+        if args.command == "dot":
+            from .render import heap_to_dot
+
+            return heap_to_dot(h), 0
+        if args.command == "build":
+            result = {
+                "size": h.size,
+                "labels": [g.name(s) for s in h.word],
+                "hasse": [[i + 1, j + 1] for i, j in sorted(H.hasse_edges(h))],
+                "closure": [[i + 1, j + 1] for i, j in sorted(H.closure_edges(h))],
+            }
+        else:
+            result = {"words": _words(g, H.linear_extensions(h, args.max_extensions))}
+    elif args.group == "toric":
+        from . import toric as T
+        from .cyclic import ltor, toric_heap_of_word
+
+        th = toric_heap_of_word(g, word, getattr(args, "max_class", DEFAULT_CLASS_CAP))
+        if args.command == "ltor":
+            result = {"cyclicWords": _cyclic_words(g, ltor(th))}
+        elif args.command == "heap":
+            if args.format == "dot":
+                from .render import toric_heap_to_dot
+
+                return toric_heap_to_dot(th), 0
+            result = {
+                "size": th.size,
+                "labels": [g.name(s) for s in th.word],
+                "toricHasse": _edge_list(T.toric_hasse(th.poset)),
+                "representative": th.poset.representative.bitstring(),
+            }
+        elif args.command == "hasse":
+            result = {"edges": _edge_list(T.toric_hasse(th.poset))}
+        else:
+            result = {"edges": _edge_list(T.toric_transitive_closure(th.poset))}
+    elif args.group == "coxeter":
+        from . import classifier as C
+
+        if args.command == "elements":
+            result = {"elements": [g.format(c) for c in C.coxeter_elements(g)]}
+        else:
+            classes = C.coxeter_conjugacy_classes(g)
+            result = {"count": len(classes), "classes": [[g.format(c) for c in cls] for cls in classes]}
     else:  # pragma: no cover - argparse guards the command set
         raise AssertionError(key)
 

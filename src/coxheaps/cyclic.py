@@ -40,12 +40,13 @@ suite checks equals C_tor([w]) by an independent route.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import toric
 from .coxgraph import CoxeterGraph, Word
 from .errors import (
+    DEFAULT_CLASS_CAP,
+    DEFAULT_ORBIT_CAP,
     GraphMismatch,
     NotReduced,
     NotToricallyReduced,
@@ -53,8 +54,8 @@ from .errors import (
     TooLarge,
 )
 from .heaps import Heap, _is_fc, heap_of_word, word_orientation
+from .records import Record, _set
 from .words import (
-    DEFAULT_ORBIT_CAP,
     NormalForm,
     _moves,
     _weak_order_levels,
@@ -63,14 +64,45 @@ from .words import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class CyclicWord:
-    """Rotation class of a word, keyed by its shortlex-least rotation."""
+class CyclicWord(Record):
+    """Rotation class of a word, keyed by its shortlex-least rotation.
+    Cyclic words compare and order as their canonical words."""
 
     canonical: Word
 
+    def __init__(self, canonical: Word):
+        _set(self, "canonical", canonical)
+
     def __len__(self) -> int:
         return len(self.canonical)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.canonical == other.canonical
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.canonical,))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.canonical < other.canonical
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.canonical <= other.canonical
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.canonical > other.canonical
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.canonical >= other.canonical
+        return NotImplemented
 
 
 def _least_rotation(word: Word) -> Word:
@@ -379,20 +411,24 @@ def torically_equivalent_elements(g: CoxeterGraph, w: Word) -> frozenset[NormalF
     return frozenset(normal_form(g, u) for u in found.values())
 
 
-@dataclass(frozen=True)
-class ToricHeap:
+class ToricHeap(Record):
     """Labeled toric poset of a word: positions carry the word's letters."""
 
     graph: CoxeterGraph
     word: Word
     poset: toric.ToricPoset
 
+    def __init__(self, graph: CoxeterGraph, word: Word, poset: toric.ToricPoset):
+        _set(self, "graph", graph)
+        _set(self, "word", word)
+        _set(self, "poset", poset)
+
     @property
     def size(self) -> int:
         return len(self.word)
 
 
-def toric_heap_of_word(g: CoxeterGraph, w: Word, cap: int = toric.DEFAULT_CLASS_CAP) -> ToricHeap:
+def toric_heap_of_word(g: CoxeterGraph, w: Word, cap: int = DEFAULT_CLASS_CAP) -> ToricHeap:
     word = g.check_word(w)
     return ToricHeap(g, word, toric.ToricPoset(word_orientation(g, word), cap=cap))
 

@@ -3,8 +3,14 @@
 Every error carries a stable ``type_name`` used by the CLI when reporting
 failures, so callers can dispatch without string-matching messages.
 Resource caps raise ``ResourceCapExceeded`` subclasses: these are
-*inconclusive* outcomes, never wrong answers.
+*inconclusive* outcomes, never wrong answers.  The default caps live here,
+where the CLI reads them without loading the modules that apply them;
+``words``, ``toric`` and ``heaps`` export them under the same names.
 """
+
+DEFAULT_ORBIT_CAP = 2_000_000  # braid-orbit and R_tor listings (``words``, ``cyclic``)
+DEFAULT_CLASS_CAP = 1_000_000  # toric classes listed member by member (``toric``)
+DEFAULT_EXTENSION_CAP = 1_000_000  # linear extensions of a heap (``heaps``)
 
 
 class CoxError(Exception):

@@ -8,30 +8,46 @@ Each generator's occurrences form a chain (vertex chain) and each bonded
 pair's occurrences form a chain (edge chain).
 
 The order is stored as a reachability bit-relation over positions; Python
-integers act as unbounded bitsets, so the same code covers any size.
+integers act as unbounded bitsets, so the same code covers any size.  The
+words of a heap come from the order kernel in ``orders``, which ``toric``
+shares.  This module imports ``toric`` only when ``word_graph`` or
+``word_orientation`` first runs, so heaps load without it.  The default
+extension cap lives in ``errors`` and is imported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .coxgraph import CoxeterGraph, Word
-from .errors import ExtensionCapExceeded, GraphMismatch
-from . import toric
-from .toric import _bits
+from .errors import DEFAULT_EXTENSION_CAP, ExtensionCapExceeded, GraphMismatch
+from .orders import _bits, _linear_orders
+from .records import Record, _set
 
-DEFAULT_EXTENSION_CAP = 1_000_000
+if TYPE_CHECKING:
+    from .toric import AcyclicOrientation, Graph
 
 
-@dataclass(frozen=True)
-class Heap:
+class Heap(Record):
     """Heap of a word: positions 0..m-1, labels word[i], reachability order."""
 
     graph: CoxeterGraph
     word: Word
     above: tuple[int, ...]  # above[i] = bitmask of positions j with i < j in the order
+
+    def __init__(self, graph: CoxeterGraph, word: Word, above: tuple[int, ...]):
+        _set(self, "graph", graph)
+        _set(self, "word", word)
+        _set(self, "above", above)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.graph, self.word, self.above) == (other.graph, other.word, other.above)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.word, self.above))
 
     @property
     def size(self) -> int:
@@ -52,20 +68,29 @@ class Heap:
         return tuple(out)
 
 
-def word_graph(g: CoxeterGraph, w: Word) -> toric.Graph:
+@cache
+def _toric():
+    """The ``toric`` module, imported on first use and kept, as an import
+    statement run on every call would cost more than the call."""
+    from . import toric
+
+    return toric
+
+
+def word_graph(g: CoxeterGraph, w: Word) -> Graph:
     """Dependency graph of a word: {i, j} joined iff m(w_i, w_j) != 2."""
     word = g.check_word(w)
     m = len(word)
     bond = g.bond_table  # m = 1 on the diagonal, so equal letters are joined
     edges = [(i, j) for i in range(m) for j in range(i + 1, m) if bond[word[i]][word[j]] != 2]
-    return toric.Graph(m, tuple(edges))
+    return _toric().Graph(m, tuple(edges))
 
 
-def word_orientation(g: CoxeterGraph, w: Word) -> toric.AcyclicOrientation:
+def word_orientation(g: CoxeterGraph, w: Word) -> AcyclicOrientation:
     """The position-increasing orientation of the word graph, acyclic since
     every edge points to a later position."""
     graph = word_graph(g, w)
-    return toric._trusted(graph, (1 << len(graph.edges)) - 1)
+    return _toric()._trusted(graph, (1 << len(graph.edges)) - 1)
 
 
 def heap_of_word(g: CoxeterGraph, w: Word) -> Heap:
@@ -102,14 +127,14 @@ def hasse_edges(h: Heap) -> tuple[tuple[int, int], ...]:
 def linear_extensions(h: Heap, cap: int = DEFAULT_EXTENSION_CAP) -> frozenset[Word]:
     """All labeled linear extensions of the heap, as words.
 
-    ``toric._linear_orders`` lists the position orders read through the
+    ``orders._linear_orders`` lists the position orders read through the
     word, one word per order; the result is the set L(H) of words whose
     heap is an extension of h, which for the heap of w is the commutativity
     class of w (Cartier-Foata 1969).  More than ``cap`` orders raise
     ExtensionCapExceeded.
     """
     out = set()
-    for k, word in enumerate(toric._linear_orders(h.below, h.word)):
+    for k, word in enumerate(_linear_orders(h.below, h.word)):
         if k >= cap:
             raise ExtensionCapExceeded(f"more than {cap} linear extensions")
         out.add(word)

@@ -2,18 +2,25 @@
 
 Node order, edge order, and attribute order are fixed so identical inputs
 produce identical bytes.  Positions are printed 1-based ("pos3") to match
-the usual way word positions are numbered.
+the usual way word positions are numbered.  Each function imports what it
+calls, so drawing a heap or an orientation loads neither ``toric`` nor
+``cyclic``.
 """
 
 from __future__ import annotations
 
-from . import toric
-from .coxgraph import CoxeterGraph
-from .cyclic import ToricHeap
-from .heaps import Heap, hasse_edges
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .coxgraph import CoxeterGraph
+    from .cyclic import ToricHeap
+    from .heaps import Heap
+    from .toric import AcyclicOrientation
 
 
 def heap_to_dot(h: Heap) -> str:
+    from .heaps import hasse_edges
+
     lines = ["digraph heap {"]
     for i in range(h.size):
         lines.append(f'  pos{i + 1} [label="{h.graph.name(h.word[i])}"];')
@@ -25,7 +32,9 @@ def heap_to_dot(h: Heap) -> str:
 
 def toric_heap_to_dot(t: ToricHeap) -> str:
     """Toric Hasse diagram with labels; wrap edges render like any other."""
-    hasse = toric.toric_hasse(t.poset)
+    from .toric import toric_hasse
+
+    hasse = toric_hasse(t.poset)
     directed = dict()
     for a, b in t.poset.representative.directed_edges():
         directed[(min(a, b), max(a, b))] = (a, b)
@@ -39,7 +48,7 @@ def toric_heap_to_dot(t: ToricHeap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def orientation_to_dot(o: toric.AcyclicOrientation, names: tuple[str, ...] | None = None) -> str:
+def orientation_to_dot(o: AcyclicOrientation, names: tuple[str, ...] | None = None) -> str:
     label = (lambda v: names[v]) if names else (lambda v: f"v{v}")
     lines = ["digraph orientation {"]
     for v in range(o.graph.n):

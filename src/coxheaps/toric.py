@@ -27,40 +27,52 @@ AMS 368, 2016), with no path search and no listing of total toric
 extensions; the test suite checks each against a search-based route.
 Only the total toric extensions, a set that must be listed, are listed,
 by the constant-amortized-time enumerator of linear extensions that also
-lists the words of heaps (``_linear_orders``).
+lists the words of heaps (``_linear_orders``).  That order kernel lives in
+``orders``, below this module and ``heaps``, and the default class cap in
+``errors``; both keep their names here by import.  ``heaps`` imports this
+module only when it first builds the graph of a word.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ClassCapExceeded, GraphMismatch, NotAcyclic, NotASink, NotASource, TooLarge
+from .errors import DEFAULT_CLASS_CAP, ClassCapExceeded, GraphMismatch, NotAcyclic, NotASink, NotASource, TooLarge
+from .orders import _bits, _least_order, _linear_orders
+from .records import Record, _set
 
-DEFAULT_CLASS_CAP = 1_000_000
 MAX_ENUM_EDGES = 24  # bound on the graphs whose acyclic orientations are listed or counted
 MAX_TOTAL_ORDER_VERTICES = 10
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Undirected simple graph on vertices 0..n-1 with a canonical edge order."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        _set(self, "n", n)
+        _set(self, "edges", edges)
         seen = set()
-        for a, b in self.edges:
-            if not (0 <= a < b < self.n):
+        for a, b in edges:
+            if not (0 <= a < b < n):
                 raise ValueError(f"edge {(a, b)} must be an increasing pair of vertices")
             if (a, b) in seen:
                 raise ValueError(f"duplicate edge {(a, b)}")
             seen.add((a, b))
-        if tuple(sorted(self.edges)) != self.edges:
+        if tuple(sorted(edges)) != edges:
             raise ValueError("edges must be sorted")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.edges) == (other.n, other.edges)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
 
     @cached_property
     def incident(self) -> tuple[int, ...]:
@@ -111,18 +123,27 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(norm))
 
 
-@dataclass(frozen=True)
-class AcyclicOrientation:
+class AcyclicOrientation(Record):
     """An orientation of a graph, checked acyclic on construction."""
 
     graph: Graph
     forward: int  # bit k set: edges[k] points low -> high
 
-    def __post_init__(self):
-        if self.forward >> len(self.graph.edges):
+    def __init__(self, graph: Graph, forward: int):
+        _set(self, "graph", graph)
+        _set(self, "forward", forward)
+        if forward >> len(graph.edges):
             raise ValueError("direction mask has bits beyond the edge list")
-        if _has_cycle(self.graph, self.forward):
+        if _has_cycle(graph, forward):
             raise NotAcyclic("orientation contains a directed cycle")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.graph, self.forward) == (other.graph, other.forward)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.forward))
 
     def directed_edges(self) -> tuple[tuple[int, int], ...]:
         out = []
@@ -154,17 +175,9 @@ def _trusted(graph: Graph, forward: int) -> AcyclicOrientation:
     """An orientation already known to be acyclic, built without the cycle
     check of the public constructor."""
     o = object.__new__(AcyclicOrientation)
-    object.__setattr__(o, "graph", graph)
-    object.__setattr__(o, "forward", forward)
+    _set(o, "graph", graph)
+    _set(o, "forward", forward)
     return o
-
-
-def _bits(mask: int):
-    """Indices of the set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _successors(n: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
@@ -173,64 +186,6 @@ def _successors(n: int, arcs: Iterable[tuple[int, int]]) -> list[int]:
     for a, b in arcs:
         succ[a] |= 1 << b
     return succ
-
-
-def _least_order(preds: Sequence[int]) -> tuple[int, ...] | None:
-    """The least order of 0..n-1 that puts each v after the vertices in the
-    bitmask preds[v]: the least vertex whose predecessors are all placed,
-    repeatedly; None if the preds form a cycle."""
-    order, left, placed = [], list(range(len(preds))), 0
-    while left:
-        for i, v in enumerate(left):
-            if not preds[v] & ~placed:
-                break
-        else:
-            return None
-        del left[i]
-        order.append(v)
-        placed |= 1 << v
-    return tuple(order)
-
-
-def _linear_orders(preds: Sequence[int], labels: Sequence) -> Iterator[tuple]:
-    """Every order of 0..n-1 that puts each v after the vertices in the
-    bitmask preds[v], read through the labels: tuple(labels[v] for v in
-    order).  No order if the preds form a cycle, one empty order if n = 0.
-
-    Varol-Rotem (1981; Knuth, TAOCP 4A, 7.2.1.2, Algorithm V), in constant
-    amortized time.  The vertices are ranked by ``_least_order``, behind a
-    sentinel that precedes them all, at position 0.  Each next order moves
-    the highest-ranked vertex v that can go one place left past a vertex
-    that does not precede it; the vertices ranked above v, which could not
-    move, go back to their home positions.  The labels are swapped in step
-    with the vertices, so an order costs one tuple.  Heap extensions, total
-    toric extensions and their words come from it.
-    """
-    order = _least_order(preds)
-    if order is None:
-        return
-    n = len(order)
-    before = [p | 1 << n for p in preds]  # vertex n is the sentinel
-    at = [n, *order]  # at[j]: the vertex at position j, ranked j at home
-    pos = sorted(range(n + 1), key=at.__getitem__)  # pos[v]: the position of v
-    lab = [None, *map(labels.__getitem__, order)]
-    while True:
-        yield tuple(lab[1:])
-        for k in range(n, 0, -1):
-            v = order[k - 1]
-            j = pos[v]
-            u = at[j - 1]
-            if not before[v] >> u & 1:
-                at[j - 1], at[j], pos[v], pos[u] = v, u, j - 1, j
-                lab[j - 1], lab[j] = lab[j], lab[j - 1]
-                break
-            if j < k:  # v goes home: the vertices after it move one place left
-                at[j:k], at[k] = at[j + 1 : k + 1], v
-                lab[j:k], lab[k] = lab[j + 1 : k + 1], lab[j]
-                for i in range(j, k + 1):
-                    pos[at[i]] = i
-        else:
-            return
 
 
 def _imbalance(graph: Graph, forward: int) -> tuple[int, ...]:

@@ -21,34 +21,64 @@ the linear extensions of w's heap, which are its words (Cartier-Foata
 1969), and ``commutativity_classes`` takes them, least word first, over
 R(w), or, for FC w, takes the one class without listing R(w).  Past a cap
 each listing raises ``OrbitCapExceeded``, an inconclusive outcome, never
-a guess.
+a guess; the default cap, ``DEFAULT_ORBIT_CAP``, lives in ``errors``.
 
 All functions are pure; words are tuples of generator indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from operator import neg
 from typing import Iterable, Iterator
 
 from .coxgraph import CoxeterGraph, Word
-from .errors import ExtensionCapExceeded, NotReduced, OrbitCapExceeded
+from .errors import DEFAULT_ORBIT_CAP, ExtensionCapExceeded, NotReduced, OrbitCapExceeded
 from .heaps import _is_fc, heap_of_word, linear_extensions
+from .records import Record, _set
 
-DEFAULT_ORBIT_CAP = 2_000_000
 
-
-@dataclass(frozen=True, order=True)
-class NormalForm:
-    """Canonical representative: the shortlex-least reduced word."""
+class NormalForm(Record):
+    """Canonical representative: the shortlex-least reduced word.  Normal
+    forms compare and order as their (length, word) pairs."""
 
     length: int
     word: Word
 
+    def __init__(self, length: int, word: Word):
+        _set(self, "length", length)
+        _set(self, "word", word)
+
     def __iter__(self):
         return iter(self.word)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.length, self.word) == (other.length, other.word)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.length, self.word))
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.length, self.word) < (other.length, other.word)
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.length, self.word) <= (other.length, other.word)
+        return NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.length, self.word) > (other.length, other.word)
+        return NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.length, self.word) >= (other.length, other.word)
+        return NotImplemented
 
 
 def has_adjacent_repeat(w: Word) -> bool:

@@ -1,6 +1,8 @@
 """Smoke tests: the evidence scripts run end to end on the package."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -9,6 +11,8 @@ import sys
 import time
 
 import pytest
+
+from coxheaps import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -91,6 +95,18 @@ def test_render_figures_b3(tmp_path):
         assert "->" in text or "--" in text, name
 
 
+def _cli_in_process(*argv):
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
 def test_bench_writes_report(tmp_path):
     # one small case of each family, once: the report's shape, not its timings
     spec = importlib.util.spec_from_file_location("bench", os.path.join(ROOT, "scripts", "bench.py"))
@@ -104,8 +120,16 @@ def test_bench_writes_report(tmp_path):
     assert time.perf_counter() - start < 1
     report = json.loads(out.read_text())
     assert report["python"] == platform.python_version() and report["cpus"] == os.cpu_count()
-    assert set(report) == {"python", "cpus", "git_sha", "git_dirty", "repeats", "cases"}
+    assert set(report) == {"python", "cpus", "dont_write_bytecode", "git_sha", "git_dirty", "repeats", "cases"}
+    assert report["dont_write_bytecode"] == bool(sys.flags.dont_write_bytecode)
     # 4! linear extensions, 3! cyclic words, 260 cyclic words in R_tor of
-    # (s0 s2 s4 s1 s3)^2 over C~4, (4-1)! classes on K4, 4-1 on C4
-    assert [row["result_size"] for row in report["cases"]] == [24, 6, 260, 6, 3]
+    # (s0 s2 s4 s1 s3)^2 over C~4, (4-1)! classes on K4, 4-1 on C4, and
+    # what the two CLI calls print
+    want = [24, 6, 260, 6, 3]
+    for argv in (("graph", "toric-classes", "-g", "graphs/affine_c4.json"),
+                 ("word", "classify", "-g", "graphs/b3.json", "s1 s2 s1 s2")):
+        code, printed = _cli_in_process(*argv)
+        assert code == 0
+        want.append(len(printed))
+    assert [row["result_size"] for row in report["cases"]] == want
     assert bench.main([]) == 2
