@@ -9,7 +9,11 @@ that two checkouts can be compared case by case.  The in-process cases
 are the linear extensions of the free heap (pairwise commuting letters,
 n! orders) on 7, 8 and 9 letters, L_tor of the free 8-letter word (7!
 cyclic words), the R_tor listing of the square of the Coxeter element of
-C~4 and C~5, and the toric classes of K6, K7 and C12.  The CLI cases each
+C~4 and C~5, element-level cyclic reducedness (a bool verdict, sized 1
+when it holds and 0 when not) of its 4th power on C~3, C~4 and C~5 and
+of the free word on 12 and 16 letters, both FC and read off the heap, and
+of the longest element of A5 and A6, which is not FC and is read off the
+walk of [e, w]_R, and the toric classes of K6, K7 and C12.  The CLI cases each
 time one fresh ``python -m coxheaps`` process, start to exit, and count
 the characters it prints: ``graph toric-classes`` on graphs/affine_c<n>.json
 for C~2, C~3 and C~4, and ``word classify`` on graphs/b3.json for the
@@ -49,11 +53,23 @@ def _free_word(n):
     return CoxeterGraph([f"s{i}" for i in range(1, n + 1)]), tuple(range(n))
 
 
-def _affine_c_coxeter_squared(n):
+def _affine_c_coxeter_power(n, k):
     """The C~n chain s0 - s1 - ... - sn, with 4-bonds at both ends, and the
-    square of its Coxeter element s0 s2 ... s1 s3 ... (even letters first)."""
+    k-th power of its Coxeter element s0 s2 ... s1 s3 ... (even letters first)."""
     g = catalog.chain([f"s{i}" for i in range(n + 1)], [4] + [3] * (n - 2) + [4])
-    return g, (tuple(range(0, n + 1, 2)) + tuple(range(1, n + 1, 2))) * 2
+    return g, (tuple(range(0, n + 1, 2)) + tuple(range(1, n + 1, 2))) * k
+
+
+def _a_longest(n):
+    """The A_n chain s1 - ... - sn and the reduced word s1 (s2 s1) (s3 s2 s1) ...
+    of its longest element."""
+    g = catalog.chain([f"s{i}" for i in range(1, n + 1)], [3] * (n - 1))
+    return g, tuple(j for i in range(n) for j in range(i, -1, -1))
+
+
+def _sized(call):
+    """The call with its bool verdict as a result of size 1 when it holds, 0 when not."""
+    return lambda: (True,) if call() else ()
 
 
 def _complete(n):
@@ -79,7 +95,13 @@ BUILDERS = {
     ("heaps.linear_extensions", "free word"): lambda n: partial(H.linear_extensions, H.heap_of_word(*_free_word(n))),
     ("cyclic.ltor", "free word"): lambda n: partial(CY.ltor, CY.toric_heap_of_word(*_free_word(n))),
     ("cyclic.rtor_cyclic_class", "C~n Coxeter element squared"):
-        lambda n: partial(CY.rtor_cyclic_class, *_affine_c_coxeter_squared(n)),
+        lambda n: partial(CY.rtor_cyclic_class, *_affine_c_coxeter_power(n, 2)),
+    ("cyclic.is_cyclically_reduced_element", "C~n Coxeter element to the 4th"):
+        lambda n: _sized(partial(CY.is_cyclically_reduced_element, *_affine_c_coxeter_power(n, 4))),
+    ("cyclic.is_cyclically_reduced_element", "free word"):
+        lambda n: _sized(partial(CY.is_cyclically_reduced_element, *_free_word(n))),
+    ("cyclic.is_cyclically_reduced_element", "A_n longest element"):
+        lambda n: _sized(partial(CY.is_cyclically_reduced_element, *_a_longest(n))),
     ("toric.toric_classes", "complete graph"): lambda n: partial(T.toric_classes, _complete(n)),
     ("toric.toric_classes", "cycle graph"): lambda n: partial(T.toric_classes, _cycle(n)),
     ("cli graph toric-classes", "C~n graph file"):
@@ -94,6 +116,13 @@ CASES = (
     ("cyclic.ltor", "free word", 8),
     ("cyclic.rtor_cyclic_class", "C~n Coxeter element squared", 4),
     ("cyclic.rtor_cyclic_class", "C~n Coxeter element squared", 5),
+    ("cyclic.is_cyclically_reduced_element", "C~n Coxeter element to the 4th", 3),
+    ("cyclic.is_cyclically_reduced_element", "C~n Coxeter element to the 4th", 4),
+    ("cyclic.is_cyclically_reduced_element", "C~n Coxeter element to the 4th", 5),
+    ("cyclic.is_cyclically_reduced_element", "free word", 12),
+    ("cyclic.is_cyclically_reduced_element", "free word", 16),
+    ("cyclic.is_cyclically_reduced_element", "A_n longest element", 5),
+    ("cyclic.is_cyclically_reduced_element", "A_n longest element", 6),
     ("toric.toric_classes", "complete graph", 6),
     ("toric.toric_classes", "complete graph", 7),
     ("toric.toric_classes", "cycle graph", 12),
@@ -143,7 +172,7 @@ def main(argv, cases=CASES, repeats=REPEATS):
     for layer, family, size in cases:
         row = measure(layer, family, size, repeats)
         report["cases"].append(row)
-        print(f"{layer:26s} {family:27s} {size:3d}  {row['median_s']:.4f} s  ({row['result_size']} out)")
+        print(f"{layer:36s} {family:30s} {size:3d}  {row['median_s']:.4f} s  ({row['result_size']} out)")
     Path(argv[0]).write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

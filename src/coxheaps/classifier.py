@@ -7,19 +7,18 @@ Vocabulary (all for a fixed Coxeter system):
 * TFC: torically reduced with a single cyclic commutativity class;
 * faux CFC: TFC but not CFC.
 
-CFC implies FC and TFC; the reverse inclusions fail.  FC, CFC and TFC
-are decided on the convex <s,t>_m windows of the heap of w and, for the
-rotations of w, of the one heap of w w: CFC has none, and TFC keeps its
-toric heap under each one's braid move.  ``classify`` lists no reduced
-word: for FC w it counts R(w) over the down-sets of the heap and decides
-the rotations of R(w) by ``cyclic.rotation_walk``, and for any other w it
-reads |R(w)|, the class count and cyclic reducedness off one walk of
-[e, w]_R (``cyclic._interval_census``).  It lists R_tor([w]) once, under
-its cap: as its cyclic classes, or up to a cyclic repeat, whose chain of
-moves from w is the toric witness.  A listing of R_tor([w]) past its cap
-is settled in ``cyclic``, as for every caller: the cap error stands for
-a torically reduced w, and any other w is reported not torically reduced
-with no chain.  The probes
+CFC implies FC and TFC; the reverse inclusions fail.  CFC and TFC are
+decided on the convex <s,t>_m windows of the rotations of w, read off the
+one heap of w w: CFC has none, and TFC keeps its toric heap under each
+one's braid move.  ``classify`` lists no reduced word: for every reduced
+w it reads |R(w)|, the class count c(w) and cyclic reducedness off one
+walk of [e, w]_R (``cyclic._interval_census``), and w is FC iff
+c(w) = 1.  It lists R_tor([w]) once, under its cap, and counts its
+cyclic words and classes off that listing; a listing that meets a
+cyclic repeat names the chain of moves from w, the toric witness.  A
+listing of R_tor([w]) past its cap is settled in ``cyclic``, as for
+every caller: the cap error stands for a torically reduced w, and any
+other w is reported not torically reduced with no chain.  The probes
 (logarithmic, braid-shortening) are partial: they report evidence
 bounded by their inputs, never theorems.
 """
@@ -34,11 +33,10 @@ from .cyclic import (
     _bad_rotation,
     _interval_census,
     _rotation_pass,
-    cyclic_decomposition,
+    _rtor_listing,
     cyclic_word,
     is_cyclically_reduced_word,
     is_torically_reduced,
-    rotation_walk,
     rtor_cyclic_class,
     toric_heap_of_word,
     toric_heaps_isomorphic,
@@ -51,7 +49,7 @@ from .errors import (
     ShapeMismatch,
     SpokeError,
 )
-from .heaps import _convex_windows, _down_sets, _is_fc, heap_of_word
+from .heaps import _convex_windows, heap_of_word
 from .records import Record, _set
 from .words import (
     DEFAULT_ORBIT_CAP,
@@ -188,9 +186,11 @@ class ClassificationReport(Record):
 
 
 def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> ClassificationReport:
-    """The verdict sheet of w.  R(w) is counted with no cap: from the heap
-    for FC w, off the walk of [e, w]_R for any other (``_interval_census``).
-    The cap bounds only the listing of R_tor([w])."""
+    """The verdict sheet of w.  |R(w)|, its class count and cyclic
+    reducedness come off one walk of [e, w]_R with no cap
+    (``_interval_census``), and w is FC iff R(w) is one class.  The cap
+    bounds only the listing of R_tor([w]), whose words and classes are
+    counted as listed (``_rtor_listing``)."""
     word = g.check_word(w)
     if (found := _rotation_pass(g, word)) is None:
         return ClassificationReport(
@@ -199,32 +199,26 @@ def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> Classifi
             counts=dict.fromkeys(("reducedWords", "commutativityClasses", "cyclicWords", "cyclicCommutativityClasses")),
             witnesses={"nonReducedRotation": word},
         )
-    h = heap_of_word(g, word)
-    fc = _is_fc(h)
-    if fc:
-        bad_rotation = rotation_walk(h, found[1])
-        count, classes, cyclically_reduced = _down_sets(h)[(1 << len(word)) - 1], 1, bad_rotation is None
-    else:
-        bad_rotation = _bad_rotation(word, found[1])
-        count, classes, cyclically_reduced = _interval_census(g, len(word), *found)
+    count, classes, cyclically_reduced = _interval_census(g, len(word), *found)
+    fc = classes == 1
     counts: dict = {"reducedWords": count, "commutativityClasses": classes}
     witnesses: dict = {}
 
     cfc = fc and cyclically_reduced and next(_moved_words(g, word), None) is None
-    if bad_rotation is not None and cyclic_word(bad_rotation) == cyclic_word(word):
+    if (bad_rotation := _bad_rotation(word, found[1])) is not None:
         witnesses["nonReducedRotation"] = bad_rotation
 
     try:
-        decomposition = cyclic_decomposition(g, word, cap)
+        listed, cyclic_classes = _rtor_listing(g, word, cap)
     except NotToricallyReduced as exc:
         if exc.chain is not None:
             witnesses["toricWitnessChain"] = exc.chain
         counts["cyclicWords"] = counts["cyclicCommutativityClasses"] = None
         torically_reduced = tfc = False
     else:
-        counts["cyclicWords"] = sum(len(c) for c in decomposition)
-        counts["cyclicCommutativityClasses"] = len(decomposition)
-        torically_reduced, tfc = True, len(decomposition) == 1
+        counts["cyclicWords"] = len(listed)
+        counts["cyclicCommutativityClasses"] = len(cyclic_classes)
+        torically_reduced, tfc = True, len(cyclic_classes) == 1
     return ClassificationReport(
         word=word,
         reduced=True,

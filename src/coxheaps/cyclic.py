@@ -26,10 +26,10 @@ w, and names no chain for any other.
 Element-level cyclic reducedness lists no word either.  The rotations of
 a word are windows of the doubled word, which one root-sequence pass
 decides (``roots.rotation_pass``).  For FC w those of every word of R(w)
-move down-sets of w's heap to the end, which the heap order decides
-(``rotation_walk``); for any other w they are settled over the prefixes
-of R(w), the elements of [e, w]_R, on the same walk that counts R(w) and
-its commutativity classes (``_interval_census``).
+move down-sets of w's heap to the end, which the heap order decides in
+one look at each rotation pair; for any other w they are settled over
+the prefixes of R(w), the elements of [e, w]_R, on the same walk that
+counts R(w) and its commutativity classes (``_interval_census``).
 
 The toric heap of a word is the toric poset of its dependency graph with
 the position-increasing orientation, labeled by the letters; its total
@@ -53,7 +53,7 @@ from .errors import (
     OrbitCapExceeded,
     TooLarge,
 )
-from .heaps import Heap, _is_fc, heap_of_word, word_orientation
+from .heaps import _is_fc, heap_of_word, word_orientation
 from .records import Record, _set
 from .words import (
     NormalForm,
@@ -144,43 +144,32 @@ def _bad_rotation(word: Word, pairs: list[tuple[int, int]]) -> Word | None:
 
 
 def is_cyclically_reduced_element(g: CoxeterGraph, w: Word) -> bool:
-    """Every reduced word for the element of w is cyclically reduced: by
-    ``rotation_walk`` when w is FC, and off the walk of [e, w]_R
-    (``_interval_census``) when it is not."""
+    """Every reduced word for the element of w is cyclically reduced.
+
+    For FC w, R(w) is the linear extensions of w's heap h.  Rotation pairs
+    (``_rotation_pass``) belong to heap elements, as commuting adjacent
+    letters swaps their betas; a rotation of a word of R(w) moves a
+    down-set D of h to the end, and some D holds x but not y iff y is not
+    below x.  So R(w) passes iff each pair (x, y) has y <= x in h; a pair
+    i < j, a rotation of w itself that is not reduced, fails too, as no
+    later position is below an earlier one.  Any other w is settled off
+    the walk of [e, w]_R (``_interval_census``), which for FC w would walk
+    every down-set of h.
+    """
     word = g.check_word(w)
     if (found := _rotation_pass(g, word)) is None:
         raise NotReduced(f"{g.format(w)} is not reduced")
     h = heap_of_word(g, word)
     if _is_fc(h):
-        return rotation_walk(h, found[1]) is None
+        return all(x == y or h.above[y] >> x & 1 for x, y in found[1])
     return _interval_census(g, len(word), *found)[2]
-
-
-def rotation_walk(h: Heap, pairs: list[tuple[int, int]]) -> Word | None:
-    """Settle element-level cyclic reducedness for FC w from its heap ``h``
-    and the rotation pairs of its word (``roots.rotation_pass``).
-    Rotation k of a word u is the window [k, k + n) of u u; w's own are
-    settled first (``_bad_rotation``).  Pairs belong to heap elements, as
-    commuting adjacent letters swaps their betas; a rotation of a word of
-    w's class moves a down-set D to the end, and some D holds x but not y
-    iff y is not below x.  So the class, all of R(w), passes iff each pair
-    (x, y) has y <= x.  Returns a rotation of a word of R(w) that is not
-    reduced, w's first if any, or None.
-    """
-    first = _bad_rotation(h.word, pairs)
-    if first is not None:
-        return first
-    for x, y in pairs:
-        if x != y and not h.above[y] >> x & 1:
-            return _moved(h.word, h.below[x] | 1 << x)
-    return None
 
 
 def _interval_census(g: CoxeterGraph, n: int, negated: dict, pairs: list[tuple[int, int]]) -> tuple[int, int, bool]:
     """|R(w)|, the number of commutativity classes of R(w), and whether
     every word of R(w) is cyclically reduced, off one walk of [e, w]_R
     (``words._weak_order_levels``) from w's root pass (``_rotation_pass``),
-    with no word listed.
+    with no word listed; w is FC exactly when it counts one class.
 
     * |R(x)| is the sum of |R(x s)| over the right descents s of x.
     * A commutativity class is a heap, and the pieces on top of it are
@@ -188,6 +177,12 @@ def _interval_census(g: CoxeterGraph, n: int, negated: dict, pairs: list[tuple[i
       them (Viennot 1986), c(x) is the sum of (-1)^(|S|+1) c(x w_S) over
       the non-empty pairwise commuting S of right descents, x w_S reached
       one letter at a time through the ``down`` maps.
+    * x is FC, c(x) = 1, iff every x s is FC and the right descents of x
+      commute pairwise: a reduced word of x with a braid factor ending
+      before its last letter r makes x r not FC, and one ending at it
+      makes both letters of the factor right descents of x.  The
+      inclusion-exclusion, 3^k steps for k commuting letters, is skipped
+      for FC x.
     * Rotation k of a word u of R(w) is reduced iff no pair (i, j) has
       beta_i among the betas of u's prefix y of length k and beta_j not
       (``roots.rotation_pass``), and the prefixes are the y in [e, w]_R,
@@ -216,6 +211,11 @@ def _interval_census(g: CoxeterGraph, n: int, negated: dict, pairs: list[tuple[i
                 classes[x] = classes[y] + classes[z] - (classes[downs[y][t]] if commuting[s] >> t & 1 else 0)
                 continue
             words[x] = sum(words[z] for z in down.values())
+            if classes[y] == 1:  # else y = x s is not FC, and nor is x
+                descents = sum(1 << s for s in down)
+                if all(classes[z] == 1 and descents & ~commuting[s] == 1 << s for s, z in down.items()):
+                    classes[x] = 1
+                    continue
             tops, count = [(x, 0, -1)], 0  # (x w_S, S, (-1)^(|S|+1))
             for s in down:
                 for k in range(len(tops)):
@@ -227,11 +227,6 @@ def _interval_census(g: CoxeterGraph, n: int, negated: dict, pairs: list[tuple[i
             classes[x] = count
     top = (1 << n) - 1
     return words[top], classes[top], cyclically_reduced
-
-
-def _moved(word: Word, d: int) -> Word:
-    """The word with the positions in the bitmask d moved to the end."""
-    return tuple(word[i] for i in sorted(range(len(word)), key=lambda i: d >> i & 1))
 
 
 def toric_reduction_witness(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Word, ...] | None:

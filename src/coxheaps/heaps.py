@@ -164,22 +164,6 @@ def _is_fc(h: Heap) -> bool:
     return next(_convex_windows(h), None) is None
 
 
-def _down_sets(h: Heap) -> dict[int, int]:
-    """Each down-set of h, as a position bitmask, mapped to its number of
-    linear orders, smaller ones first; the whole heap comes last with
-    |L(h)|, which is |R(w)| for FC w, as equal labels are comparable."""
-    below = h.below
-    count, order = {0: 1}, [0]
-    for d in order:  # breadth first, so count[d] is complete when d is met
-        for i in range(h.size):
-            if not d >> i & 1 and not below[i] & ~d:
-                e = d | 1 << i
-                if e not in count:
-                    order.append(e)
-                count[e] = count.get(e, 0) + count[d]
-    return count
-
-
 def is_chain(h: Heap, subset: Iterable[int]) -> bool:
     """True iff the positions are totally ordered in the heap."""
     idx = sorted(set(subset))

@@ -214,7 +214,8 @@ def _weak_order_levels(g: CoxeterGraph, length: int, negated: dict | None = None
     is first reached, to {s: mask of x s} over its right descents s, in the
     order reached.  x is reached from each x s and from nothing else, so
     its own step skips those s.  The columns of ``roots`` give y(alpha_s);
-    x's are made once, from the first edge into it."""
+    x's are made once, from the first edge into it, and not for the last
+    level, which no step leaves."""
     rs = g.root_system()
     if negated is None:
         bits: dict[tuple, int] = {}
@@ -225,7 +226,7 @@ def _weak_order_levels(g: CoxeterGraph, length: int, negated: dict | None = None
         bit = {tuple(map(neg, b)): j for b, j in negated.items()}.get
     level: dict[int, dict[int, int]] = {0: {}}
     columns, times = {0: rs.identity}, rs._times
-    for _ in range(length):
+    for more in reversed(range(length)):  # levels still to come after this one
         longer: dict[int, dict[int, int]] = {}
         made = {}
         for key, right in level.items():
@@ -237,8 +238,9 @@ def _weak_order_levels(g: CoxeterGraph, length: int, negated: dict | None = None
                         longer[x][s] = key
                     else:
                         longer[x] = {s: key}
-                        made[x] = up = list(cols)
-                        times[s](up)
+                        if more:
+                            made[x] = up = list(cols)
+                            times[s](up)
         yield longer
         level, columns = longer, made
 

@@ -13,7 +13,9 @@ braid machinery, except the listing oracles at the end.  Those decide FC,
 CFC and toric questions by listing and search, against the closed criteria
 of the library; the searches follow braid moves of their own
 (``naive_braid_moves``), and ``braid_closure`` is the Tits search route for
-R(w), reducedness and normal forms.
+R(w), reducedness and normal forms.  ``down_sets`` is the heap route for
+the word count of an FC element: the linear extensions of its heap,
+counted over down-sets.
 """
 
 from __future__ import annotations
@@ -518,6 +520,22 @@ def listing_is_cfc(g: CoxeterGraph, w: Word) -> bool:
     return fc and listing_rotation_walk(g, w, rw, fc)[1]
 
 
+def down_sets(h: H.Heap) -> dict[int, int]:
+    """Each down-set of the heap, as a position bitmask, mapped to its
+    number of linear orders, smaller ones first; the whole heap comes last
+    with |L(h)|, which is |R(w)| for FC w, as equal labels are comparable."""
+    below = h.below
+    count, order = {0: 1}, [0]
+    for d in order:  # breadth first, so count[d] is complete when d is met
+        for i in range(h.size):
+            if not d >> i & 1 and not below[i] & ~d:
+                e = d | 1 << i
+                if e not in count:
+                    order.append(e)
+                count[e] = count.get(e, 0) + count[d]
+    return count
+
+
 def down_set_is_cfc(g: CoxeterGraph, w: Word) -> bool:
     """CFC of the element of the reduced word w by its heap's down-sets.
     For FC w, R(w) is the linear extensions of the heap, and their
@@ -527,7 +545,7 @@ def down_set_is_cfc(g: CoxeterGraph, w: Word) -> bool:
     h = H.heap_of_word(g, w)
     if not H._is_fc(h):
         return False
-    for d in H._down_sets(h):
+    for d in down_sets(h):
         r = tuple(w[i] for i in sorted(range(len(w)), key=lambda i: d >> i & 1))
         if not (W.is_reduced(g, r) and H._is_fc(H.heap_of_word(g, r))):
             return False

@@ -27,6 +27,7 @@ from oracles import (
     braid_closure,
     commutativity_class,
     down_set_is_cfc,
+    down_sets,
     is_move_chain,
     listing_is_cfc,
     listing_is_cyclically_reduced_element,
@@ -103,7 +104,7 @@ def test_down_set_count_of_coxeter_powers(affine_a3):
     # in A~3 the Coxeter element s1 s3 s2 s4 has 4^k reduced words for its k-th power
     for k in range(1, 21):
         w = affine_a3.word("s1 s3 s2 s4") * k
-        assert H._down_sets(H.heap_of_word(affine_a3, w))[(1 << 4 * k) - 1] == 4 ** k
+        assert down_sets(H.heap_of_word(affine_a3, w))[(1 << 4 * k) - 1] == 4 ** k
     assert CL.is_cfc(affine_a3, w)
 
 
@@ -396,13 +397,13 @@ def test_classify_matches_brute_force_route_random(gw):
 
 
 def _check_heap_route(g, w):
-    """The heap FC test, the down-set walk and the calls routed through
-    them, against the listing oracles."""
+    """The heap FC test, the CFC and element-level cyclic verdicts and the
+    down-set count of the heap, against the listing oracles."""
     fc = CL.is_fc(g, w)
     assert fc == listing_is_fc(g, w), g.format(w)
     assert CL.is_cfc(g, w) == listing_is_cfc(g, w), g.format(w)
     assert CY.is_cyclically_reduced_element(g, w) == listing_is_cyclically_reduced_element(g, w), g.format(w)
-    count = H._down_sets(H.heap_of_word(g, w))[(1 << len(w)) - 1]
+    count = down_sets(H.heap_of_word(g, w))[(1 << len(w)) - 1]
     assert count == len(W.commutativity_class(g, w))
     assert not fc or count == len(W.reduced_words(g, w))
 
@@ -470,9 +471,10 @@ def test_cyclically_reduced_pins(affine_c3):
 
 CENSUS_SYSTEMS = {
     **{f"{name} <= {n}": (catalog.coxeter_graph(name), n)
-       for name, n in (("B3", 9), ("H3", 9), ("A4", 8), ("A~2", 8), ("A~3", 7), ("C~3", 7))},
+       for name, n in (("B3", 9), ("H3", 9), ("A4", 8), ("A~2", 8), ("A~3", 7), ("C~2", 7), ("C~3", 7))},
     **{f"{os.path.basename(p)} <= 6": (load_coxeter_graph(p), 6) for p in sorted(glob.glob(os.path.join(GRAPHS, "*.json")))},
     "4-cycle of 4-bonds <= 6": (catalog.cycle(["s1", "s2", "s3", "s4"], 4), 6),
+    "I2(7) <= 7": (CoxeterGraph(["s", "t"], [("s", "t", 7)]), 7),
     "infinite bond <= 7": (CoxeterGraph(["s1", "s2", "s3", "s4"],
                                         [("s1", "s2", INF), ("s2", "s3", 3), ("s3", "s4", 4), ("s1", "s3", 3)]), 7),
     "7-3 path <= 9": (CoxeterGraph(["a", "b", "c"], [("a", "b", 7), ("b", "c", 3)]), 9),
@@ -484,7 +486,11 @@ def test_interval_census_matches_word_oracles(name):
     # |R(w)|, its class count and element-level cyclic reducedness off the
     # walk of [e, w]_R, against R(w) listed by the tests' own braid search,
     # partitioned by their own short-move search, and the rotations of
-    # every listed word; on every element, FC or not
+    # every listed word; on every element, FC or not.  FC is also read off
+    # the heap: one class exactly when the heap has no convex <s,t>_m
+    # window (Stembridge), and then |R(w)| is the heap's linear extensions,
+    # walked over its down-sets.  The element verdict, which takes the heap
+    # route for FC w, agrees.
     g, max_len = CENSUS_SYSTEMS[name]
     for w in W.elements_up_to(g, max_len):
         left, classes = set(braid_closure(g, w)), 0
@@ -494,6 +500,19 @@ def test_interval_census_matches_word_oracles(name):
             classes += 1
         want = (count, classes, listing_is_cyclically_reduced_element(g, w))
         assert CY._interval_census(g, len(w), *g.root_system().rotation_pass(w)) == want, g.format(w)
+        fc = W.is_fc(g, w)
+        assert (classes == 1) == fc, g.format(w)
+        assert not fc or count == down_sets(H.heap_of_word(g, w))[(1 << len(w)) - 1], g.format(w)
+        assert CY.is_cyclically_reduced_element(g, w) == want[2], g.format(w)
+
+
+def test_interval_census_of_wide_fc_heaps():
+    # pairwise commuting letters: [e, w]_R is every subset, each FC with
+    # commuting descents, and R(w) is one class of 10! words
+    for g in (CoxeterGraph([f"s{i}" for i in range(10)]), catalog.chain([f"s{i}" for i in range(20)], [3] * 19)):
+        w = tuple(range(0, g.rank, g.rank // 10))
+        assert CY._interval_census(g, 10, *g.root_system().rotation_pass(w)) == (3628800, 1, True)
+        assert CY.is_cyclically_reduced_element(g, w)
 
 
 @pytest.mark.parametrize("name", ["B3", "H3", "A~2", "A4", "C~3"])
@@ -531,16 +550,11 @@ def test_bad_rotation_off_w_itself(name, text):
     g = catalog.coxeter_graph(name)
     w = g.word(text)
     assert all(W.is_reduced(g, w[k:] + w[:k]) for k in range(len(w)))
+    assert W.is_fc(g, w) == (name == "H3")
     negated, pairs = g.root_system().rotation_pass(w)
     assert CY._bad_rotation(w, pairs) is None
-    if CL.is_fc(g, w):
-        # the heap walk names a rotation of a commutation of w
-        bad = CY.rotation_walk(H.heap_of_word(g, w), pairs)
-        assert bad is not None and not W.is_reduced(g, bad) and not CL.is_cfc(g, w)
-        assert CY.cyclic_word(bad) in {CY.cyclic_word(u) for u in W.reduced_words(g, w)}
-    else:
-        # a prefix y of another word of R(w), an element of [e, w]_R, fails
-        assert not CY._interval_census(g, len(w), negated, pairs)[2]
+    # a prefix y of another word of R(w), an element of [e, w]_R, fails
+    assert not CY._interval_census(g, len(w), negated, pairs)[2]
     assert not CY.is_cyclically_reduced_element(g, w)
     assert not listing_is_cyclically_reduced_element(g, w)
     report = CL.classify(g, w)

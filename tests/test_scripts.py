@@ -123,9 +123,11 @@ def test_bench_writes_report(tmp_path):
     assert set(report) == {"python", "cpus", "dont_write_bytecode", "git_sha", "git_dirty", "repeats", "cases"}
     assert report["dont_write_bytecode"] == bool(sys.flags.dont_write_bytecode)
     # 4! linear extensions, 3! cyclic words, 260 cyclic words in R_tor of
-    # (s0 s2 s4 s1 s3)^2 over C~4, (4-1)! classes on K4, 4-1 on C4, and
-    # what the two CLI calls print
-    want = [24, 6, 260, 6, 3]
+    # (s0 s2 s4 s1 s3)^2 over C~4, verdicts of cyclic reducedness on
+    # (s0 s2 s4 s1 s3)^4 and the free 4-letter word (true) and the longest
+    # element of A4 (false), (4-1)! classes on K4, 4-1 on C4, and what the
+    # two CLI calls print
+    want = [24, 6, 260, 1, 1, 0, 6, 3]
     for argv in (("graph", "toric-classes", "-g", "graphs/affine_c4.json"),
                  ("word", "classify", "-g", "graphs/b3.json", "s1 s2 s1 s2")):
         code, printed = _cli_in_process(*argv)
