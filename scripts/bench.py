@@ -2,6 +2,7 @@
 """Time the listing layers and the CLI at fixed sizes and write the medians as JSON.
 
     python scripts/bench.py BENCH_<n>.json
+    python scripts/bench.py --against REV BENCH_<n>.json
 
 Each case builds its input first and then times one call REPEATS times;
 the report keeps every run, their median and the size of the result, so
@@ -13,57 +14,100 @@ C~4 and C~5, element-level cyclic reducedness (a bool verdict, sized 1
 when it holds and 0 when not) of its 4th power on C~3, C~4 and C~5 and
 of the free word on 12 and 16 letters, both FC and read off the heap, and
 of the longest element of A5 and A6, which is not FC and is read off the
-walk of [e, w]_R, and the toric classes of K6, K7 and C12.  The CLI cases each
-time one fresh ``python -m coxheaps`` process, start to exit, and count
-the characters it prints: ``graph toric-classes`` on graphs/affine_c<n>.json
-for C~2, C~3 and C~4, and ``word classify`` on graphs/b3.json for the
-first 3, 6 and 9 letters of a reduced word of the longest element of B3.
-The report also records the Python version, the CPU count, whether the
-interpreter writes no bytecode (``sys.flags.dont_write_bytecode``; the CLI
-processes inherit the setting, and without cached bytecode each compiles
-the modules it imports), and the git commit of the checkout, with whether
-its tree had uncommitted changes.  The package is imported from this
-checkout's ``src/``.
+walk of [e, w]_R, ``classify`` (sized by the characters of its report's
+JSON) of the cube of the Coxeter element of C~3 and C~4 and of the
+longest element of A5 and A6, and the toric classes of K6, K7 and C12.
+The CLI cases each time one fresh ``python -m coxheaps`` process, start
+to exit, and count the characters it prints: ``graph toric-classes`` on
+graphs/affine_c<n>.json for C~2, C~3 and C~4, and ``word classify`` on
+graphs/b3.json for the first 3, 6 and 9 letters of a reduced word of the
+longest element of B3.  The report also records the Python version, the
+CPU count, whether the interpreter writes no bytecode
+(``sys.flags.dont_write_bytecode``; the CLI processes inherit the
+setting, and without cached bytecode each compiles the modules it
+imports), and the git commit of the checkout, with whether its tree had
+uncommitted changes.  The package is imported from this checkout's
+``src/``.
+
+With ``--against REV`` the package of the git revision REV, extracted
+with ``git archive`` into a temporary directory, is imported as a second
+package, ``coxheaps_against``, beside this checkout's, and each case
+times PAIRS pairs of calls, one on each package, alternating which runs
+first (a CLI case runs ``python -m coxheaps_against`` on that side).  So
+both sides meet the same host state, which two sequential runs do not.
+Each case then also records REV's runs, their median and result size,
+the ratio of this checkout's median to REV's, and the pairs this
+checkout won, its call the faster of the two.
 """
 
+import importlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from coxheaps import catalog  # noqa: E402
-from coxheaps import cyclic as CY  # noqa: E402
-from coxheaps import heaps as H  # noqa: E402
-from coxheaps import toric as T  # noqa: E402
-from coxheaps.coxgraph import CoxeterGraph  # noqa: E402
+SRC = ROOT / "src"
 
 REPEATS = 5
+PAIRS = 10
+AGAINST = "coxheaps_against"  # the package name REV's tree is imported under
 
 
-def _free_word(n):
+def _package(name, path):
+    """The modules the cases call, of the package ``name`` found in the
+    directory ``path``; AGAINST is imported afresh.  The package imports
+    its own modules relatively, through its ``__path__``, so ``path`` is
+    on ``sys.path`` only while it is first imported."""
+    if name == AGAINST:
+        for module in [m for m in sys.modules if m.split(".")[0] == AGAINST]:
+            del sys.modules[module]
+    sys.path.insert(0, str(path))
+    try:
+        modules = {m: importlib.import_module(f"{name}.{m}")
+                   for m in ("catalog", "classifier", "coxgraph", "cyclic", "heaps", "toric")}
+    finally:
+        sys.path.remove(str(path))
+    return SimpleNamespace(name=name, path=path, **modules)
+
+
+def _extract(rev, into):
+    """REV's ``src/coxheaps``, written from ``git archive`` as the package AGAINST in ``into``."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev, "src/coxheaps"], cwd=ROOT, capture_output=True,
+                         timeout=60, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        for member in archive.getmembers():
+            if member.isfile():
+                target = Path(into, AGAINST, *Path(member.name).parts[2:])
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(archive.extractfile(member).read())
+
+
+def _free_word(pkg, n):
     """n generators with no bonds, and the word using each once."""
-    return CoxeterGraph([f"s{i}" for i in range(1, n + 1)]), tuple(range(n))
+    return pkg.coxgraph.CoxeterGraph([f"s{i}" for i in range(1, n + 1)]), tuple(range(n))
 
 
-def _affine_c_coxeter_power(n, k):
+def _affine_c_coxeter_power(pkg, n, k):
     """The C~n chain s0 - s1 - ... - sn, with 4-bonds at both ends, and the
     k-th power of its Coxeter element s0 s2 ... s1 s3 ... (even letters first)."""
-    g = catalog.chain([f"s{i}" for i in range(n + 1)], [4] + [3] * (n - 2) + [4])
+    g = pkg.catalog.chain([f"s{i}" for i in range(n + 1)], [4] + [3] * (n - 2) + [4])
     return g, (tuple(range(0, n + 1, 2)) + tuple(range(1, n + 1, 2))) * k
 
 
-def _a_longest(n):
+def _a_longest(pkg, n):
     """The A_n chain s1 - ... - sn and the reduced word s1 (s2 s1) (s3 s2 s1) ...
     of its longest element."""
-    g = catalog.chain([f"s{i}" for i in range(1, n + 1)], [3] * (n - 1))
+    g = pkg.catalog.chain([f"s{i}" for i in range(1, n + 1)], [3] * (n - 1))
     return g, tuple(j for i in range(n) for j in range(i, -1, -1))
 
 
@@ -72,42 +116,53 @@ def _sized(call):
     return lambda: (True,) if call() else ()
 
 
-def _complete(n):
-    return T.Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+def _classify(pkg, g, w):
+    """The call of ``classify`` on w, its result the JSON text of the report."""
+    return lambda: json.dumps(pkg.classifier.classify(g, w).to_json(g))
 
 
-def _cycle(n):
-    return T.graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+def _complete(pkg, n):
+    return pkg.toric.Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def _cycle(pkg, n):
+    return pkg.toric.graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 B3_LONGEST = "s1 s2 s1 s2 s3 s2 s1 s2 s3"  # a reduced word of w0, so each prefix is reduced
 
 
-def _cli(*argv):
-    """What one ``python -m coxheaps`` process on this checkout prints."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, "-m", "coxheaps", *argv], cwd=ROOT, env=env, capture_output=True,
+def _cli(pkg, *argv):
+    """What one ``python -m <package>`` process on the package prints."""
+    env = dict(os.environ, PYTHONPATH=str(pkg.path))
+    return subprocess.run([sys.executable, "-m", pkg.name, *argv], cwd=ROOT, env=env, capture_output=True,
                           text=True, timeout=120, check=True).stdout
 
 
-# (layer, input family) -> size -> the call to time, its input built here
+# (layer, input family) -> (package, size) -> the call to time, its input built here
 BUILDERS = {
-    ("heaps.linear_extensions", "free word"): lambda n: partial(H.linear_extensions, H.heap_of_word(*_free_word(n))),
-    ("cyclic.ltor", "free word"): lambda n: partial(CY.ltor, CY.toric_heap_of_word(*_free_word(n))),
+    ("heaps.linear_extensions", "free word"):
+        lambda pkg, n: partial(pkg.heaps.linear_extensions, pkg.heaps.heap_of_word(*_free_word(pkg, n))),
+    ("cyclic.ltor", "free word"):
+        lambda pkg, n: partial(pkg.cyclic.ltor, pkg.cyclic.toric_heap_of_word(*_free_word(pkg, n))),
     ("cyclic.rtor_cyclic_class", "C~n Coxeter element squared"):
-        lambda n: partial(CY.rtor_cyclic_class, *_affine_c_coxeter_power(n, 2)),
+        lambda pkg, n: partial(pkg.cyclic.rtor_cyclic_class, *_affine_c_coxeter_power(pkg, n, 2)),
     ("cyclic.is_cyclically_reduced_element", "C~n Coxeter element to the 4th"):
-        lambda n: _sized(partial(CY.is_cyclically_reduced_element, *_affine_c_coxeter_power(n, 4))),
+        lambda pkg, n: _sized(partial(pkg.cyclic.is_cyclically_reduced_element, *_affine_c_coxeter_power(pkg, n, 4))),
     ("cyclic.is_cyclically_reduced_element", "free word"):
-        lambda n: _sized(partial(CY.is_cyclically_reduced_element, *_free_word(n))),
+        lambda pkg, n: _sized(partial(pkg.cyclic.is_cyclically_reduced_element, *_free_word(pkg, n))),
     ("cyclic.is_cyclically_reduced_element", "A_n longest element"):
-        lambda n: _sized(partial(CY.is_cyclically_reduced_element, *_a_longest(n))),
-    ("toric.toric_classes", "complete graph"): lambda n: partial(T.toric_classes, _complete(n)),
-    ("toric.toric_classes", "cycle graph"): lambda n: partial(T.toric_classes, _cycle(n)),
+        lambda pkg, n: _sized(partial(pkg.cyclic.is_cyclically_reduced_element, *_a_longest(pkg, n))),
+    ("classifier.classify", "C~n Coxeter element cubed"):
+        lambda pkg, n: _classify(pkg, *_affine_c_coxeter_power(pkg, n, 3)),
+    ("classifier.classify", "A_n longest element"): lambda pkg, n: _classify(pkg, *_a_longest(pkg, n)),
+    ("toric.toric_classes", "complete graph"): lambda pkg, n: partial(pkg.toric.toric_classes, _complete(pkg, n)),
+    ("toric.toric_classes", "cycle graph"): lambda pkg, n: partial(pkg.toric.toric_classes, _cycle(pkg, n)),
     ("cli graph toric-classes", "C~n graph file"):
-        lambda n: partial(_cli, "graph", "toric-classes", "-g", f"graphs/affine_c{n}.json"),
+        lambda pkg, n: partial(_cli, pkg, "graph", "toric-classes", "-g", f"graphs/affine_c{n}.json"),
     ("cli word classify", "B3 word of n letters"):
-        lambda n: partial(_cli, "word", "classify", "-g", "graphs/b3.json", " ".join(B3_LONGEST.split()[:n])),
+        lambda pkg, n: partial(_cli, pkg, "word", "classify", "-g", "graphs/b3.json",
+                               " ".join(B3_LONGEST.split()[:n])),
 }
 CASES = (
     ("heaps.linear_extensions", "free word", 7),
@@ -123,6 +178,10 @@ CASES = (
     ("cyclic.is_cyclically_reduced_element", "free word", 16),
     ("cyclic.is_cyclically_reduced_element", "A_n longest element", 5),
     ("cyclic.is_cyclically_reduced_element", "A_n longest element", 6),
+    ("classifier.classify", "C~n Coxeter element cubed", 3),
+    ("classifier.classify", "C~n Coxeter element cubed", 4),
+    ("classifier.classify", "A_n longest element", 5),
+    ("classifier.classify", "A_n longest element", 6),
     ("toric.toric_classes", "complete graph", 6),
     ("toric.toric_classes", "complete graph", 7),
     ("toric.toric_classes", "cycle graph", 12),
@@ -143,21 +202,43 @@ def _git(*args):
     return done.stdout.strip() if done.returncode == 0 else None
 
 
-def measure(layer, family, size, repeats):
-    call = BUILDERS[layer, family](size)
-    runs, result = [], None
-    for _ in range(repeats):
-        result = None  # the previous result is freed outside the timing
-        start = time.perf_counter()
-        result = call()
-        runs.append(time.perf_counter() - start)
-    return {"layer": layer, "input": family, "size": size, "result_size": len(result),
-            "median_s": statistics.median(runs), "runs_s": runs}
+def _timed(call):
+    start = time.perf_counter()
+    result = call()
+    return time.perf_counter() - start, result
 
 
-def main(argv, cases=CASES, repeats=REPEATS):
-    if len(argv) != 1:
-        print("usage: bench.py OUTPUT.json", file=sys.stderr)
+def measure(pkg, layer, family, size, repeats, against=None):
+    """The case's runs on ``pkg``; with ``against``, paired with as many on
+    that package, the two calls of a pair in alternating order."""
+    call = BUILDERS[layer, family](pkg, size)
+    other = None if against is None else BUILDERS[layer, family](against, size)
+    runs, other_runs, result, other_result = [], [], None, None
+    for k in range(repeats):
+        result = other_result = None  # the previous results are freed outside the timing
+        if other is not None and k % 2 == 0:
+            elapsed, other_result = _timed(other)
+            other_runs.append(elapsed)
+        elapsed, result = _timed(call)
+        runs.append(elapsed)
+        if other is not None and k % 2 == 1:
+            elapsed, other_result = _timed(other)
+            other_runs.append(elapsed)
+    row = {"layer": layer, "input": family, "size": size, "result_size": len(result),
+           "median_s": statistics.median(runs), "runs_s": runs}
+    if other is not None:
+        row.update(against_result_size=len(other_result), against_median_s=statistics.median(other_runs),
+                   against_runs_s=other_runs, ratio=row["median_s"] / statistics.median(other_runs),
+                   pairs_won=sum(a < b for a, b in zip(runs, other_runs)))
+    return row
+
+
+def main(argv, cases=CASES, repeats=None):
+    rev = None
+    if argv[:1] == ["--against"] and len(argv) == 3:
+        rev, argv = argv[1], argv[2:]
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print("usage: bench.py [--against REV] OUTPUT.json", file=sys.stderr)
         return 2
     status = _git("status", "--porcelain", "--untracked-files=no")
     report = {
@@ -166,13 +247,22 @@ def main(argv, cases=CASES, repeats=REPEATS):
         "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "git_sha": _git("rev-parse", "HEAD"),
         "git_dirty": None if status is None else bool(status),
-        "repeats": repeats,
+        "repeats": repeats or (REPEATS if rev is None else PAIRS),
         "cases": [],
     }
-    for layer, family, size in cases:
-        row = measure(layer, family, size, repeats)
-        report["cases"].append(row)
-        print(f"{layer:36s} {family:30s} {size:3d}  {row['median_s']:.4f} s  ({row['result_size']} out)")
+    with tempfile.TemporaryDirectory() as scratch:
+        pkg, against = _package("coxheaps", SRC), None
+        if rev is not None:
+            report["against"] = {"rev": rev, "git_sha": _git("rev-parse", "--verify", f"{rev}^{{commit}}")}
+            _extract(rev, scratch)
+            against = _package(AGAINST, scratch)
+        for layer, family, size in cases:
+            row = measure(pkg, layer, family, size, report["repeats"], against)
+            report["cases"].append(row)
+            line = f"{layer:36s} {family:30s} {size:3d}  {row['median_s']:.4f} s  ({row['result_size']} out)"
+            if against is not None:
+                line += f"  against {row['against_median_s']:.4f} s  x{row['ratio']:.2f}  won {row['pairs_won']}"
+            print(line)
     Path(argv[0]).write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -12,8 +12,10 @@ conjugation at fixed length:
 * R_tor([w]): closure of [w] under rotations + all braid moves, listed one
   C_tor class at a time by ``_rtor_listing``, which reads the moves of
   every rotation off the doubled word and meets a cyclic repeat when w is
-  not torically reduced (Tits).  It records the move it first meets each
-  word by, so the chain of moves to that repeat, which
+  not torically reduced (Tits).  Every word it lists is free of cyclic
+  repeats, so a new word can gain one only at the two seams of its move,
+  which are all it tests.  It records the move it first meets each word
+  by, so the chain of moves to that repeat, which
   ``toric_reduction_witness`` returns, is replayed, not searched for.
 
 Toric reducedness and [w], the elements named by R_tor(w), need no
@@ -106,9 +108,25 @@ class CyclicWord(Record):
 
 
 def _least_rotation(word: Word) -> Word:
-    """The least rotation, which starts at an occurrence of the least letter."""
-    n, doubled, least = len(word), word + word, min(word, default=None)
-    return min([doubled[k : k + n] for k in range(n) if word[k] == least], default=())
+    """The least rotation, which starts at an occurrence of the least letter.
+
+    Those occurrences are read with ``tuple.index`` and ``tuple.count``, so
+    no step runs over every position in Python: one occurrence names the
+    rotation outright, and several are compared as windows of the doubled
+    word."""
+    if not word:
+        return ()
+    least = min(word)
+    k, count = word.index(least), word.count(least)
+    if count == 1:
+        return word[k:] + word[:k]
+    n, doubled = len(word), word + word
+    best = doubled[k : k + n]
+    for _ in range(count - 1):
+        k = word.index(least, k + 1)
+        if (rot := doubled[k : k + n]) < best:
+            best = rot
+    return best
 
 
 def cyclic_word(w: Iterable[int]) -> CyclicWord:
@@ -193,7 +211,7 @@ def _interval_census(g: CoxeterGraph, n: int, negated: dict, pairs: list[tuple[i
     for i, j in pairs:
         if i != j:
             need[i] |= 1 << j
-    commuting = [sum(1 << t for t, m in enumerate(row) if m == 2) for row in g.bond_table]
+    commuting = g.root_system().commuting
     words, classes, downs = {0: 1}, {0: 1}, {}
     cyclically_reduced = True
     for level in _weak_order_levels(g, n, negated):
@@ -298,6 +316,13 @@ def _rtor_listing(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], 
     repeat raises NotToricallyReduced when met, before the cap, with the
     ``chain`` those moves replay (``_witness``).  The first word listed
     past the cap is settled by ``_shift_class`` (``_past_cap``).
+
+    A new word is the rotation rot = move + d[i+m : i+n], led by the m
+    letters of the move; it is tested for a cyclic repeat only at its two
+    seams, rot[m-1] and rot[m % n], and rot[-1] and rot[0].  The move
+    alternates two letters, and the rest lay cyclically adjacent in u,
+    which passed the test when it was met (w before any move), so no
+    other pair of neighbours can be equal.
     """
     x = g.check_word(w)
     start, n, bond = _least_rotation(x), len(x), g.bond_table
@@ -312,11 +337,12 @@ def _rtor_listing(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], 
         for cur in members:
             d = cur + cur
             for i, m, move in _moves(bond, d, range(n), n):
-                nxt = _least_rotation(move + d[i + m : i + n])
+                rot = move + d[i + m : i + n]
+                nxt = _least_rotation(rot)
                 state = get(nxt)
                 if state is None:
                     made[nxt] = cur, i
-                    if has_adjacent_repeat(nxt + nxt[:1]):
+                    if rot[m - 1] == rot[m % n] or rot[-1] == rot[0]:
                         raise _witness(g, x, made, nxt)
                     if m > 2:
                         found[nxt] = -1

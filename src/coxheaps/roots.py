@@ -101,7 +101,7 @@ class RootSystem:
     Built on first use by ``CoxeterGraph.root_system``.
     """
 
-    __slots__ = ("identity", "negative", "simple", "_times", "_reflect")
+    __slots__ = ("identity", "negative", "simple", "commuting", "_times", "_reflect")
 
     def __init__(self, g: CoxeterGraph):
         n = g.rank
@@ -125,6 +125,9 @@ class RootSystem:
         self.identity = tuple(columns)
         self.negative = tuple(tuple(map(neg, col)) for col in columns)  # -alpha_t
         self.simple = {col: t for t, col in enumerate(columns)}
+        # commuting[s]: the mask of the t with m(s, t) = 2, kept for the
+        # walks of [e, w]_R (``cyclic._interval_census``)
+        self.commuting = tuple(sum(1 << t for t, m in enumerate(row) if m == 2) for row in g.bond_table)
         self._times = tuple(
             _step_maker(n * d, d, tuple(tuple(terms) for _, terms in row))(s, *(t for t, _ in row))
             for s, row in enumerate(steps)

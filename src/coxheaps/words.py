@@ -22,19 +22,20 @@ the linear extensions of w's heap, which are its words (Cartier-Foata
 R(w), or, for FC w, takes the one class without listing R(w).  Past a cap
 each listing raises ``OrbitCapExceeded``, an inconclusive outcome, never
 a guess; the default cap, ``DEFAULT_ORBIT_CAP``, lives in ``errors``.
+``heaps`` is imported when a heap is first needed (``_heaps``), so the
+word problem loads no heap code.
 
 All functions are pure; words are tuples of generator indices.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice
-from operator import neg
 from typing import Iterable, Iterator
 
 from .coxgraph import CoxeterGraph, Word
 from .errors import DEFAULT_ORBIT_CAP, ExtensionCapExceeded, NotReduced, OrbitCapExceeded
-from .heaps import _is_fc, heap_of_word, linear_extensions
 from .records import Record, _set
 
 
@@ -81,6 +82,16 @@ class NormalForm(Record):
         return NotImplemented
 
 
+@cache
+def _heaps():
+    """The ``heaps`` module, imported on first use and kept, so that the
+    word problem loads no heap code; an import statement run on every call
+    would cost more than the call (as ``heaps._toric``)."""
+    from . import heaps
+
+    return heaps
+
+
 def has_adjacent_repeat(w: Word) -> bool:
     return any(w[i] == w[i + 1] for i in range(len(w) - 1))
 
@@ -109,7 +120,8 @@ def commutativity_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) 
     """Closure of {w} under short braid moves (the trace of w): the linear
     extensions of its heap.  w itself is listed whatever the cap."""
     try:
-        return linear_extensions(heap_of_word(g, w), max(cap, 1))
+        heaps = _heaps()
+        return heaps.linear_extensions(heaps.heap_of_word(g, w), max(cap, 1))
     except ExtensionCapExceeded:
         raise OrbitCapExceeded(f"commutativity class of {g.format(w)} exceeds cap {cap}") from None
 
@@ -165,12 +177,13 @@ def commutativity_classes(
     class, repeatedly.  The cap is that of ``reduced_words``.  For FC w the
     one class is the linear extensions of w's heap, and R(w) is not listed:
     |L(h)| = |R(w)|, so the cap trips exactly as it would on R(w)."""
-    h = heap_of_word(g, w)
-    if _is_fc(h):  # which means FC only for reduced w; reduced_words checks the others
+    heaps = _heaps()
+    h = heaps.heap_of_word(g, w)
+    if heaps._is_fc(h):  # which means FC only for reduced w; reduced_words checks the others
         if not is_reduced(g, w):
             raise NotReduced(f"{g.format(w)} is not reduced")
         try:
-            return (linear_extensions(h, max(cap, 1)),)
+            return (heaps.linear_extensions(h, max(cap, 1)),)
         except ExtensionCapExceeded:
             raise OrbitCapExceeded(f"reduced-word set of {g.format(w)} exceeds cap {cap}") from None
     out: list[frozenset[Word]] = []
@@ -186,7 +199,8 @@ def is_fc(g: CoxeterGraph, w: Word) -> bool:
     """True iff R(w) is a single commutativity class (w must be reduced)."""
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
-    return _is_fc(heap_of_word(g, w))
+    heaps = _heaps()
+    return heaps._is_fc(heaps.heap_of_word(g, w))
 
 
 def inverse(w: Word) -> Word:
@@ -213,9 +227,14 @@ def _weak_order_levels(g: CoxeterGraph, length: int, negated: dict | None = None
     Each level maps the mask of each x of the next length, in the order x
     is first reached, to {s: mask of x s} over its right descents s, in the
     order reached.  x is reached from each x s and from nothing else, so
-    its own step skips those s.  The columns of ``roots`` give y(alpha_s);
-    x's are made once, from the first edge into it, and not for the last
-    level, which no step leaves."""
+    its own step skips those s.
+
+    The walk carries the negated columns -y(alpha_t), from
+    ``roots.RootSystem.negative``: the root step is linear, so it maps
+    them to the negated columns of y s, and column s, -y(alpha_s), is
+    looked up in ``negated`` as it stands.  x's columns are made once,
+    from the first edge into it, and not for the last level, which no
+    step leaves."""
     rs = g.root_system()
     if negated is None:
         bits: dict[tuple, int] = {}
@@ -223,15 +242,15 @@ def _weak_order_levels(g: CoxeterGraph, length: int, negated: dict | None = None
         def bit(root: tuple) -> int:
             return bits.setdefault(root, len(bits))
     else:
-        bit = {tuple(map(neg, b)): j for b, j in negated.items()}.get
+        bit = negated.get
     level: dict[int, dict[int, int]] = {0: {}}
-    columns, times = {0: rs.identity}, rs._times
+    columns, times, letters = {0: rs.negative}, rs._times, range(g.rank)
     for more in reversed(range(length)):  # levels still to come after this one
         longer: dict[int, dict[int, int]] = {}
         made = {}
         for key, right in level.items():
             cols = columns[key]
-            for s in range(g.rank):
+            for s in letters:
                 if s not in right and (j := bit(cols[s])) is not None:
                     x = key | 1 << j
                     if x in longer:

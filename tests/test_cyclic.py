@@ -1,4 +1,5 @@
 import inspect
+import random
 from itertools import combinations
 
 import pytest
@@ -29,6 +30,23 @@ def test_cyclic_word_canonical(b3):
     assert CY.cyclic_word(()) == CY.CyclicWord(())
     assert CY.rotations(CY.cyclic_word((0, 0))) == ((0, 0),)
     assert CY.rotations(CY.cyclic_word(())) == ((),)
+
+
+def test_least_rotation_is_the_least_of_all_rotations():
+    # the candidates are read at the occurrences of the least letter only;
+    # against every rotation, on the empty word, one letter, one letter
+    # repeated, periodic words and random words with 1-5 occurrences of
+    # the least letter 0
+    rng = random.Random(26)
+    words = [(3,), (2, 2, 2, 2), (0, 1, 0, 1), (1, 0, 2, 1, 0, 2), (0, 0, 1, 0, 0)]
+    for count in range(1, 6):
+        for _ in range(200):
+            word = [0] * count + [rng.randrange(1, 4) for _ in range(rng.randrange(9))]
+            rng.shuffle(word)
+            words.append(tuple(word))
+    assert CY._least_rotation(()) == ()
+    for w in words:
+        assert CY._least_rotation(w) == min(w[k:] + w[:k] for k in range(len(w))), w
 
 
 def test_rotations_order(b3):
@@ -213,6 +231,41 @@ def test_rtor_listing_matches_word_closure(name):
             assert CY.torically_equivalent_elements(g, w) == {W.normal_form(g, u) for u in want}, g.format(w)
             for cls in CY.cyclic_decomposition(g, w):
                 assert cls == CY.ltor(CY.toric_heap_of_word(g, min(cls).canonical)), g.format(w)
+
+
+# Chains the listing names when a new word's cyclic repeat forms at one of
+# its two seams, after the move (rot[m-1], rot[m % n]) or around the end
+# (rot[-1], rot[0]), for rot = move + the rest of the rotation: the only
+# places a word listed, itself free of repeats, can gain one.  Pinned from
+# the listing that tested the whole of each new word.  I2(5) and I2(7) meet
+# theirs at both seams at once, on alternating words longer than m; the paw
+# at each seam, by short and long moves, and by moves whose factor ends at
+# the end of the rotation (i + m = n: "s t s a", "s a s t", "t a b t b",
+# "s t s t a s b").  A move that spans the whole rotation (m = n) meets no
+# repeat: the rotation alternates, so n is even, and so does the result.
+SEAM_CHAINS = (
+    ("I2(5)", "s t s t s t", ("s t s t s t", "t s t s t t")),
+    ("I2(5)", "t s t s t s", ("t s t s t s", "s t s t s t", "t s t s t t")),
+    ("I2(5)", "s t s t s t s t", ("s t s t s t s t", "t s t s t t s t")),
+    ("I2(7)", "s t s t s t s t", ("s t s t s t s t", "t s t s t s t t")),
+    ("I2(7)", "t s t s t s t s", ("t s t s t s t s", "s t s t s t s t", "t s t s t s t t")),
+    ("paw", "s t s a", ("s t s a", "s a s t", "a s s t")),
+    ("paw", "s a s t", ("s a s t", "a s s t")),
+    ("paw", "t a b t b", ("t a b t b", "b t b t a", "t b t t a")),
+    ("paw", "s t s t a s b", ("s t s t a s b", "s b s t s t a", "b s s t s t a")),
+    ("paw", "s t a t", ("s t a t", "t a t s", "a t a s", "s a t a", "a s t a", "s t a a")),
+    ("paw", "s a t s a", ("s a t s a", "s a s a t", "a s s a t")),
+    ("paw", "t a b a t a", ("t a b a t a", "t a t a b a", "a t a a b a")),
+    ("paw", "s t s t a b a t", ("s t s t a b a t", "t s t s a b a t", "s t s a b a t t")),
+)
+
+
+@pytest.mark.parametrize("name, text, chain", SEAM_CHAINS, ids=lambda x: x if isinstance(x, str) else None)
+def test_seam_test_names_the_same_chains(name, text, chain):
+    g = RTOR_SYSTEMS[name]
+    found = CY.toric_reduction_witness(g, g.word(text))
+    assert tuple(map(g.format, found)) == chain
+    assert is_move_chain(g, g.word(text), found)
 
 
 SWEEP_SYSTEMS = {

@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from coxheaps import cli
+from coxheaps import catalog, cli
+from coxheaps import classifier as CL
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -107,11 +108,16 @@ def _cli_in_process(*argv):
     return code, out.getvalue()
 
 
-def test_bench_writes_report(tmp_path):
-    # one small case of each family, once: the report's shape, not its timings
+def _bench():
     spec = importlib.util.spec_from_file_location("bench", os.path.join(ROOT, "scripts", "bench.py"))
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_writes_report(tmp_path):
+    # one small case of each family, once: the report's shape, not its timings
+    bench = _bench()
     assert all((layer, family) in bench.BUILDERS for layer, family, _ in bench.CASES)
     small = [(layer, family, 4) for layer, family in bench.BUILDERS]
     out = tmp_path / "bench.json"
@@ -125,9 +131,14 @@ def test_bench_writes_report(tmp_path):
     # 4! linear extensions, 3! cyclic words, 260 cyclic words in R_tor of
     # (s0 s2 s4 s1 s3)^2 over C~4, verdicts of cyclic reducedness on
     # (s0 s2 s4 s1 s3)^4 and the free 4-letter word (true) and the longest
-    # element of A4 (false), (4-1)! classes on K4, 4-1 on C4, and what the
-    # two CLI calls print
-    want = [24, 6, 260, 1, 1, 0, 6, 3]
+    # element of A4 (false), the JSON of classify on (s0 s2 s4 s1 s3)^3
+    # over C~4 and on the longest element of A4, (4-1)! classes on K4, 4-1
+    # on C4, and what the two CLI calls print
+    want = [24, 6, 260, 1, 1, 0]
+    for name, text in (("C~4", "s0 s2 s4 s1 s3 " * 3), ("A4", "s1 s2 s1 s3 s2 s1 s4 s3 s2 s1")):
+        g = catalog.coxeter_graph(name)
+        want.append(len(json.dumps(CL.classify(g, g.word(text)).to_json(g))))
+    want += [6, 3]
     for argv in (("graph", "toric-classes", "-g", "graphs/affine_c4.json"),
                  ("word", "classify", "-g", "graphs/b3.json", "s1 s2 s1 s2")):
         code, printed = _cli_in_process(*argv)
@@ -135,3 +146,25 @@ def test_bench_writes_report(tmp_path):
         want.append(len(printed))
     assert [row["result_size"] for row in report["cases"]] == want
     assert bench.main([]) == 2
+    assert bench.main(["--against", "HEAD"]) == 2
+
+
+def test_bench_against_a_revision(tmp_path):
+    # one tiny paired run against the committed tree, imported as a second
+    # package: an in-process case and a CLI case, two pairs each
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+    if head.returncode != 0:
+        pytest.skip("not a git checkout")
+    bench = _bench()
+    cases = [("cyclic.ltor", "free word", 4), ("cli graph toric-classes", "C~n graph file", 2)]
+    out = tmp_path / "bench.json"
+    assert bench.main(["--against", "HEAD", str(out)], cases=cases, repeats=2) == 0
+    report = json.loads(out.read_text())
+    assert report["against"] == {"rev": "HEAD", "git_sha": head.stdout.strip()}
+    for row in report["cases"]:
+        assert len(row["runs_s"]) == len(row["against_runs_s"]) == report["repeats"] == 2
+        assert row["against_result_size"] == row["result_size"] > 0
+        assert row["ratio"] == row["median_s"] / row["against_median_s"]
+        assert row["pairs_won"] in (0, 1, 2)
+    against = sys.modules[bench.AGAINST + ".cyclic"].__file__
+    assert not against.startswith(os.path.join(ROOT, "src"))
