@@ -7,12 +7,16 @@
 Each case builds its input first and then times one call REPEATS times;
 the report keeps every run, their median and the size of the result, so
 that two checkouts can be compared case by case.  The in-process cases
-are the linear extensions of the free heap (pairwise commuting letters,
-n! orders) on 7, 8 and 9 letters, L_tor of the free 8-letter word (7!
-cyclic words), the R_tor listing of the square of the Coxeter element of
-C~4 and C~5, element-level cyclic reducedness (a bool verdict, sized 1
-when it holds and 0 when not) of its 4th power on C~3, C~4 and C~5 and
-of the free word on 12 and 16 letters, both FC and read off the heap, and
+are the normal form (sized by its length) of the reversed reduced word of
+the longest element of A6, A8 and A10, R(w) of the longest element of A4
+and A5, and of A9 with cap 100, where the listing stops at the cap (sized
+0 when it raises OrbitCapExceeded), the linear extensions of the free heap
+(pairwise commuting letters, n! orders) on 7, 8 and 9 letters, L_tor of
+the free 8-letter word (7! cyclic words), the R_tor listing of the
+square of the Coxeter element of C~4 and C~5, element-level cyclic
+reducedness (a bool verdict, sized 1 when it holds and 0 when not) of
+its 4th power on C~3, C~4 and C~5 and of the free word on 12 and 16
+letters, both FC and read off the heap, and
 of the longest element of A5 and A6, which is not FC and is read off the
 walk of [e, w]_R, ``classify`` (sized by the characters of its report's
 JSON) of the cube of the Coxeter element of C~3 and C~4 and of the
@@ -74,7 +78,7 @@ def _package(name, path):
     sys.path.insert(0, str(path))
     try:
         modules = {m: importlib.import_module(f"{name}.{m}")
-                   for m in ("catalog", "classifier", "coxgraph", "cyclic", "heaps", "toric")}
+                   for m in ("catalog", "classifier", "coxgraph", "cyclic", "errors", "heaps", "toric", "words")}
     finally:
         sys.path.remove(str(path))
     return SimpleNamespace(name=name, path=path, **modules)
@@ -139,8 +143,29 @@ def _cli(pkg, *argv):
                           text=True, timeout=120, check=True).stdout
 
 
+def _normal_form_of_reversed(pkg, g, w):
+    """The call of ``normal_form`` on w reversed, its result the normal form's word."""
+    return lambda: pkg.words.normal_form(g, w[::-1]).word
+
+
+def _reduced_words_capped(pkg, g, w, cap):
+    """The call of ``reduced_words`` on w with the cap, an empty result when it raises OrbitCapExceeded."""
+    def call():
+        try:
+            return pkg.words.reduced_words(g, w, cap)
+        except pkg.errors.OrbitCapExceeded:
+            return ()
+    return call
+
+
 # (layer, input family) -> (package, size) -> the call to time, its input built here
 BUILDERS = {
+    ("words.normal_form", "A_n longest element reversed"):
+        lambda pkg, n: _normal_form_of_reversed(pkg, *_a_longest(pkg, n)),
+    ("words.reduced_words", "A_n longest element"):
+        lambda pkg, n: partial(pkg.words.reduced_words, *_a_longest(pkg, n)),
+    ("words.reduced_words", "A_n longest element, cap 100"):
+        lambda pkg, n: _reduced_words_capped(pkg, *_a_longest(pkg, n), 100),
     ("heaps.linear_extensions", "free word"):
         lambda pkg, n: partial(pkg.heaps.linear_extensions, pkg.heaps.heap_of_word(*_free_word(pkg, n))),
     ("cyclic.ltor", "free word"):
@@ -165,6 +190,12 @@ BUILDERS = {
                                " ".join(B3_LONGEST.split()[:n])),
 }
 CASES = (
+    ("words.normal_form", "A_n longest element reversed", 6),
+    ("words.normal_form", "A_n longest element reversed", 8),
+    ("words.normal_form", "A_n longest element reversed", 10),
+    ("words.reduced_words", "A_n longest element", 4),
+    ("words.reduced_words", "A_n longest element", 5),
+    ("words.reduced_words", "A_n longest element, cap 100", 9),
     ("heaps.linear_extensions", "free word", 7),
     ("heaps.linear_extensions", "free word", 8),
     ("heaps.linear_extensions", "free word", 9),

@@ -11,7 +11,10 @@ are the s whose simple root alpha_s is among its betas, and its right
 descents the s with w(alpha_s) among the -beta_j (Björner–Brenti,
 *Combinatorics of Coxeter Groups*, §1.3–1.4 and §4.2).  So one pass over
 the word gives both, and the columns w(alpha_t), an exact and faithful
-key for w (``descents``).
+key for w (``descents``).  The shortlex normal form of w is read off the
+right descents of w^-1: right-multiplying by a right descent t removes
+just -w^-1(alpha_t) from the -beta_j, so each letter costs one root step
+(``shortlex_form``).
 
 Coordinates lie in Z[x]/psi_M, where M is the lcm of the finite bonds
 other than 3 (2 cos(pi / 3) = 1), x = 2 cos(pi / M) and psi_M is the
@@ -101,7 +104,7 @@ class RootSystem:
     Built on first use by ``CoxeterGraph.root_system``.
     """
 
-    __slots__ = ("identity", "negative", "simple", "commuting", "_times", "_reflect")
+    __slots__ = ("identity", "negative", "commuting", "_times")
 
     def __init__(self, g: CoxeterGraph):
         n = g.rank
@@ -115,16 +118,13 @@ class RootSystem:
             cheb.append([a - b for a, b in zip(_times_x(cheb[-1], psi), cheb[-2])])
 
         steps: list[list] = [[] for _ in range(n)]
-        reflect: list[list] = [[] for _ in range(n)]
         for i, j, m in g.bonds():
             terms = _scale_terms(unit if m == 3 else cheb[0] if m == math.inf else cheb[M // m], psi)
-            for s, t in ((i, j), (j, i)):
-                steps[s].append((t, terms))
-                reflect[s] += [(s * d + a, t * d + b, f) for a, b, f in terms]
+            steps[i].append((j, terms))
+            steps[j].append((i, terms))
         columns = [tuple(int(k == t * d) for k in range(n * d)) for t in range(n)]
         self.identity = tuple(columns)
         self.negative = tuple(tuple(map(neg, col)) for col in columns)  # -alpha_t
-        self.simple = {col: t for t, col in enumerate(columns)}
         # commuting[s]: the mask of the t with m(s, t) = 2, kept for the
         # walks of [e, w]_R (``cyclic._interval_census``)
         self.commuting = tuple(sum(1 << t for t, m in enumerate(row) if m == 2) for row in g.bond_table)
@@ -132,21 +132,10 @@ class RootSystem:
             _step_maker(n * d, d, tuple(tuple(terms) for _, terms in row))(s, *(t for t, _ in row))
             for s, row in enumerate(steps)
         )
-        self._reflect = tuple((range(s * d, s * d + d), tuple(row)) for s, row in enumerate(reflect))
 
     def times(self, cols: list, s: int) -> None:
         """Right-multiply the element whose columns are cols by s, in place."""
         self._times[s](cols)
-
-    def reflect(self, s: int, v: tuple) -> tuple:
-        """s(v): only coordinate s changes, to -v_s + sum_t c(s, t) v_t."""
-        own, terms = self._reflect[s]
-        out = list(v)
-        for k in own:
-            out[k] = -v[k]
-        for k, src, f in terms:
-            out[k] += f * v[src]
-        return tuple(out)
 
     def is_reduced(self, word: Word) -> bool:
         """True iff no beta_j of the word equals -beta_i for some i < j."""
@@ -192,40 +181,43 @@ class RootSystem:
         return negated, pairs
 
     def shortlex_form(self, word: Word) -> Word:
-        """The shortlex-least reduced word for the element of word.
+        """The shortlex-least reduced word for the element x of word.
 
-        First delete letters i and j at the first beta_j = -beta_i until the
-        word is reduced.  Then emit the least left descent s, the s with
-        alpha_s among the betas, delete its letter i and apply s to the later
-        betas, which gives the betas of s times the element.
+        The word is read reversed, as a word for y = x^-1, and letters i
+        and j are deleted at the first beta_j = -beta_i until it is reduced.
+        The least left descent of x is the least right descent t of y, the
+        least t with y(alpha_t) among the -beta_j.  It is emitted, y(alpha_t)
+        is dropped from them and y becomes y t: the betas of y t are those
+        of y but -y(alpha_t), so none is reflected.
         """
-        letters = list(word)
+        letters = list(reversed(word))
         states = [self.identity]  # states[j]: columns of the element of letters[:j]
-        betas: list[tuple] = []
         negated: dict[tuple, int] = {}  # -beta_i -> i
+        times = self._times
         j = 0
         while j < len(letters):
             s, cols = letters[j], states[j]
             i = negated.get(cols[s])
             if i is not None:
                 del letters[j], letters[i]
-                del states[i + 1 :], betas[i:]
+                del states[i + 1 :]
                 negated = {b: k for b, k in negated.items() if k < i}
                 j = i
                 continue
-            betas.append(cols[s])
             cols = list(cols)
-            self.times(cols, s)
+            times[s](cols)
             negated[cols[s]] = j
             states.append(tuple(cols))
             j += 1
 
-        out = []
-        while betas:
-            s, i = min((self.simple[b], i) for i, b in enumerate(betas) if b in self.simple)
-            out.append(s)
-            del betas[i]
-            betas[i:] = [self.reflect(s, b) for b in betas[i:]]
+        cols, out, gens = list(states[-1]), [], range(len(states[-1]))
+        for _ in letters:
+            for t in gens:
+                if cols[t] in negated:
+                    break
+            del negated[cols[t]]
+            times[t](cols)
+            out.append(t)
         return tuple(out)
 
 

@@ -10,20 +10,23 @@ theorem).
 Deciding needs no search: ``is_reduced`` and ``normal_form`` use the exact
 root-sequence criterion in ``roots``, in time polynomial in the length, so
 they and ``multiply`` and ``conjugate`` take no cap, nor does ``is_fc``,
-which reads Stembridge's criterion off the heap.  ``_weak_order_levels``
-walks the right weak order up from e, each element keyed by the bitmask
-of its inversions, with one root step per element: up to a length for
-``elements_up_to``, which lists the normal form of each element, and over
-the interval [e, w]_R for ``reduced_words``, which builds R(w) from the
-R(y) of the y below w with no braid search, and for the counts that
-``cyclic._interval_census`` reads off it.  ``commutativity_class`` lists
-the linear extensions of w's heap, which are its words (Cartier-Foata
-1969), and ``commutativity_classes`` takes them, least word first, over
-R(w), or, for FC w, takes the one class without listing R(w).  Past a cap
-each listing raises ``OrbitCapExceeded``, an inconclusive outcome, never
-a guess; the default cap, ``DEFAULT_ORBIT_CAP``, lives in ``errors``.
-``heaps`` is imported when a heap is first needed (``_heaps``), so the
-word problem loads no heap code.
+which reads Stembridge's criterion off the heap.  A normal form is read off
+the right descents of the inverse, one root step a letter; ``multiply``
+and ``conjugate`` take the normal form of the joined word, which checks
+it.  ``_weak_order_levels`` walks the right weak order up from e, each
+element keyed by the bitmask of its inversions, with one root step per
+element: up to a length for ``elements_up_to``, which lists the normal
+form of each element, and over the interval [e, w]_R for
+``reduced_words``, which joins R(w) from both ends of it with no braid
+search, the R(x) of each x of the middle level with the words from x up to
+w, and for the counts that ``cyclic._interval_census`` reads off
+it.  ``commutativity_class`` lists the linear extensions of w's heap, which
+are its words (Cartier-Foata 1969), and ``commutativity_classes`` takes
+them, least word first, over R(w), or, for FC w, takes the one class
+without listing R(w).  Past a cap each listing raises ``OrbitCapExceeded``,
+an inconclusive outcome, never a guess; the default cap,
+``DEFAULT_ORBIT_CAP``, lives in ``errors``.  ``heaps`` is imported when a
+heap is first needed (``_heaps``), so the word problem loads no heap code.
 
 All functions are pure; words are tuples of generator indices.
 """
@@ -136,8 +139,8 @@ def normal_form(g: CoxeterGraph, w: Word) -> NormalForm:
     """Shortlex-least reduced word for the element of w.
 
     Letters are deleted in pairs by the exchange condition until the word is
-    reduced, and the least left descent is then taken greedily
-    (``roots.RootSystem.shortlex_form``).
+    reduced, and the least left descent is then taken greedily, read off the
+    right descents of the inverse (``roots.RootSystem.shortlex_form``).
     """
     least = g.root_system().shortlex_form(g.check_word(w))
     return NormalForm(len(least), least)
@@ -146,27 +149,46 @@ def normal_form(g: CoxeterGraph, w: Word) -> NormalForm:
 def reduced_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[Word]:
     """R(w): all reduced words for the element of the reduced word w.
 
-    Built up the interval [e, w]_R of the right weak order by
-    ``_weak_order_levels``: R(x) is the union of R(x s) s over the right
-    descents s of x.  One root pass decides that w is reduced and gives its
-    betas, which are the y(alpha_s) of the edges y <_R y s of the interval
-    (``roots``).  A word of R(w) has one prefix of each length, so no level
-    holds more words than R(w): the first level past the cap raises
-    OrbitCapExceeded.  w itself is listed whatever the cap.
+    Joined from both ends of the interval [e, w]_R of the right weak order,
+    walked once by ``_weak_order_levels``.  One root pass decides that w is
+    reduced and gives its betas, which are the y(alpha_s) of the edges
+    y <_R y s of the interval (``roots``).  R(x) is the union of R(x s) s
+    over the right descents s of x: the walk counts it at every level and
+    lists it up to the middle one.  A level's total is the number of
+    prefixes of that length of the words of R(w), so the first level past
+    the cap raises OrbitCapExceeded before its words are listed or the
+    walk goes on, and the last level's total is |R(w)|.  Down from w to the middle, the words v with
+    x v = w are the s v' over the x s above x and the words v' with
+    x s v' = w, and R(w) is every u + v of a middle x, u in R(x).  So only
+    the words of R(w) are made at full length.  w itself is listed whatever
+    the cap.
     """
     word = g.check_word(w)
     if (found := g.root_system()._pass(word)) is None:
         raise NotReduced(f"{g.format(w)} is not reduced")
-    listed: dict[int, list[Word]] = {0: [()]}
-    for level in _weak_order_levels(g, len(word), found[1]):
-        words, total = {}, 0
+    middle, upper, counts = len(word) // 2, [], {0: 1}
+    prefixes: dict[int, list[Word]] = {0: [()]}
+    for k, level in enumerate(_weak_order_levels(g, len(word), found[1])):
+        get = counts.__getitem__
+        counts = {key: sum(map(get, down.values())) for key, down in level.items()}
+        if sum(counts.values()) > max(cap, 1):
+            raise OrbitCapExceeded(f"reduced-word set of {g.format(w)} exceeds cap {cap}")
+        if k < middle:
+            prefixes = {key: [u + (s,) for s, y in down.items() for u in prefixes[y]] for key, down in level.items()}
+        else:
+            upper.append(level)
+    suffixes: dict[int, list[Word]] = {key: [()] for key in (upper[-1] if upper else prefixes)}
+    for level in reversed(upper):
+        below: dict[int, list[Word]] = {}
         for key, down in level.items():
-            words[key] = xs = [u + (s,) for s, y in down.items() for u in listed[y]]
-            total += len(xs)
-            if total > max(cap, 1):
-                raise OrbitCapExceeded(f"reduced-word set of {g.format(w)} exceeds cap {cap}")
-        listed = words
-    return frozenset(listed.popitem()[1])
+            vs = suffixes[key]
+            for s, y in down.items():
+                if y in below:
+                    below[y] += [(s,) + v for v in vs]
+                else:
+                    below[y] = [(s,) + v for v in vs]
+        suffixes = below
+    return frozenset([u + v for key, vs in suffixes.items() for u in prefixes[key] for v in vs])
 
 
 def commutativity_classes(
@@ -209,12 +231,13 @@ def inverse(w: Word) -> Word:
 
 
 def multiply(g: CoxeterGraph, u: Word, v: Word) -> NormalForm:
-    return normal_form(g, g.check_word(u) + g.check_word(v))
+    return normal_form(g, tuple(u) + tuple(v))
 
 
 def conjugate(g: CoxeterGraph, v: Word, w: Word) -> NormalForm:
     """Normal form of v^-1 w v."""
-    return normal_form(g, inverse(g.check_word(v)) + g.check_word(w) + g.check_word(v))
+    v = g.check_word(v)
+    return normal_form(g, inverse(v) + tuple(w) + v)
 
 
 def _weak_order_levels(g: CoxeterGraph, length: int, negated: dict | None = None) -> Iterator[dict[int, dict]]:

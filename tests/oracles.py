@@ -13,19 +13,22 @@ braid machinery, except the listing oracles at the end.  Those decide FC,
 CFC and toric questions by listing and search, against the closed criteria
 of the library; the searches follow braid moves of their own
 (``naive_braid_moves``), and ``braid_closure`` is the Tits search route for
-R(w), reducedness and normal forms.  ``down_sets`` is the heap route for
-the word count of an FC element: the linear extensions of its heap,
-counted over down-sets.
+R(w), reducedness and normal forms.  ``greedy_normal_form`` is the
+earlier normal-form route of ``roots``, which reflects the later betas of
+the word where the library reads its inverse's right descents.
+``down_sets`` is the heap route for the word count of an FC element: the
+linear extensions of its heap, counted over down-sets.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import chain, combinations, permutations
 
 from coxheaps import cyclic as CY
 from coxheaps import heaps as H
-from coxheaps import toric
+from coxheaps import roots, toric
 from coxheaps import words as W
 from coxheaps.coxgraph import INF, CoxeterGraph, Word
 from coxheaps.errors import NotAcyclic, NotToricallyReduced, OrbitCapExceeded
@@ -478,6 +481,71 @@ def braid_closure(g: CoxeterGraph, w: Word, short_only: bool = False, cap: int =
 def commutativity_class(g: CoxeterGraph, w: Word, cap: int = W.DEFAULT_ORBIT_CAP) -> frozenset:
     """Closure of {w} under short braid moves, by breadth-first search."""
     return braid_closure(g, w, True, cap)
+
+
+def _reflections(g: CoxeterGraph):
+    """s(v) for a root v in the flat coordinates of ``roots``: only
+    coordinate s changes, to -v_s + sum_t c(s, t) v_t.  c(s, t) is read off
+    column t of the element s, alpha_t + c(s, t) alpha_s, and multiplied
+    in Z[x]/psi_M by the terms of ``roots._scale_terms``."""
+    rs = g.root_system()
+    n = g.rank
+    d = len(rs.identity[0]) // n
+    M = math.lcm(*(m for _, _, m in g.bonds() if m not in (3, INF)))
+    psi = roots._min_poly(M) if M > 1 else [-1, 1]
+    table = []
+    for s in range(n):
+        cols = list(rs.identity)
+        rs.times(cols, s)
+        table.append([(s * d + a, t * d + b, f) for t in range(n) if t != s
+                      for a, b, f in roots._scale_terms(list(cols[t][s * d : s * d + d]), psi)])
+
+    def reflect(s: int, v: tuple) -> tuple:
+        out = list(v)
+        for k in range(s * d, s * d + d):
+            out[k] = -v[k]
+        for k, src, f in table[s]:
+            out[k] += f * v[src]
+        return tuple(out)
+
+    return reflect
+
+
+def greedy_normal_form(g: CoxeterGraph, w: Word) -> Word:
+    """The shortlex normal form of w by the greedy that reflects the later
+    betas.  Letters i and j are deleted at the first beta_j = -beta_i until
+    the word is reduced; then the least left descent s, the s with alpha_s
+    among the betas, is emitted, its beta_i deleted and s applied to the
+    later betas, which gives the betas of s times the element."""
+    rs, reflect = g.root_system(), _reflections(g)
+    simple = {col: t for t, col in enumerate(rs.identity)}
+    letters = list(g.check_word(w))
+    states = [rs.identity]  # states[j]: columns of the element of letters[:j]
+    betas: list[tuple] = []
+    negated: dict[tuple, int] = {}  # -beta_i -> i
+    j = 0
+    while j < len(letters):
+        s, cols = letters[j], states[j]
+        i = negated.get(cols[s])
+        if i is not None:
+            del letters[j], letters[i]
+            del states[i + 1 :], betas[i:]
+            negated = {b: k for b, k in negated.items() if k < i}
+            j = i
+            continue
+        betas.append(cols[s])
+        cols = list(cols)
+        rs.times(cols, s)
+        negated[cols[s]] = j
+        states.append(tuple(cols))
+        j += 1
+    out = []
+    while betas:
+        s, i = min((simple[b], i) for i, b in enumerate(betas) if b in simple)
+        out.append(s)
+        del betas[i]
+        betas[i:] = [reflect(s, b) for b in betas[i:]]
+    return tuple(out)
 
 
 def fc_orbit(g: CoxeterGraph, w: Word, cap: int = W.DEFAULT_ORBIT_CAP) -> tuple[frozenset, bool]:

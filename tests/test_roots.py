@@ -33,7 +33,8 @@ def test_ring_degree_examples():
 
 @pytest.mark.parametrize("bonds", [[3, 4, 5, INF], [5, 6], [7, 8], [9, 12]])
 def test_reflection_constants_are_two_cos(bonds):
-    # s(alpha_t) = alpha_t + 2cos(pi / m(s, t)) alpha_s
+    # s(alpha_t) = alpha_t + 2cos(pi / m(s, t)) alpha_s, read as column t
+    # of the element s, the identity's columns right-multiplied by s
     names = [f"s{i}" for i in range(len(bonds) + 1)]
     g = CoxeterGraph(names, [(names[i], names[i + 1], m) for i, m in enumerate(bonds)])
     M = math.lcm(*(m for m in bonds if m not in (3, INF)))
@@ -42,7 +43,9 @@ def test_reflection_constants_are_two_cos(bonds):
     d = len(rs.identity[0]) // g.rank
     for s, t, m in g.bonds():
         for a, b in ((s, t), (t, s)):
-            v = rs.reflect(a, rs.identity[b])
+            cols = list(rs.identity)
+            rs.times(cols, a)
+            v = cols[b]
             want = 2.0 if m == INF else 2 * math.cos(math.pi / m)
             assert abs(_evaluate(v[a * d : a * d + d], x) - want) < 1e-9
 

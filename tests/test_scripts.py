@@ -128,13 +128,15 @@ def test_bench_writes_report(tmp_path):
     assert report["python"] == platform.python_version() and report["cpus"] == os.cpu_count()
     assert set(report) == {"python", "cpus", "dont_write_bytecode", "git_sha", "git_dirty", "repeats", "cases"}
     assert report["dont_write_bytecode"] == bool(sys.flags.dont_write_bytecode)
-    # 4! linear extensions, 3! cyclic words, 260 cyclic words in R_tor of
+    # the 10 letters of the normal form of the longest element of A4, its
+    # 768 reduced words and none under cap 100, which they exceed, 4!
+    # linear extensions, 3! cyclic words, 260 cyclic words in R_tor of
     # (s0 s2 s4 s1 s3)^2 over C~4, verdicts of cyclic reducedness on
     # (s0 s2 s4 s1 s3)^4 and the free 4-letter word (true) and the longest
     # element of A4 (false), the JSON of classify on (s0 s2 s4 s1 s3)^3
     # over C~4 and on the longest element of A4, (4-1)! classes on K4, 4-1
     # on C4, and what the two CLI calls print
-    want = [24, 6, 260, 1, 1, 0]
+    want = [10, 768, 0, 24, 6, 260, 1, 1, 0]
     for name, text in (("C~4", "s0 s2 s4 s1 s3 " * 3), ("A4", "s1 s2 s1 s3 s2 s1 s4 s3 s2 s1")):
         g = catalog.coxeter_graph(name)
         want.append(len(json.dumps(CL.classify(g, g.word(text)).to_json(g))))

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import product
 
@@ -9,7 +10,7 @@ from coxheaps import catalog
 from coxheaps import words as W
 from coxheaps.coxgraph import INF, CoxeterGraph, support
 from coxheaps.errors import NotReduced, OrbitCapExceeded, UnknownGenerator
-from oracles import GroupOracle, braid_closure, naive_braid_moves
+from oracles import GroupOracle, braid_closure, greedy_normal_form, naive_braid_moves
 
 
 def test_braid_orbit_long_braid(b3):
@@ -213,9 +214,12 @@ def test_reduced_words_match_braid_closure(name):
 
 @pytest.mark.parametrize("name", ["B3", "H3", "A~3", "infinite bond", "4-5 ring"])
 def test_reduced_words_cap_is_exact(name):
-    # the cap raises iff |R(w)| > cap, and w itself is listed whatever the cap
+    # the cap raises iff |R(w)| > cap, and w itself is listed whatever the
+    # cap; up to 8 letters in B3 and H3, where the first level of [e, w]_R
+    # past the cap lies at or below the middle for some w and above it for
+    # others
     g = _INTERVAL_SYSTEMS[name]
-    for w in W.elements_up_to(g, 6):
+    for w in W.elements_up_to(g, 8 if name in ("B3", "H3") else 6):
         n = len(braid_closure(g, w))
         for cap in {0, 1, n - 1, n, n + 1}:
             if n > max(cap, 1):
@@ -224,6 +228,25 @@ def test_reduced_words_cap_is_exact(name):
                 assert str(err.value) == f"reduced-word set of {g.format(w)} exceeds cap {cap}"
             else:
                 assert len(W.reduced_words(g, w, cap)) == n, (g.format(w), cap)
+
+
+def test_reduced_words_cap_stops_the_walk(monkeypatch):
+    # cap 10 on the longest element of A8 (36 letters, 9! elements in its
+    # interval): its 8 right descents pass, their 56 prefixes of length 2
+    # do not, so the walk of [e, w]_R stops at its second level
+    g = catalog.chain([f"s{i}" for i in range(1, 9)], [3] * 7)
+    w0 = tuple(j for i in range(8) for j in range(i, -1, -1))
+    walk, walked = W._weak_order_levels, []
+
+    def counted(*args):
+        for level in walk(*args):
+            walked.append(len(level))
+            yield level
+
+    monkeypatch.setattr(W, "_weak_order_levels", counted)
+    with pytest.raises(OrbitCapExceeded, match="exceeds cap 10$"):
+        W.reduced_words(g, w0, 10)
+    assert len(walked) == 2 and walked[0] == 8
 
 
 def _classes_over_rw(g, w, cap):
@@ -328,6 +351,39 @@ def test_roots_agree_with_braid_search_sqrt2_phi_mix():
         words = [w + (s,) for w in words for s in range(g.rank)]
         for w in words:
             _check_against_search(g, w)
+
+
+_NORMAL_FORM_SYSTEMS = {
+    **{name: catalog.coxeter_graph(name) for name in ("A4", "B3", "H3", "A~2", "C~3", "E~6")},
+    "I2(7)": CoxeterGraph(["a", "b"], [("a", "b", 7)]),
+    "infinite bond": _INTERVAL_SYSTEMS["infinite bond"],
+    "4-5 ring": _INTERVAL_SYSTEMS["4-5 ring"],
+}
+
+
+@pytest.mark.parametrize("name", list(_NORMAL_FORM_SYSTEMS))
+def test_normal_form_matches_the_greedy_oracle(name):
+    # seeded words of 0-60 letters, half of them with a factor u u^-1 that
+    # cancels, against the greedy that reflects the later betas; the matrix
+    # oracle checks the element too, where its quadratic rings reach (not
+    # I2(7), nor the 4-5 ring's Z[2cos(pi/20)])
+    g = _NORMAL_FORM_SYSTEMS[name]
+    try:
+        oracle = GroupOracle(g, 0)
+    except ValueError:
+        oracle = None
+    rng = random.Random(name)
+    for k in range(40):
+        w = tuple(rng.randrange(g.rank) for _ in range(rng.randrange(61)))
+        if k % 2:
+            cut = rng.randrange(len(w) + 1)
+            u = w[cut : cut + rng.randrange(16)]
+            w = w[:cut] + u + W.inverse(u) + w[cut:]
+        nf = W.normal_form(g, w)
+        assert nf.word == greedy_normal_form(g, w), g.format(w)
+        assert nf.length == len(nf.word) and W.is_reduced(g, nf.word)
+        if oracle is not None:
+            assert oracle.element(nf.word) == oracle.element(w), g.format(w)
 
 
 @pytest.mark.parametrize("m", [7, 8, 12, 128])
