@@ -8,11 +8,14 @@ a < b points a -> b.  That bitstring is also the wire format used in JSON
 class reports.
 
 Counts: |Acyc(G)| = T_G(2, 0) and |Acyc(G)/~| = T_G(1, 0), where T_G is the
-Tutte polynomial; both are exercised by the test suite.  Acyc(G) is listed
-by extending partial orientations that are acyclic by construction, in time
-proportional to its size, not by filtering the 2^E direction masks; flips,
-restrictions and linear orders build their orientations without the cycle
-check, which only the public constructor runs.
+Tutte polynomial, taken by deletion-contraction of whole parallel classes
+(Haggard-Pearce-Royle, *Computing Tutte polynomials*, ACM TOMS 37, 2010);
+both are exercised by the test suite.  Acyc(G) is listed by extending
+partial orientations that are acyclic by construction, their reachability
+held in one packed n x n bit matrix, in time proportional to its size, not
+by filtering the 2^E direction masks; flips, restrictions and linear orders
+build their orientations without the cycle check, which only the public
+constructor runs.
 
 Equivalence is decided by cycle imbalances, with no search (Pretzel,
 *On reorienting graphs by pushing down maximal vertices*, Order 3, 1986;
@@ -24,7 +27,8 @@ Toric chains, the toric transitive closure and the toric Hasse diagram are
 decided by closed criteria on one pass of reachability bitsets of the
 representative (Develin-Macauley-Reiner, *Toric partial orders*, Trans.
 AMS 368, 2016), with no path search and no listing of total toric
-extensions; the test suite checks each against a search-based route.
+extensions; the closure is gathered on one bit row per vertex.  The test
+suite checks each against a search-based route.
 Only the total toric extensions, a set that must be listed, are listed,
 by the constant-amortized-time enumerator of linear extensions that also
 lists the words of heaps (``_linear_orders``).  That order kernel lives in
@@ -283,14 +287,20 @@ def _acyclic_masks(graph: Graph) -> list[tuple[int, int]]:
 
     Edges are directed from the last in the canonical order to the first,
     b -> a (bit 0) before a -> b (bit 1), which yields increasing masks.
-    With ``down[v]`` the vertices that v reaches so far, an arc x -> y is
-    admitted unless y already reaches x.  Each admitted partial orientation
-    is acyclic and extends along a linear extension, so every branch ends in
-    an acyclic orientation and none is tested for cycles: the cost is
-    proportional to the output, not to 2^E.  Directing edge k low -> high
-    adds weight[k] to the key, which starts at the all-against imbalance.
+    The reachability of the partial orientation is one packed n x n
+    matrix, an integer whose row v, bits v*n .. v*n + n - 1, holds the
+    vertices that v reaches so far.  An arc x -> y is admitted unless y
+    already reaches x, a one-bit test, and admitting it adds row y to every
+    row that holds x in one product, (reach >> x & ones) * row y, exact
+    since the n-bit rows cannot carry into each other.  Edges whose
+    direction is forced are walked in a loop.  Each admitted partial
+    orientation is acyclic and extends along a linear extension, so every
+    branch ends in an acyclic orientation and none is tested for cycles:
+    the cost is proportional to the output, not to 2^E.  Directing edge k
+    low -> high adds weight[k] to the key, which starts at the all-against
+    imbalance.
     """
-    e = len(graph.edges)
+    e, n = len(graph.edges), graph.n
     if e > MAX_ENUM_EDGES:
         raise TooLarge(f"{e} edges exceeds the exhaustive enumeration bound {MAX_ENUM_EDGES}")
     base, weight, start = 4 * e + 1, [0] * e, 0
@@ -301,22 +311,22 @@ def _acyclic_masks(graph: Graph) -> list[tuple[int, int]]:
             weight[k] += 2 * digit
         for k in _bits(down):
             weight[k] -= 2 * digit
+    full, ones = (1 << n) - 1, sum(1 << v * n for v in range(n))
     out = []
 
-    def extend(k: int, forward: int, key: int, down: list[int]) -> None:
-        if k < 0:
-            out.append((forward, key))
-            return
-        a, b = graph.edges[k]
-        if down[a] >> b & 1:  # a -> b is forced and adds no reach; likewise b -> a below
-            extend(k - 1, forward | 1 << k, key + weight[k], down)
-        elif down[b] >> a & 1:
-            extend(k - 1, forward, key, down)
-        else:
-            extend(k - 1, forward, key, [d | down[a] if d >> b & 1 else d for d in down])
-            extend(k - 1, forward | 1 << k, key + weight[k], [d | down[b] if d >> a & 1 else d for d in down])
+    def extend(k: int, forward: int, key: int, reach: int) -> None:
+        while k >= 0:
+            a, b = graph.edges[k]
+            if reach >> a * n + b & 1:  # a -> b is forced and adds no reach; likewise b -> a, bit 0
+                forward, key = forward | 1 << k, key + weight[k]
+            elif not reach >> b * n + a & 1:  # free: b -> a in a branch, then a -> b in this loop
+                extend(k - 1, forward, key, reach | (reach >> b & ones) * (reach >> a * n & full))
+                reach |= (reach >> a & ones) * (reach >> b * n & full)
+                forward, key = forward | 1 << k, key + weight[k]
+            k -= 1
+        out.append((forward, key))
 
-    extend(e - 1, 0, start, [1 << v for v in range(graph.n)])
+    extend(e - 1, 0, start, sum(1 << v * n + v for v in range(n)))
     return out
 
 
@@ -348,19 +358,17 @@ def _class_masks(graph: Graph, start: int, cap: int, goal: int | None = None) ->
     is its symmetric closure; flipping both ways makes the BFS complete.
     Maps each mask to the vertex flipped to reach it first (-1 for start),
     so that mask ^ incident[vertex] is its BFS parent.  Stops once ``goal``
-    is reached.
+    is reached.  Each vertex with edges is one row (v, incident, the
+    pattern of v as a source, as a sink) of a table built once per call.
     """
+    flips = [(v, inc, low, inc ^ low) for v, (inc, low) in enumerate(zip(graph.incident, graph.low_pattern)) if inc]
     seen = {start: -1}
     queue = deque([start])
     while queue and goal not in seen:
         mask = queue.popleft()
-        for v in range(graph.n):
-            inc = graph.incident[v]
-            if inc == 0:
-                continue
+        for v, inc, low, high in flips:
             cur = mask & inc
-            low = graph.low_pattern[v] & inc
-            if cur == low or cur == inc & ~low:  # source or sink
+            if cur == low or cur == high:  # source or sink
                 nxt = mask ^ inc
                 if nxt not in seen:
                     if len(seen) >= cap:
@@ -471,18 +479,20 @@ def toric_transitive_closure(t: ToricPoset) -> Graph:
     """Add every non-edge whose endpoints form a toric chain.
 
     A pair is a toric chain exactly when it is comparable and lies in the
-    interval [a, b] of an arc a -> b, so the closure joins the comparable
-    pairs inside each arc's interval.
+    interval I = [a, b] of an arc a -> b, so the closure joins the
+    comparable pairs inside each arc's interval: each v in I gets
+    I & (down[v] | up[v]) on its bit row, which holds the edges of G as
+    well.  The edges are read off the rows in sorted order.
     """
     g = t.graph
     arcs = t.representative.directed_edges()
     down, up = _reach(_successors(g.n, arcs))
-    pairs = set(g.edges)
+    rows = [0] * g.n
     for a, b in arcs:
         inside = down[a] & up[b]
         for v in _bits(inside):
-            pairs.update((v, w) if v < w else (w, v) for w in _bits(inside & down[v] & ~(1 << v)))
-    return Graph(g.n, tuple(sorted(pairs)))
+            rows[v] |= inside & (down[v] | up[v])
+    return Graph(g.n, tuple((v, w) for v in range(g.n) for w in _bits(rows[v] >> v + 1 << v + 1)))
 
 
 def _restrict(o: AcyclicOrientation, subgraph: Graph) -> AcyclicOrientation:
@@ -612,49 +622,56 @@ def cycle_imbalance(o: AcyclicOrientation) -> int:
 
 
 def tutte(graph: Graph, x: int, y: int) -> int:
-    """Tutte polynomial T_G(x, y) by deletion-contraction on multigraphs.
+    """Tutte polynomial T_G(x, y) by deletion-contraction on parallel classes.
 
     T(2, 0) counts acyclic orientations and T(1, 0) their toric equivalence
-    classes.  Contractions are memoized on a relabeled canonical form.
+    classes.  A multigraph is a sorted tuple of parallel classes ((a, b), k),
+    k edges joining a < b, with its vertices relabelled in order of first
+    appearance; that tuple is also the memo key.  Its first class, k edges
+    joining 0 and 1, is removed whole.  If a bitmask search over the other
+    classes does not join 0 to 1, the class is a bridge class and
+    T = (x + y + ... + y^(k-1)) T(G / class); else
+    T = T(G - class) + (1 + y + ... + y^(k-1)) T(G / class).
     """
     if len(graph.edges) > MAX_ENUM_EDGES:
         raise TooLarge(f"{len(graph.edges)} edges exceeds the Tutte bound {MAX_ENUM_EDGES}")
     memo: dict[tuple, int] = {}
 
-    def canon(edges: tuple[tuple[int, int], ...]) -> tuple:
+    def canon(classes: Sequence[tuple[tuple[int, int], int]]) -> tuple:
         relabel: dict[int, int] = {}
-        for a, b in edges:
-            for v in (a, b):
-                if v not in relabel:
-                    relabel[v] = len(relabel)
-        return tuple(sorted((min(relabel[a], relabel[b]), max(relabel[a], relabel[b])) for a, b in edges))
+        out = []
+        for (a, b), k in classes:
+            a, b = relabel.setdefault(a, len(relabel)), relabel.setdefault(b, len(relabel))
+            out.append(((a, b) if a < b else (b, a), k))
+        out.sort()
+        return tuple(out)
 
-    def reaches(edges: tuple[tuple[int, int], ...], a: int, b: int) -> bool:
-        """Whether the edges join a to b."""
-        seen, stack = {a}, [a]
-        while stack:
-            v = stack.pop()
-            new = {q if p == v else p for p, q in edges if v in (p, q)} - seen
-            seen |= new
-            stack.extend(new)
-        return b in seen
-
-    def rec(edges: tuple[tuple[int, int], ...]) -> int:
-        if not edges:
+    def rec(state: tuple) -> int:
+        if not state:
             return 1
-        key = canon(edges)
-        if key in memo:
-            return memo[key]
-        a, b = edges[0]
-        rest = edges[1:]
-        if a == b:  # loop
-            val = y * rec(rest)
+        if state in memo:
+            return memo[state]
+        (_, k), rest = state[0], state[1:]  # the class joins 0 and 1
+        adj = [0] * (2 * len(state))
+        merged: dict[tuple[int, int], int] = {}
+        for (a, b), j in rest:
+            adj[a], adj[b] = adj[a] | 1 << b, adj[b] | 1 << a
+            key = (a or 1, b)  # contract 0 into 1; b > 1 when a = 0
+            merged[key] = merged.get(key, 0) + j
+        seen = frontier = 1
+        while frontier and not seen & 2:
+            reached = 0
+            for v in _bits(frontier):
+                reached |= adj[v]
+            frontier = reached & ~seen
+            seen |= frontier
+        loops = sum(y ** i for i in range(1, k))  # y + ... + y^(k-1)
+        contracted = rec(canon(sorted(merged.items())))
+        if seen & 2:
+            val = rec(canon(rest)) + (1 + loops) * contracted
         else:
-            merged = ((b if u == a else u, b if v == a else v) for u, v in rest)
-            contracted = rec(tuple(sorted((min(u, v), max(u, v)) for u, v in merged)))
-            # deleting a bridge disconnects a from b, and T = x T(G / e)
-            val = rec(rest) + contracted if reaches(rest, a, b) else x * contracted
-        memo[key] = val
+            val = (x + loops) * contracted
+        memo[state] = val
         return val
 
-    return rec(graph.edges)
+    return rec(canon([(e, 1) for e in graph.edges]))

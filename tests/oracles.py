@@ -18,6 +18,9 @@ earlier normal-form route of ``roots``, which reflects the later betas of
 the word where the library reads its inverse's right descents.
 ``down_sets`` is the heap route for the word count of an FC element: the
 linear extensions of its heap, counted over down-sets.
+``pairs_toric_transitive_closure`` is the earlier set-of-pairs route of the
+toric closure, and ``flip_bfs_parents`` the toric-class BFS through the
+public flips.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from coxheaps import roots, toric
 from coxheaps import words as W
 from coxheaps.coxgraph import INF, CoxeterGraph, Word
 from coxheaps.errors import NotAcyclic, NotToricallyReduced, OrbitCapExceeded
+from coxheaps.orders import _bits
 
 # ring element: (a, b) meaning a + b*xi with xi^2 = C0 + C1*xi
 
@@ -378,6 +382,36 @@ def bfs_toric_classes(graph):
         classes.append(frozenset(orients[m] for m in masks))
         remaining -= masks
     return tuple(classes)
+
+
+def flip_bfs_parents(o) -> dict[int, int]:
+    """The toric class of o by a plain BFS through ``flip_source`` and
+    ``flip_sink``, trying vertices in increasing order: each member's mask
+    maps to the vertex flipped to reach it first (-1 for o)."""
+    seen = {o.forward: -1}
+    queue = deque([o])
+    while queue:
+        cur = queue.popleft()
+        for v in range(cur.graph.n):
+            nxt = toric.flip_source(cur, v) if cur.is_source(v) else toric.flip_sink(cur, v) if cur.is_sink(v) else None
+            if nxt is not None and nxt.forward not in seen:
+                seen[nxt.forward] = v
+                queue.append(nxt)
+    return seen
+
+
+def pairs_toric_transitive_closure(t):
+    """The toric transitive closure as a set of pairs: for each arc a -> b,
+    every comparable pair inside the interval [a, b], joined to the edges."""
+    g = t.graph
+    arcs = t.representative.directed_edges()
+    down, up = toric._reach(toric._successors(g.n, arcs))
+    pairs = set(g.edges)
+    for a, b in arcs:
+        inside = down[a] & up[b]
+        for v in _bits(inside):
+            pairs.update((v, w) if v < w else (w, v) for w in _bits(inside & down[v] & ~(1 << v)))
+    return toric.Graph(g.n, tuple(sorted(pairs)))
 
 
 def search_is_toric_extension(t_big, t) -> bool:

@@ -20,6 +20,8 @@ from oracles import (
     bfs_toric_classes,
     brute_total_toric_extensions,
     filter_acyclic_orientations,
+    flip_bfs_parents,
+    pairs_toric_transitive_closure,
     search_is_toric_extension,
     subset_tutte,
     walk_cycle_imbalance,
@@ -75,6 +77,16 @@ def test_enumeration_matches_filter_on_random_graphs(seed):
     pairs = list(combinations(range(n), 2))
     graph = T.Graph(n, tuple(sorted(rng.sample(pairs, rng.randint(6, 13)))))  # at most 2^13 masks to filter
     assert T.all_acyclic_orientations(graph) == filter_acyclic_orientations(graph), graph
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_packed_listing_matches_filter_past_64_bits(n):
+    # n^2 > 64: the packed reach matrix has rows past bit 64
+    rng = random.Random(n)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    spare = [p for p in combinations(range(n), 2) if p not in tree]
+    for graph in (cycle_graph(n), T.graph_from_edges(n, tree + rng.sample(spare, 13 - len(tree)))):  # 2^13 masks
+        assert T.all_acyclic_orientations(graph) == filter_acyclic_orientations(graph), graph
 
 
 def test_enumeration_on_k7():
@@ -427,12 +439,18 @@ def test_cycle_imbalances_decide_equivalence(o):
     assert T.toric_classes(graph) == bfs_toric_classes(graph)
 
 
-def _named_graphs():
-    out = [(f"C{n}", cycle_graph(n)) for n in range(3, 10)]
-    out += [(f"K{n}", complete_graph(n)) for n in range(3, 7)]
+def _skeletons():
+    out = []
     for path in sorted(glob.glob(os.path.join(GRAPHS, "*.json"))):
         g = load_coxeter_graph(path)
         out.append((os.path.basename(path), T.Graph(g.rank, g.edges())))
+    return out
+
+
+def _named_graphs():
+    out = [(f"C{n}", cycle_graph(n)) for n in range(3, 10)]
+    out += [(f"K{n}", complete_graph(n)) for n in range(3, 7)]
+    out += _skeletons()
     rng = random.Random(7)
     for k in range(6):
         n = rng.randrange(3, 8)
@@ -449,6 +467,24 @@ def test_carried_keys_group_like_the_flip_search(name, graph):
     for forward, key in T._acyclic_masks(graph):
         assert key == sum(d * base ** c for c, d in enumerate(T._imbalance(graph, forward))), forward
     assert T.toric_classes(graph) == bfs_toric_classes(graph)
+
+
+def _wheel(n):
+    return T.graph_from_edges(n + 1, [(0, i) for i in range(1, n + 1)] + [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("name, graph", [
+    ("K5", complete_graph(5)),
+    ("W5", _wheel(5)),
+    ("K3,3", T.Graph(6, tuple((i, j) for i in range(3) for j in range(3, 6)))),
+    ("prism", T.graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])),
+] + _skeletons())
+def test_tutte_by_parallel_classes(name, graph):
+    # on the first four, contractions merge three or more edges into one
+    # parallel class that later turns into a bridge; at these points x - 1 or
+    # y - 1 is 0 or negative
+    for x, y in ((1, 1), (1, 0), (0, 1), (2, 0), (-1, 2), (3, 3)):
+        assert T.tutte(graph, x, y) == subset_tutte(graph, x, y), (name, x, y)
 
 
 @given(small_graph_orientation())
@@ -568,6 +604,35 @@ def test_chains_and_closure_match_path_search(o):
     assert T.toric_transitive_closure(t) == T.Graph(n, tuple(sorted(closure)))
 
 
+def test_closure_matches_pairs_on_long_words():
+    b3, e6 = catalog.coxeter_graph("B3"), catalog.coxeter_graph("E~6")
+    words = [b3.word("s1 s2 s3") * k for k in range(1, 17)]
+    for g, word in [(b3, w) for w in words] + [(e6, e6.word("s0 s1 s2 s3 s4 s5 s6") * 4)]:
+        o = H.word_orientation(g, word)
+        # reversed, every arc runs from a higher label to a lower one
+        for t in (T.ToricPoset(o), T.ToricPoset(T.AcyclicOrientation(o.graph, o.forward ^ (1 << len(o.graph.edges)) - 1))):
+            assert T.toric_transitive_closure(t) == pairs_toric_transitive_closure(t), g.format(word)
+
+
+@pytest.mark.parametrize("name", ["B3", "A~3"])
+def test_closure_matches_path_search_on_toric_heaps(name):
+    # every reduced word of up to 7 letters; a word's toric heap orients its
+    # graph in position order, so each graph is taken once, and every member
+    # of its class is checked, as most run against the order of the labels
+    g = catalog.coxeter_graph(name)
+    level, graphs = [()], {}
+    for _ in range(7):
+        level = [w + (s,) for w in level for s in range(g.rank) if W.is_reduced(g, w + (s,))]
+        for word in level:
+            o = H.word_orientation(g, word)
+            graphs.setdefault(o.graph, o)
+    for o in graphs.values():
+        n = o.graph.n
+        for member in T.toric_class(o):
+            closure = {(i, j) for i, j in combinations(range(n), 2) if _covering_toric_path_exists(member, {i, j})}
+            assert T.toric_transitive_closure(T.ToricPoset(member)) == T.Graph(n, tuple(sorted(closure))), member
+
+
 @given(small_graph_orientation())
 @settings(max_examples=60)
 def test_toric_hasse_independent_of_removal_order(o):
@@ -640,6 +705,21 @@ def test_class_closed_under_flips(o):
                 assert T.flip_source(member, v) in cls
             if member.is_sink(v):
                 assert T.flip_sink(member, v) in cls
+
+
+@pytest.mark.parametrize("name, graph", [
+    ("C5", C5), ("K4", K4),
+    ("A~3", T.Graph(4, catalog.coxeter_graph("A~3").edges())),
+    ("C~4", T.Graph(5, catalog.coxeter_graph("C~4").edges())),
+])
+def test_class_bfs_matches_flip_search(name, graph):
+    # the parent map source_flip_conjugator reads its word off, in insertion order
+    for o in T.all_acyclic_orientations(graph):
+        parents = list(T._class_masks(graph, o.forward, 10 ** 6).items())
+        assert parents == list(flip_bfs_parents(o).items()), (name, o)
+        for goal, _ in parents:  # a goal stops the search partway, on a prefix of the map
+            partial = list(T._class_masks(graph, o.forward, 10 ** 6, goal).items())
+            assert partial == parents[:len(partial)] and goal in dict(partial)
 
 
 @given(small_graph_orientation(), st.randoms(use_true_random=False))
