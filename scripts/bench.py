@@ -19,8 +19,12 @@ its 4th power on C~3, C~4 and C~5 and of the free word on 12 and 16
 letters, both FC and read off the heap, and
 of the longest element of A5 and A6, which is not FC and is read off the
 walk of [e, w]_R, ``classify`` (sized by the characters of its report's
-JSON) of the cube of the Coxeter element of C~3 and C~4 and of the
-longest element of A5 and A6, and the toric classes of K6, K7 and C12.
+JSON) of the cube of the Coxeter element of C~3 and C~4, of the longest
+element of A5 and A6 and of a b a t1 ... tk for k = 8 and 10 (an a-b
+3-bond, each t bonded to nothing), the commutativity classes (sized by
+their number) of the longest element of A5 and of every element of A~3
+up to 8 letters, one call looping over the elements listed beforehand,
+and the toric classes of K6, K7 and C12.
 The CLI cases each time one fresh ``python -m coxheaps`` process, start
 to exit, and count the characters it prints: ``graph toric-classes`` on
 graphs/affine_c<n>.json for C~2, C~3 and C~4, and ``word classify`` on
@@ -115,6 +119,20 @@ def _a_longest(pkg, n):
     return g, tuple(j for i in range(n) for j in range(i, -1, -1))
 
 
+def _braid_among_free(pkg, k):
+    """a - b, a 3-bond, with t1 ... tk bonded to nothing, and the word a b a t1 ... tk."""
+    g = pkg.coxgraph.CoxeterGraph(["a", "b"] + [f"t{i}" for i in range(1, k + 1)], [("a", "b", 3)])
+    return g, (0, 1, 0) + tuple(range(2, k + 2))
+
+
+def _classes_up_to(pkg, name, n):
+    """One call that takes the commutativity classes of each element of
+    the catalog system up to n letters, listed here; its result every class."""
+    g = pkg.catalog.coxeter_graph(name)
+    elements = pkg.words.elements_up_to(g, n)
+    return lambda: [c for w in elements for c in pkg.words.commutativity_classes(g, w)]
+
+
 def _sized(call):
     """The call with its bool verdict as a result of size 1 when it holds, 0 when not."""
     return lambda: (True,) if call() else ()
@@ -181,6 +199,10 @@ BUILDERS = {
     ("classifier.classify", "C~n Coxeter element cubed"):
         lambda pkg, n: _classify(pkg, *_affine_c_coxeter_power(pkg, n, 3)),
     ("classifier.classify", "A_n longest element"): lambda pkg, n: _classify(pkg, *_a_longest(pkg, n)),
+    ("classifier.classify", "a b a t1 ... tk"): lambda pkg, k: _classify(pkg, *_braid_among_free(pkg, k)),
+    ("words.commutativity_classes", "A_n longest element"):
+        lambda pkg, n: partial(pkg.words.commutativity_classes, *_a_longest(pkg, n)),
+    ("words.commutativity_classes", "A~3 elements up to n letters"): lambda pkg, n: _classes_up_to(pkg, "A~3", n),
     ("toric.toric_classes", "complete graph"): lambda pkg, n: partial(pkg.toric.toric_classes, _complete(pkg, n)),
     ("toric.toric_classes", "cycle graph"): lambda pkg, n: partial(pkg.toric.toric_classes, _cycle(pkg, n)),
     ("cli graph toric-classes", "C~n graph file"):
@@ -213,6 +235,10 @@ CASES = (
     ("classifier.classify", "C~n Coxeter element cubed", 4),
     ("classifier.classify", "A_n longest element", 5),
     ("classifier.classify", "A_n longest element", 6),
+    ("classifier.classify", "a b a t1 ... tk", 8),
+    ("classifier.classify", "a b a t1 ... tk", 10),
+    ("words.commutativity_classes", "A_n longest element", 5),
+    ("words.commutativity_classes", "A~3 elements up to n letters", 8),
     ("toric.toric_classes", "complete graph", 6),
     ("toric.toric_classes", "complete graph", 7),
     ("toric.toric_classes", "cycle graph", 12),

@@ -11,11 +11,11 @@ CFC implies FC and TFC; the reverse inclusions fail.  CFC and TFC are
 decided on the convex <s,t>_m windows of the rotations of w, read off the
 one heap of w w: CFC has none, and TFC keeps its toric heap under each
 one's braid move.  ``classify`` lists no reduced word: for every reduced
-w it reads |R(w)|, the class count c(w) and cyclic reducedness off one
-walk of [e, w]_R (``cyclic._interval_census``), and w is FC iff
-c(w) = 1.  It lists R_tor([w]) once, under its cap, and counts its
-cyclic words and classes off that listing; a listing that meets a
-cyclic repeat names the chain of moves from w, the toric witness.  A
+w it reads |R(w)|, the count c(w) of least words of the classes and
+cyclic reducedness off one walk of [e, w]_R (``cyclic._interval_census``),
+and w is FC iff c(w) = 1.  It lists R_tor([w]) once, under its cap, and
+counts its cyclic words and classes off that listing; a listing that
+meets a cyclic repeat names the chain of moves from w, the toric witness.  A
 listing of R_tor([w]) past its cap is settled in ``cyclic``, as for
 every caller: the cap error stands for a torically reduced w, and any
 other w is reported not torically reduced with no chain.  The probes

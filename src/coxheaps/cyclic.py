@@ -59,6 +59,7 @@ from .heaps import _is_fc, heap_of_word, word_orientation
 from .records import Record, _set
 from .words import (
     NormalForm,
+    _lex_forms,
     _moves,
     _weak_order_levels,
     has_adjacent_repeat,
@@ -184,23 +185,15 @@ def is_cyclically_reduced_element(g: CoxeterGraph, w: Word) -> bool:
 
 
 def _interval_census(g: CoxeterGraph, n: int, negated: dict, pairs: list[tuple[int, int]]) -> tuple[int, int, bool]:
-    """|R(w)|, the number of commutativity classes of R(w), and whether
+    """|R(w)|, the number c(w) of commutativity classes of R(w), and whether
     every word of R(w) is cyclically reduced, off one walk of [e, w]_R
     (``words._weak_order_levels``) from w's root pass (``_rotation_pass``),
     with no word listed; w is FC exactly when it counts one class.
 
     * |R(x)| is the sum of |R(x s)| over the right descents s of x.
-    * A commutativity class is a heap, and the pieces on top of it are
-      pairwise commuting right descents of x; by inclusion-exclusion over
-      them (Viennot 1986), c(x) is the sum of (-1)^(|S|+1) c(x w_S) over
-      the non-empty pairwise commuting S of right descents, x w_S reached
-      one letter at a time through the ``down`` maps.
-    * x is FC, c(x) = 1, iff every x s is FC and the right descents of x
-      commute pairwise: a reduced word of x with a braid factor ending
-      before its last letter r makes x r not FC, and one ending at it
-      makes both letters of the factor right descents of x.  The
-      inclusion-exclusion, 3^k steps for k commuting letters, is skipped
-      for FC x.
+    * c(x) counts the lexicographically least words of the classes, which
+      a test on one state of a word decides letter by letter (Anisimov-Knuth
+      1979), carried up from the x s by state (``words._lex_forms``).
     * Rotation k of a word u of R(w) is reduced iff no pair (i, j) has
       beta_i among the betas of u's prefix y of length k and beta_j not
       (``roots.rotation_pass``), and the prefixes are the y in [e, w]_R,
@@ -212,39 +205,18 @@ def _interval_census(g: CoxeterGraph, n: int, negated: dict, pairs: list[tuple[i
         if i != j:
             need[i] |= 1 << j
     commuting = g.root_system().commuting
-    words, classes, downs = {0: 1}, {0: 1}, {}
+    words, forms = {0: 1}, {0: {0: 1}}
     cyclically_reduced = True
     for level in _weak_order_levels(g, n, negated):
+        get, words = words.__getitem__, {}
         for x, down in level.items():
-            downs[x] = down
             y = next(iter(down.values()))
             if cyclically_reduced and need[(x ^ y).bit_length() - 1] & ~x:
                 cyclically_reduced = False
-            if len(down) == 1:
-                words[x], classes[x] = words[y], classes[y]
-                continue
-            if len(down) == 2:
-                (s, y), (t, z) = down.items()
-                words[x] = words[y] + words[z]
-                classes[x] = classes[y] + classes[z] - (classes[downs[y][t]] if commuting[s] >> t & 1 else 0)
-                continue
-            words[x] = sum(words[z] for z in down.values())
-            if classes[y] == 1:  # else y = x s is not FC, and nor is x
-                descents = sum(1 << s for s in down)
-                if all(classes[z] == 1 and descents & ~commuting[s] == 1 << s for s, z in down.items()):
-                    classes[x] = 1
-                    continue
-            tops, count = [(x, 0, -1)], 0  # (x w_S, S, (-1)^(|S|+1))
-            for s in down:
-                for k in range(len(tops)):
-                    z, used, sign = tops[k]
-                    if not used & ~commuting[s]:
-                        z = downs[z][s]
-                        tops.append((z, used | 1 << s, -sign))
-                        count -= sign * classes[z]
-            classes[x] = count
+            words[x] = sum(map(get, down.values()))
+        forms = _lex_forms(level, forms, commuting, False)
     top = (1 << n) - 1
-    return words[top], classes[top], cyclically_reduced
+    return words[top], sum(forms[top].values()), cyclically_reduced
 
 
 def toric_reduction_witness(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Word, ...] | None:
@@ -254,7 +226,7 @@ def toric_reduction_witness(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_C
     reduced, past the cap too.  OrbitCapExceeded only when the listing
     trips the cap before it meets a cyclic repeat."""
     try:
-        _rtor_listing(g, w, cap)
+        _rtor_listing(g, g.check_word(w), cap)
     except OrbitCapExceeded:  # kept only for a torically reduced w
         return None
     except NotToricallyReduced as exc:
@@ -303,8 +275,8 @@ def is_torically_reduced(g: CoxeterGraph, w: Word) -> bool:
     return _shift_class(g, w) is not None
 
 
-def _rtor_listing(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], list[list[Word]]]:
-    """List R_tor([w]), one C_tor class at a time.
+def _rtor_listing(g: CoxeterGraph, x: Word, cap: int) -> tuple[dict[Word, int], list[list[Word]]]:
+    """List R_tor([x]), x a checked word, one C_tor class at a time.
 
     Its words are least rotations, and the moves act on every rotation,
     read off the doubled word u u: the move at position 0 of rotation i is
@@ -314,8 +286,9 @@ def _rtor_listing(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], 
     while queued, so each word is expanded once, and ``made`` maps it to
     the (u, i) of the move it was first met by.  A word with a cyclic
     repeat raises NotToricallyReduced when met, before the cap, with the
-    ``chain`` those moves replay (``_witness``).  The first word listed
-    past the cap is settled by ``_shift_class`` (``_past_cap``).
+    ``chain`` those moves replay (``_witness``), and with no message, which
+    only a caller that passes the error on makes (``_listed``).  The first
+    word listed past the cap is settled by ``_shift_class`` (``_past_cap``).
 
     A new word is the rotation rot = move + d[i+m : i+n], led by the m
     letters of the move; it is tested for a cyclic repeat only at its two
@@ -324,7 +297,6 @@ def _rtor_listing(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], 
     which passed the test when it was met (w before any move), so no
     other pair of neighbours can be equal.
     """
-    x = g.check_word(w)
     start, n, bond = _least_rotation(x), len(x), g.bond_table
     if n > 1 and has_adjacent_repeat(start + start[:1]):
         raise _witness(g, x, {}, start)
@@ -382,7 +354,7 @@ def _witness(g: CoxeterGraph, x: Word, made: dict, last: Word) -> NotToricallyRe
         _, m, move = next(_moves(bond, r, (0,), n))
         y = move + r[m:]
         chain += [y] if r == chain[-1] else [r, y]
-    err = NotToricallyReduced(f"{g.format(x)} is not torically reduced")
+    err = NotToricallyReduced()
     err.chain = tuple(chain) if has_adjacent_repeat(y) else (*chain, y[1:] + y[:1])
     return err
 
@@ -393,27 +365,37 @@ def _past_cap(g: CoxeterGraph, x: Word, cap: int) -> Exception:
     gets NotToricallyReduced with no ``chain``.  The walk runs only then,
     as the listing costs less."""
     if _shift_class(g, x) is None:
-        return NotToricallyReduced(f"{g.format(x)} is not torically reduced")
+        return NotToricallyReduced()
     return OrbitCapExceeded(f"cyclic closure of {g.format(x)} exceeds cap {cap}")
+
+
+def _listed(g: CoxeterGraph, w: Word, cap: int) -> tuple[dict[Word, int], list[list[Word]]]:
+    """``_rtor_listing`` of w, checked, its NotToricallyReduced given a message."""
+    x = g.check_word(w)
+    try:
+        return _rtor_listing(g, x, cap)
+    except NotToricallyReduced as exc:
+        exc.args = (f"{g.format(x)} is not torically reduced",)
+        raise
 
 
 def rtor_cyclic_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[CyclicWord]:
     """R_tor([w]): cyclic words reachable by rotations and all braid moves.
     NotToricallyReduced for any w that is not torically reduced, whatever
     the cap; OrbitCapExceeded only past the cap of one that is."""
-    return frozenset(map(CyclicWord, _rtor_listing(g, w, cap)[0]))
+    return frozenset(map(CyclicWord, _listed(g, w, cap)[0]))
 
 
 def ctor_class(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> frozenset[CyclicWord]:
     """C_tor([w]): the class of [w] in the listing of R_tor([w]) by classes."""
-    return frozenset(map(CyclicWord, _rtor_listing(g, w, cap)[1][0]))
+    return frozenset(map(CyclicWord, _listed(g, w, cap)[1][0]))
 
 
 def cyclic_decomposition(
     g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP
 ) -> tuple[frozenset[CyclicWord], ...]:
     """Partition of R_tor([w]) into cyclic commutativity classes."""
-    classes = _rtor_listing(g, w, cap)[1]
+    classes = _listed(g, w, cap)[1]
     return tuple(sorted((frozenset(map(CyclicWord, c)) for c in classes), key=min))
 
 

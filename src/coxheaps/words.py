@@ -20,13 +20,13 @@ form of each element, and over the interval [e, w]_R for
 ``reduced_words``, which joins R(w) from both ends of it with no braid
 search, the R(x) of each x of the middle level with the words from x up to
 w, and for the counts that ``cyclic._interval_census`` reads off
-it.  ``commutativity_class`` lists the linear extensions of w's heap, which
+it, with the least word of each commutativity class (``_lex_forms``).
+``commutativity_class`` lists the linear extensions of w's heap, which
 are its words (Cartier-Foata 1969), and ``commutativity_classes`` takes
-them, least word first, over R(w), or, for FC w, takes the one class
-without listing R(w).  Past a cap each listing raises ``OrbitCapExceeded``,
-an inconclusive outcome, never a guess; the default cap,
-``DEFAULT_ORBIT_CAP``, lives in ``errors``.  ``heaps`` is imported when a
-heap is first needed (``_heaps``), so the word problem loads no heap code.
+the class of each least word.  Past a cap each listing raises
+``OrbitCapExceeded``, an inconclusive outcome, never a guess; the default
+cap, ``DEFAULT_ORBIT_CAP``, lives in ``errors``.  ``heaps`` is imported
+when a heap is first needed (``_heaps``), so the word problem loads no heap code.
 
 All functions are pure; words are tuples of generator indices.
 """
@@ -150,29 +150,17 @@ def reduced_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> fro
     """R(w): all reduced words for the element of the reduced word w.
 
     Joined from both ends of the interval [e, w]_R of the right weak order,
-    walked once by ``_weak_order_levels``.  One root pass decides that w is
-    reduced and gives its betas, which are the y(alpha_s) of the edges
-    y <_R y s of the interval (``roots``).  R(x) is the union of R(x s) s
-    over the right descents s of x: the walk counts it at every level and
-    lists it up to the middle one.  A level's total is the number of
-    prefixes of that length of the words of R(w), so the first level past
-    the cap raises OrbitCapExceeded before its words are listed or the
-    walk goes on, and the last level's total is |R(w)|.  Down from w to the middle, the words v with
-    x v = w are the s v' over the x s above x and the words v' with
-    x s v' = w, and R(w) is every u + v of a middle x, u in R(x).  So only
-    the words of R(w) are made at full length.  w itself is listed whatever
-    the cap.
+    walked once under the cap (``_capped_levels``).  R(x) is the union of
+    R(x s) s over the right descents s of x, listed up to the middle
+    level.  Down from w to the middle, the words v with x v = w are the
+    s v' over the x s above x and the words v' with x s v' = w, and R(w) is
+    every u + v of a middle x, u in R(x).  So only the words of R(w) are
+    made at full length.  w itself is listed whatever the cap.
     """
     word = g.check_word(w)
-    if (found := g.root_system()._pass(word)) is None:
-        raise NotReduced(f"{g.format(w)} is not reduced")
-    middle, upper, counts = len(word) // 2, [], {0: 1}
+    middle, upper = len(word) // 2, []
     prefixes: dict[int, list[Word]] = {0: [()]}
-    for k, level in enumerate(_weak_order_levels(g, len(word), found[1])):
-        get = counts.__getitem__
-        counts = {key: sum(map(get, down.values())) for key, down in level.items()}
-        if sum(counts.values()) > max(cap, 1):
-            raise OrbitCapExceeded(f"reduced-word set of {g.format(w)} exceeds cap {cap}")
+    for k, level in enumerate(_capped_levels(g, word, cap)):
         if k < middle:
             prefixes = {key: [u + (s,) for s, y in down.items() for u in prefixes[y]] for key, down in level.items()}
         else:
@@ -191,30 +179,16 @@ def reduced_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> fro
     return frozenset([u + v for key, vs in suffixes.items() for u in prefixes[key] for v in vs])
 
 
-def commutativity_classes(
-    g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP
-) -> tuple[frozenset[Word], ...]:
+def commutativity_classes(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> tuple[frozenset[Word], ...]:
     """Partition of R(w) under short braid moves, ordered by least member:
-    the ``commutativity_class`` of the least word of R(w) not yet in a
-    class, repeatedly.  The cap is that of ``reduced_words``.  For FC w the
-    one class is the linear extensions of w's heap, and R(w) is not listed:
-    |L(h)| = |R(w)|, so the cap trips exactly as it would on R(w)."""
-    heaps = _heaps()
-    h = heaps.heap_of_word(g, w)
-    if heaps._is_fc(h):  # which means FC only for reduced w; reduced_words checks the others
-        if not is_reduced(g, w):
-            raise NotReduced(f"{g.format(w)} is not reduced")
-        try:
-            return (heaps.linear_extensions(h, max(cap, 1)),)
-        except ExtensionCapExceeded:
-            raise OrbitCapExceeded(f"reduced-word set of {g.format(w)} exceeds cap {cap}") from None
-    out: list[frozenset[Word]] = []
-    placed: set[Word] = set()
-    for u in sorted(reduced_words(g, w, cap)):
-        if u not in placed:
-            out.append(commutativity_class(g, u))
-            placed |= out[-1]
-    return tuple(out)
+    the ``commutativity_class`` of each least word, read off the walk of
+    [e, w]_R under the cap of ``reduced_words`` (``_lex_forms``)."""
+    forms: dict[int, dict] = {0: {0: [()]}}
+    commuting = g.root_system().commuting
+    for level in _capped_levels(g, g.check_word(w), cap):
+        forms = _lex_forms(level, forms, commuting, True)
+    least = sorted(u for by_state in forms.values() for us in by_state.values() for u in us)
+    return tuple(commutativity_class(g, u, cap) for u in least)
 
 
 def is_fc(g: CoxeterGraph, w: Word) -> bool:
@@ -285,6 +259,46 @@ def _weak_order_levels(g: CoxeterGraph, length: int, negated: dict | None = None
                             times[s](up)
         yield longer
         level, columns = longer, made
+
+
+def _capped_levels(g: CoxeterGraph, word: Word, cap: int) -> Iterator[dict[int, dict]]:
+    """The levels of [e, w]_R from w's root pass, which decides w is reduced
+    (``roots``), each passed on once the sum of |R(x)| = sum |R(x s)| over
+    its x, the number of prefixes of its length of the words of R(w), is
+    within max(cap, 1); the last is |R(w)|, so the cap raises iff |R(w)|
+    exceeds it, before the caller makes a word past it."""
+    if (found := g.root_system()._pass(word)) is None:
+        raise NotReduced(f"{g.format(word)} is not reduced")
+    counts = {0: 1}
+    for level in _weak_order_levels(g, len(word), found[1]):
+        get = counts.__getitem__
+        counts = {key: sum(map(get, down.values())) for key, down in level.items()}
+        if sum(counts.values()) > max(cap, 1):
+            raise OrbitCapExceeded(f"reduced-word set of {g.format(word)} exceeds cap {cap}")
+        yield level
+
+
+def _lex_forms(level: dict[int, dict], forms: dict[int, dict], commuting: tuple, listing: bool) -> dict[int, dict]:
+    """For each x of a level, the least words of the commutativity classes
+    of R(x) by state, counted, or listed with ``listing``, from the level
+    below.  A word is least in its class iff it has no factor b v a with
+    a < b and a commuting with b and every letter of v (Anisimov-Knuth
+    1979), so the least words of R(x) are the u s, u least for x s, that
+    pass at s.  Bit t of u's state is set iff the longest suffix of u whose
+    letters commute with t holds a letter above t: s may follow iff bit s
+    is clear, and u s keeps the bits of the t commuting with s, set if t < s."""
+    out: dict[int, dict] = {}
+    for x, down in level.items():
+        here = out[x] = {}
+        for s, y in down.items():
+            low, keep = (1 << s) - 1, commuting[s]
+            for state, value in forms[y].items():
+                if not state >> s & 1:
+                    t = (state | low) & keep
+                    if listing:
+                        value = [u + (s,) for u in value]
+                    here[t] = here[t] + value if t in here else value
+    return out
 
 
 def elements_up_to(g: CoxeterGraph, max_len: int) -> list[Word]:

@@ -2,25 +2,28 @@
 
 The main library decides the word problem from root sequences (``roots``),
 lists R(w) up the weak-order interval [e, w]_R (``words.reduced_words``),
-counts it and its commutativity classes on the same walk
-(``cyclic._interval_census``) and lists R_tor by its own braid-move search
-(``cyclic._rtor_listing``).  The oracles here go through the standard geometric
-representation instead: each generator acts on the root-coordinate space
-by an exact matrix over a quadratic integer ring (Z, Z[sqrt2], Z[phi],
-...), which is faithful, so matrix equality decides element equality and a
-Cayley-ball BFS gives true lengths.  Nothing in this module calls the
-braid machinery, except the listing oracles at the end.  Those decide FC,
-CFC and toric questions by listing and search, against the closed criteria
-of the library; the searches follow braid moves of their own
-(``naive_braid_moves``), and ``braid_closure`` is the Tits search route for
-R(w), reducedness and normal forms.  ``greedy_normal_form`` is the
-earlier normal-form route of ``roots``, which reflects the later betas of
-the word where the library reads its inverse's right descents.
-``down_sets`` is the heap route for the word count of an FC element: the
-linear extensions of its heap, counted over down-sets.
-``pairs_toric_transitive_closure`` is the earlier set-of-pairs route of the
-toric closure, and ``flip_bfs_parents`` the toric-class BFS through the
-public flips.
+counts it and reads the least word of each of its commutativity classes
+on the same walk (``cyclic._interval_census``,
+``words.commutativity_classes``), and lists R_tor by its own braid-move
+search (``cyclic._rtor_listing``).  The oracles here go through the
+standard geometric representation instead: each generator acts on the
+root-coordinate space by an exact matrix over a quadratic integer ring
+(Z, Z[sqrt2], Z[phi], ...), which is faithful, so matrix equality
+decides element equality and a Cayley-ball BFS gives true lengths.
+Nothing in this module calls the braid machinery, except the listing
+oracles at the end.  Those decide FC, CFC and toric questions by listing
+and search, against the closed criteria of the library; the searches
+follow braid moves of their own (``naive_braid_moves``), and
+``braid_closure`` is the Tits search route for R(w), reducedness and
+normal forms.  ``listing_class_count`` splits it into commutativity
+classes by the same search, so no class count here goes through the
+library's walk.  ``greedy_normal_form`` is the earlier normal-form route
+of ``roots``, which reflects the later betas of the word where the
+library reads its inverse's right descents.  ``down_sets`` is the heap
+route for the word count of an FC element: the linear extensions of its
+heap, counted over down-sets.  ``pairs_toric_transitive_closure`` is the
+earlier set-of-pairs route of the toric closure, and ``flip_bfs_parents``
+the toric-class BFS through the public flips.
 """
 
 from __future__ import annotations
@@ -489,9 +492,20 @@ def listing_elements(g: CoxeterGraph, w: Word) -> frozenset[W.NormalForm]:
     return frozenset(W.normal_form(g, u) for u in CY.rtor_words(g, w))
 
 
+def listing_class_count(g: CoxeterGraph, w: Word) -> int:
+    """The number of commutativity classes of R(w), w reduced: R(w) listed
+    by ``braid_closure`` and split by ``commutativity_class``, the class of
+    its least word left, repeatedly."""
+    left, classes = set(braid_closure(g, w)), 0
+    while left:
+        left -= commutativity_class(g, min(left))
+        classes += 1
+    return classes
+
+
 def listing_is_fc(g: CoxeterGraph, w: Word) -> bool:
     """FC as "R(w) lists as one commutativity class"."""
-    return len(W.commutativity_classes(g, w)) == 1
+    return listing_class_count(g, w) == 1
 
 
 def braid_closure(g: CoxeterGraph, w: Word, short_only: bool = False, cap: int = W.DEFAULT_ORBIT_CAP) -> frozenset:

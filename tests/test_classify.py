@@ -1,5 +1,6 @@
 import glob
 import itertools
+import math
 import os
 import random
 
@@ -29,6 +30,7 @@ from oracles import (
     down_set_is_cfc,
     down_sets,
     is_move_chain,
+    listing_class_count,
     listing_is_cfc,
     listing_is_cyclically_reduced_element,
     listing_is_fc,
@@ -337,8 +339,10 @@ def test_power_collapse_factorization_regression(affine_c2):
 
 def _brute_classify(g, word):
     """The report of classify(g, word).to_json(g), rebuilt from the
-    definitions: the word-level rotations of R(w), one commutativity-class
-    listing per rotation, and the cyclic closures listed separately."""
+    definitions: the word-level rotations of R(w), the commutativity
+    classes of R(w) and of each rotation counted by the tests' own braid
+    search (``listing_class_count``), and the cyclic closures listed
+    separately."""
     rotations = [word[k:] + word[:k] for k in range(len(word))]
     bad = next((r for r in rotations if not W.is_reduced(g, r)), None)
     if bad is not None and bad == word:
@@ -353,10 +357,10 @@ def _brute_classify(g, word):
     rw = W.reduced_words(g, word)
     rotated = {u[k:] + u[:k] for u in rw for k in range(len(u))}
     cyclically_reduced = all(W.is_reduced(g, r) for r in rotated)
-    fc = len(W.commutativity_classes(g, word)) == 1
-    cfc = cyclically_reduced and all(len(W.commutativity_classes(g, r)) == 1 for r in rotated)
+    classes = listing_class_count(g, word)
+    cfc = cyclically_reduced and all(listing_is_fc(g, r) for r in rotated)
     chain = CY.toric_reduction_witness(g, word)
-    counts = {"reducedWords": len(rw), "commutativityClasses": len(W.commutativity_classes(g, word))}
+    counts = {"reducedWords": len(rw), "commutativityClasses": classes}
     witnesses = {}
     if bad is not None:
         witnesses["nonReducedRotation"] = g.format(bad)
@@ -372,7 +376,7 @@ def _brute_classify(g, word):
         tfc = False
     return {
         "word": g.format(word), "reduced": True, "cyclicallyReduced": cyclically_reduced,
-        "toricallyReduced": chain is None, "fc": fc, "cfc": cfc, "tfc": tfc,
+        "toricallyReduced": chain is None, "fc": classes == 1, "cfc": cfc, "tfc": tfc,
         "fauxCfc": tfc and not cfc, "counts": counts, "witnesses": witnesses,
     }
 
@@ -513,6 +517,17 @@ def test_interval_census_of_wide_fc_heaps():
         w = tuple(range(0, g.rank, g.rank // 10))
         assert CY._interval_census(g, 10, *g.root_system().rotation_pass(w)) == (3628800, 1, True)
         assert CY.is_cyclically_reduced_element(g, w)
+
+
+def test_interval_census_of_a_braid_among_free_letters():
+    # w = a b a t1 ... tk, an a-b 3-bond and each t bonded to nothing: R(w)
+    # is the shuffles of a b a or b a b with the t's, (k+3)!/3 words in two
+    # classes, and the rotation b a t1 ... tk a is not reduced
+    for k in range(13):
+        g = CoxeterGraph(["a", "b"] + [f"t{i}" for i in range(1, k + 1)], [("a", "b", 3)])
+        w = (0, 1, 0) + tuple(range(2, k + 2))
+        want = (math.factorial(k + 3) // 3, 2, False)
+        assert CY._interval_census(g, k + 3, *g.root_system().rotation_pass(w)) == want, k
 
 
 @pytest.mark.parametrize("name", ["B3", "H3", "A~2", "A4", "C~3"])

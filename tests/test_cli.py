@@ -179,13 +179,15 @@ def test_cap_exit_code(graph_files, capsys):
     ("affine_e6.json", " ".join(["s0 s1 s2 s3 s4 s5 s6"] * 3), 100_000),
 ])
 def test_reduced_words_cap_report(capsys, graph, word, cap):
-    # the exit-3 report, byte for byte
-    code, out = run(capsys, "word", "reduced-words", "-g", os.path.join(GRAPHS, graph), word, "--max-orbit", str(cap))
-    assert code == 3
-    assert out == (
-        '{\n  "schemaVersion": 1,\n  "command": "word.reduced-words",\n  "error": {\n'
-        f'    "type": "OrbitCapExceeded",\n    "message": "reduced-word set of {word} exceeds cap {cap}"\n  }}\n}}\n'
-    )
+    # the exit-3 report, byte for byte, of R(w) and of its commutativity
+    # classes, which take the cap of R(w)
+    for command in ("reduced-words", "comm-classes"):
+        code, out = run(capsys, "word", command, "-g", os.path.join(GRAPHS, graph), word, "--max-orbit", str(cap))
+        assert code == 3
+        assert out == (
+            f'{{\n  "schemaVersion": 1,\n  "command": "word.{command}",\n  "error": {{\n'
+            f'    "type": "OrbitCapExceeded",\n    "message": "reduced-word set of {word} exceeds cap {cap}"\n  }}\n}}\n'
+        )
 
 
 @pytest.mark.parametrize("command", ["rtor", "ctor", "decompose", "elements"])

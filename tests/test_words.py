@@ -267,9 +267,10 @@ def _outcome(route, g, w, cap):
         return str(err)
 
 
-@pytest.mark.parametrize("name", ["B3", "H3", "A~3"])
+@pytest.mark.parametrize("name", ["B3", "H3", "A~3", "A4", "4-5 ring"])
 def test_commutativity_classes_match_rw_route(name):
-    # the FC shortcut lists the heap's extensions, not R(w): same classes,
+    # the least words read off [e, w]_R, each with its heap's extensions,
+    # against R(w) listed and split: the same classes in the same order,
     # and the same cap error at cap |R(w)| - 1
     g = _INTERVAL_SYSTEMS[name]
     for w in W.elements_up_to(g, 8):
