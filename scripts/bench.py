@@ -20,11 +20,15 @@ letters, both FC and read off the heap, and
 of the longest element of A5 and A6, which is not FC and is read off the
 walk of [e, w]_R, ``classify`` (sized by the characters of its report's
 JSON) of the cube of the Coxeter element of C~3 and C~4, of the longest
-element of A5 and A6 and of a b a t1 ... tk for k = 8 and 10 (an a-b
-3-bond, each t bonded to nothing), the commutativity classes (sized by
-their number) of the longest element of A5 and of every element of A~3
-up to 8 letters, one call looping over the elements listed beforehand,
-and the toric classes of K6, K7 and C12.
+element of A5 and A6, of a b a t1 ... tk for k = 8 and 10 (an a-b
+3-bond, each t bonded to nothing) and of the free word on 8 and 9
+letters, and, in one call each looping over the elements listed
+beforehand (sized by the characters of all their reports' JSON), of
+every element of B3, H3 and A~3 up to 7 letters and of E~6 up to 6
+letters, the commutativity classes (sized by their number) of the
+longest element of A5 and of every element of A~3 up to 8 letters, one
+call looping over the elements listed beforehand, and the toric classes
+of K6, K7 and C12.
 The CLI cases each time one fresh ``python -m coxheaps`` process, start
 to exit, and count the characters it prints: ``graph toric-classes`` on
 graphs/affine_c<n>.json for C~2, C~3 and C~4, and ``word classify`` on
@@ -133,6 +137,13 @@ def _classes_up_to(pkg, name, n):
     return lambda: [c for w in elements for c in pkg.words.commutativity_classes(g, w)]
 
 
+def _classify_up_to(pkg, names, n):
+    """One call that classifies each element of the catalog systems up to n
+    letters, listed here; its result the JSON text of every report."""
+    pairs = [(g, w) for g in map(pkg.catalog.coxeter_graph, names) for w in pkg.words.elements_up_to(g, n)]
+    return lambda: "".join(json.dumps(pkg.classifier.classify(g, w).to_json(g)) for g, w in pairs)
+
+
 def _sized(call):
     """The call with its bool verdict as a result of size 1 when it holds, 0 when not."""
     return lambda: (True,) if call() else ()
@@ -200,6 +211,10 @@ BUILDERS = {
         lambda pkg, n: _classify(pkg, *_affine_c_coxeter_power(pkg, n, 3)),
     ("classifier.classify", "A_n longest element"): lambda pkg, n: _classify(pkg, *_a_longest(pkg, n)),
     ("classifier.classify", "a b a t1 ... tk"): lambda pkg, k: _classify(pkg, *_braid_among_free(pkg, k)),
+    ("classifier.classify", "free word"): lambda pkg, n: _classify(pkg, *_free_word(pkg, n)),
+    ("classifier.classify", "B3, H3 and A~3 elements up to n letters"):
+        lambda pkg, n: _classify_up_to(pkg, ("B3", "H3", "A~3"), n),
+    ("classifier.classify", "E~6 elements up to n letters"): lambda pkg, n: _classify_up_to(pkg, ("E~6",), n),
     ("words.commutativity_classes", "A_n longest element"):
         lambda pkg, n: partial(pkg.words.commutativity_classes, *_a_longest(pkg, n)),
     ("words.commutativity_classes", "A~3 elements up to n letters"): lambda pkg, n: _classes_up_to(pkg, "A~3", n),
@@ -237,6 +252,10 @@ CASES = (
     ("classifier.classify", "A_n longest element", 6),
     ("classifier.classify", "a b a t1 ... tk", 8),
     ("classifier.classify", "a b a t1 ... tk", 10),
+    ("classifier.classify", "free word", 8),
+    ("classifier.classify", "free word", 9),
+    ("classifier.classify", "B3, H3 and A~3 elements up to n letters", 7),
+    ("classifier.classify", "E~6 elements up to n letters", 6),
     ("words.commutativity_classes", "A_n longest element", 5),
     ("words.commutativity_classes", "A~3 elements up to n letters", 8),
     ("toric.toric_classes", "complete graph", 6),

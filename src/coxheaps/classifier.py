@@ -50,7 +50,7 @@ from .errors import (
     SpokeError,
 )
 from .heaps import _convex_windows, heap_of_word
-from .records import Record, _set
+from .records import Record
 from .words import (
     DEFAULT_ORBIT_CAP,
     is_fc,
@@ -151,20 +151,6 @@ class ClassificationReport(Record):
     counts: dict
     witnesses: dict
 
-    def __init__(self, word: Word, reduced: bool, cyclically_reduced: bool, torically_reduced: bool,
-                 fc: bool, cfc: bool, tfc: bool, faux_cfc: bool,
-                 counts: dict | None = None, witnesses: dict | None = None):
-        _set(self, "word", word)
-        _set(self, "reduced", reduced)
-        _set(self, "cyclically_reduced", cyclically_reduced)
-        _set(self, "torically_reduced", torically_reduced)
-        _set(self, "fc", fc)
-        _set(self, "cfc", cfc)
-        _set(self, "tfc", tfc)
-        _set(self, "faux_cfc", faux_cfc)
-        _set(self, "counts", {} if counts is None else counts)
-        _set(self, "witnesses", {} if witnesses is None else witnesses)
-
     def to_json(self, g: CoxeterGraph) -> dict:
         witnesses = {}
         if "nonReducedRotation" in self.witnesses:
@@ -240,12 +226,6 @@ class LogProbe(Record):
     up_to: int
     lengths: tuple[int, ...]  # lengths of w^1 .. w^K
     violation_at: int | None
-
-    def __init__(self, word: Word, up_to: int, lengths: tuple[int, ...], violation_at: int | None):
-        _set(self, "word", word)
-        _set(self, "up_to", up_to)
-        _set(self, "lengths", lengths)
-        _set(self, "violation_at", violation_at)
 
     @property
     def holds(self) -> bool:
@@ -370,10 +350,6 @@ class TfcConstruction(Record):
     word: Word
     tfc: bool
 
-    def __init__(self, word: Word, tfc: bool):
-        _set(self, "word", word)
-        _set(self, "tfc", tfc)
-
 
 def tfc_constructor(g: CoxeterGraph, spoke: tuple[str | int, str | int], u: Word) -> TfcConstruction:
     """Build <s,t>_{m(s,t)} u from an even spoke (s, t) and a CFC seed u.
@@ -419,17 +395,7 @@ class ConjectureProbe(Record):
     seed_avoids_st: bool
     shortened_tfc: bool
     shortened_cfc: bool
-    note: str
-
-    def __init__(self, word: Word, shortened: Word, seed_torically_reduced: bool, seed_avoids_st: bool,
-                 shortened_tfc: bool, shortened_cfc: bool, note: str = "evidence only, not a theorem"):
-        _set(self, "word", word)
-        _set(self, "shortened", shortened)
-        _set(self, "seed_torically_reduced", seed_torically_reduced)
-        _set(self, "seed_avoids_st", seed_avoids_st)
-        _set(self, "shortened_tfc", shortened_tfc)
-        _set(self, "shortened_cfc", shortened_cfc)
-        _set(self, "note", note)
+    note: str = "evidence only, not a theorem"
 
     @property
     def applicable(self) -> bool:

@@ -56,7 +56,7 @@ from .errors import (
     TooLarge,
 )
 from .heaps import _is_fc, heap_of_word, word_orientation
-from .records import Record, _set
+from .records import Record
 from .words import (
     NormalForm,
     _lex_forms,
@@ -67,45 +67,14 @@ from .words import (
 )
 
 
-class CyclicWord(Record):
+class CyclicWord(Record, order=True):
     """Rotation class of a word, keyed by its shortlex-least rotation.
     Cyclic words compare and order as their canonical words."""
 
     canonical: Word
 
-    def __init__(self, canonical: Word):
-        _set(self, "canonical", canonical)
-
     def __len__(self) -> int:
         return len(self.canonical)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.canonical == other.canonical
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.canonical,))
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.canonical < other.canonical
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.canonical <= other.canonical
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.canonical > other.canonical
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.canonical >= other.canonical
-        return NotImplemented
 
 
 def _least_rotation(word: Word) -> Word:
@@ -420,11 +389,6 @@ class ToricHeap(Record):
     graph: CoxeterGraph
     word: Word
     poset: toric.ToricPoset
-
-    def __init__(self, graph: CoxeterGraph, word: Word, poset: toric.ToricPoset):
-        _set(self, "graph", graph)
-        _set(self, "word", word)
-        _set(self, "poset", poset)
 
     @property
     def size(self) -> int:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from .coxgraph import CoxeterGraph, Word
 from .errors import DEFAULT_EXTENSION_CAP, ExtensionCapExceeded, GraphMismatch
 from .orders import _bits, _linear_orders
-from .records import Record, _set
+from .records import Record
 
 if TYPE_CHECKING:
     from .toric import AcyclicOrientation, Graph
@@ -35,19 +35,6 @@ class Heap(Record):
     graph: CoxeterGraph
     word: Word
     above: tuple[int, ...]  # above[i] = bitmask of positions j with i < j in the order
-
-    def __init__(self, graph: CoxeterGraph, word: Word, above: tuple[int, ...]):
-        _set(self, "graph", graph)
-        _set(self, "word", word)
-        _set(self, "above", above)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.graph, self.word, self.above) == (other.graph, other.word, other.above)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.word, self.above))
 
     @property
     def size(self) -> int:

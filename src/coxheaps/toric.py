@@ -70,14 +70,6 @@ class Graph(Record):
         if tuple(sorted(edges)) != edges:
             raise ValueError("edges must be sorted")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n, self.edges) == (other.n, other.edges)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
     @cached_property
     def incident(self) -> tuple[int, ...]:
         """incident[v] = bitmask of edge indices touching v."""
@@ -140,14 +132,6 @@ class AcyclicOrientation(Record):
             raise ValueError("direction mask has bits beyond the edge list")
         if _has_cycle(graph, forward):
             raise NotAcyclic("orientation contains a directed cycle")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.graph, self.forward) == (other.graph, other.forward)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.forward))
 
     def directed_edges(self) -> tuple[tuple[int, int], ...]:
         out = []

@@ -39,50 +39,18 @@ from typing import Iterable, Iterator
 
 from .coxgraph import CoxeterGraph, Word
 from .errors import DEFAULT_ORBIT_CAP, ExtensionCapExceeded, NotReduced, OrbitCapExceeded
-from .records import Record, _set
+from .records import Record
 
 
-class NormalForm(Record):
+class NormalForm(Record, order=True):
     """Canonical representative: the shortlex-least reduced word.  Normal
     forms compare and order as their (length, word) pairs."""
 
     length: int
     word: Word
 
-    def __init__(self, length: int, word: Word):
-        _set(self, "length", length)
-        _set(self, "word", word)
-
     def __iter__(self):
         return iter(self.word)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.length, self.word) == (other.length, other.word)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.word))
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.length, self.word) < (other.length, other.word)
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.length, self.word) <= (other.length, other.word)
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.length, self.word) > (other.length, other.word)
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.length, self.word) >= (other.length, other.word)
-        return NotImplemented
 
 
 @cache

@@ -1,8 +1,17 @@
-"""The library's value records: equality, hashing, ordering, refusal of
-attribute assignment, constructor checks and repr."""
+"""The library's value records: the constructor, equality, hashing and
+ordering that ``records.Record`` compiles from each record's fields, and
+that no record writes out itself; the refusal of attribute assignment,
+the constructor checks of ``Graph`` and ``AcyclicOrientation``, repr,
+pickling and copying."""
+
+import copy
+import importlib
+import pickle
+import pkgutil
 
 import pytest
 
+import coxheaps
 from coxheaps import catalog
 from coxheaps import classifier as C
 from coxheaps import cyclic as CY
@@ -10,6 +19,7 @@ from coxheaps import heaps as H
 from coxheaps import toric as T
 from coxheaps import words as W
 from coxheaps.errors import NotAcyclic
+from coxheaps.records import Record
 
 B3 = catalog.coxeter_graph("B3")
 C4 = T.Graph(4, ((0, 1), (0, 3), (1, 2), (2, 3)))
@@ -50,6 +60,35 @@ def test_equal_fields_give_equal_records(make, other):
     else:
         assert hash(a) == hash(b) == hash(a._values())  # as a frozen dataclass hashes
         assert len({a, b, other}) == 2
+
+
+@pytest.mark.parametrize("make, other", RECORDS, ids=IDS)
+def test_positional_and_keyword_construction_agree(make, other):
+    a = make()
+    fields = dict(zip(a._fields, a._values()))
+    assert type(a)(*a._values()) == type(a)(**fields) == a
+    with pytest.raises(TypeError):
+        type(a)(**{name: value for name, value in fields.items() if name != a._fields[0]})
+    with pytest.raises(TypeError):
+        type(a)(**fields, extra=None)
+
+
+@pytest.mark.parametrize("make, other", RECORDS, ids=IDS)
+def test_records_survive_pickling_and_copying(make, other):
+    a = make()
+    for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(copied) is type(a) and copied == a and copied._values() == a._values()
+
+
+@pytest.mark.parametrize("make, other", RECORDS, ids=IDS)
+def test_only_the_declared_records_order(make, other):
+    a = make()
+    if isinstance(a, (W.NormalForm, CY.CyclicWord)):
+        assert a <= a and a >= a and not a < a and not a > a
+    else:
+        for compare in (lambda x, y: x < y, lambda x, y: x <= y, lambda x, y: x > y, lambda x, y: x >= y):
+            with pytest.raises(TypeError):
+                compare(a, make())
 
 
 @pytest.mark.parametrize("make, other", RECORDS, ids=IDS)
@@ -103,3 +142,47 @@ def test_cached_orders_survive_the_refusal():
     assert graph.incident == graph.incident and len(graph.cycle_basis) == 1
     h = H.heap_of_word(B3, (2, 0, 1, 0, 1))
     assert h.below is h.below
+
+
+def _package_records():
+    """Every ``Record`` subclass the package defines, after importing each
+    of its modules (but ``__main__``, which runs the command line)."""
+    for info in pkgutil.iter_modules(coxheaps.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"coxheaps.{info.name}")
+    found, todo = [], [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("coxheaps."):
+                found.append(cls)
+    return found
+
+
+def test_no_record_writes_out_its_comparisons():
+    """Each record's equality, hashing and ordering are the compiled ones,
+    named for their record, only ``Graph`` and ``AcyclicOrientation`` write
+    their ``__init__``, and only ``NormalForm`` and ``CyclicWord`` order."""
+    records = _package_records()
+    assert {cls.__name__ for cls in records} >= set(IDS)
+    for cls in records:
+        compiled = f"<record {cls.__module__}.{cls.__qualname__}>"
+        for name in ("__init__", "__eq__", "__hash__", "__lt__", "__le__", "__gt__", "__ge__"):
+            method = vars(cls).get(name)
+            if name == "__init__" and cls in (T.Graph, T.AcyclicOrientation):
+                assert method.__code__.co_filename == T.__file__
+            elif name in ("__lt__", "__le__", "__gt__", "__ge__") and cls not in (W.NormalForm, CY.CyclicWord):
+                assert method is None, (cls, name)
+            else:
+                assert method.__code__.co_filename == compiled, (cls, name)
+                assert method.__qualname__ == f"{cls.__qualname__}.{name}" and method.__module__ == cls.__module__
+    eq = CY.CyclicWord.__eq__
+    assert eq.__qualname__ == "CyclicWord.__eq__" and eq.__code__.co_filename == "<record coxheaps.cyclic.CyclicWord>"
+
+
+def test_a_class_default_is_its_fields_default():
+    probe = C.ConjectureProbe((0,), (), True, True, True, True)
+    assert probe.note == "evidence only, not a theorem" == C.ConjectureProbe.note
+    assert C.ConjectureProbe((0,), (), True, True, True, True, note="n").note == "n"
+    assert probe == C.ConjectureProbe(word=(0,), shortened=(), seed_torically_reduced=True, seed_avoids_st=True,
+                                      shortened_tfc=True, shortened_cfc=True)

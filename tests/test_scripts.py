@@ -15,6 +15,7 @@ import pytest
 from coxheaps import catalog, cli
 from coxheaps import classifier as CL
 from coxheaps.coxgraph import CoxeterGraph
+from coxheaps.words import elements_up_to
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -135,16 +136,22 @@ def test_bench_writes_report(tmp_path):
     # (s0 s2 s4 s1 s3)^2 over C~4, verdicts of cyclic reducedness on
     # (s0 s2 s4 s1 s3)^4 and the free 4-letter word (true) and the longest
     # element of A4 (false), the JSON of classify on (s0 s2 s4 s1 s3)^3
-    # over C~4, on the longest element of A4 and on a b a t1 t2 t3 t4, the
-    # 62 commutativity classes of the longest element of A4 and the 89 of
-    # the 69 elements of A~3 up to 4 letters (both counted by the tests'
-    # braid search), (4-1)! classes on K4, 4-1 on C4, and what the two CLI
-    # calls print
+    # over C~4, on the longest element of A4, on a b a t1 t2 t3 t4 and on
+    # the free 4-letter word, and on every element up to 4 letters of B3,
+    # H3 and A~3 and of E~6, the 62 commutativity classes of the longest
+    # element of A4 and the 89 of the 69 elements of A~3 up to 4 letters
+    # (both counted by the tests' braid search), (4-1)! classes on K4, 4-1
+    # on C4, and what the two CLI calls print
     want = [10, 768, 0, 24, 6, 260, 1, 1, 0]
-    free = CoxeterGraph(["a", "b", "t1", "t2", "t3", "t4"], [("a", "b", 3)])
+    bonded = CoxeterGraph(["a", "b", "t1", "t2", "t3", "t4"], [("a", "b", 3)])
+    free = CoxeterGraph(["s1", "s2", "s3", "s4"])
     for g, text in ((catalog.coxeter_graph("C~4"), "s0 s2 s4 s1 s3 " * 3),
-                    (catalog.coxeter_graph("A4"), "s1 s2 s1 s3 s2 s1 s4 s3 s2 s1"), (free, "a b a t1 t2 t3 t4")):
+                    (catalog.coxeter_graph("A4"), "s1 s2 s1 s3 s2 s1 s4 s3 s2 s1"),
+                    (bonded, "a b a t1 t2 t3 t4"), (free, "s1 s2 s3 s4")):
         want.append(len(json.dumps(CL.classify(g, g.word(text)).to_json(g))))
+    for names in (("B3", "H3", "A~3"), ("E~6",)):
+        graphs = [catalog.coxeter_graph(name) for name in names]
+        want.append(sum(len(json.dumps(CL.classify(g, w).to_json(g))) for g in graphs for w in elements_up_to(g, 4)))
     want += [62, 89, 6, 3]
     for argv in (("graph", "toric-classes", "-g", "graphs/affine_c4.json"),
                  ("word", "classify", "-g", "graphs/b3.json", "s1 s2 s1 s2")):
