@@ -8,12 +8,15 @@ Each case builds its input first and then times one call REPEATS times;
 the report keeps every run, their median and the size of the result, so
 that two checkouts can be compared case by case.  The in-process cases
 are the normal form (sized by its length) of the reversed reduced word of
-the longest element of A6, A8 and A10, R(w) of the longest element of A4
+the longest element of A6, A8 and A10 and of that word twice, whose
+letters all cancel, on A14 and A18, R(w) of the longest element of A4
 and A5, and of A9 with cap 100, where the listing stops at the cap (sized
 0 when it raises OrbitCapExceeded), the linear extensions of the free heap
 (pairwise commuting letters, n! orders) on 7, 8 and 9 letters, L_tor of
 the free 8-letter word (7! cyclic words), the R_tor listing of the
-square of the Coxeter element of C~4 and C~5, element-level cyclic
+square of the Coxeter element of C~4 and C~5, the logarithmic probe of
+the Coxeter element of C~4 up to its 60th power (sized by the last length,
+that of the 60th power where no power is shorter), element-level cyclic
 reducedness (a bool verdict, sized 1 when it holds and 0 when not) of
 its 4th power on C~3, C~4 and C~5 and of the free word on 12 and 16
 letters, both FC and read off the heap, and
@@ -50,8 +53,14 @@ both sides meet the same host state, which two sequential runs do not.
 Each case then also records REV's runs, their median and result size,
 the ratio of this checkout's median to REV's, and the pairs this
 checkout won, its call the faster of the two.
+
+Each timed call is preceded by a garbage collection, outside the timing,
+on both sides of a pair: otherwise a collection that the previous call's
+garbage triggers is charged to whichever call happens to run next, and a
+case on a path neither side changed can read several percent apart.
 """
 
+import gc
 import importlib
 import io
 import json
@@ -177,6 +186,16 @@ def _normal_form_of_reversed(pkg, g, w):
     return lambda: pkg.words.normal_form(g, w[::-1]).word
 
 
+def _normal_form_of_squared(pkg, g, w):
+    """The call of ``normal_form`` on w twice, its result the normal form's word."""
+    return lambda: pkg.words.normal_form(g, w + w).word
+
+
+def _logarithmic_probe(pkg, g, w, up_to):
+    """The call of ``logarithmic_probe`` on w, its result a range as long as the last length."""
+    return lambda: range(pkg.classifier.logarithmic_probe(g, w, up_to).lengths[-1])
+
+
 def _reduced_words_capped(pkg, g, w, cap):
     """The call of ``reduced_words`` on w with the cap, an empty result when it raises OrbitCapExceeded."""
     def call():
@@ -191,6 +210,8 @@ def _reduced_words_capped(pkg, g, w, cap):
 BUILDERS = {
     ("words.normal_form", "A_n longest element reversed"):
         lambda pkg, n: _normal_form_of_reversed(pkg, *_a_longest(pkg, n)),
+    ("words.normal_form", "A_n longest element squared"):
+        lambda pkg, n: _normal_form_of_squared(pkg, *_a_longest(pkg, n)),
     ("words.reduced_words", "A_n longest element"):
         lambda pkg, n: partial(pkg.words.reduced_words, *_a_longest(pkg, n)),
     ("words.reduced_words", "A_n longest element, cap 100"):
@@ -201,6 +222,8 @@ BUILDERS = {
         lambda pkg, n: partial(pkg.cyclic.ltor, pkg.cyclic.toric_heap_of_word(*_free_word(pkg, n))),
     ("cyclic.rtor_cyclic_class", "C~n Coxeter element squared"):
         lambda pkg, n: partial(pkg.cyclic.rtor_cyclic_class, *_affine_c_coxeter_power(pkg, n, 2)),
+    ("classifier.logarithmic_probe", "C~n Coxeter element, up to 60"):
+        lambda pkg, n: _logarithmic_probe(pkg, *_affine_c_coxeter_power(pkg, n, 1), 60),
     ("cyclic.is_cyclically_reduced_element", "C~n Coxeter element to the 4th"):
         lambda pkg, n: _sized(partial(pkg.cyclic.is_cyclically_reduced_element, *_affine_c_coxeter_power(pkg, n, 4))),
     ("cyclic.is_cyclically_reduced_element", "free word"):
@@ -230,6 +253,8 @@ CASES = (
     ("words.normal_form", "A_n longest element reversed", 6),
     ("words.normal_form", "A_n longest element reversed", 8),
     ("words.normal_form", "A_n longest element reversed", 10),
+    ("words.normal_form", "A_n longest element squared", 14),
+    ("words.normal_form", "A_n longest element squared", 18),
     ("words.reduced_words", "A_n longest element", 4),
     ("words.reduced_words", "A_n longest element", 5),
     ("words.reduced_words", "A_n longest element, cap 100", 9),
@@ -239,6 +264,7 @@ CASES = (
     ("cyclic.ltor", "free word", 8),
     ("cyclic.rtor_cyclic_class", "C~n Coxeter element squared", 4),
     ("cyclic.rtor_cyclic_class", "C~n Coxeter element squared", 5),
+    ("classifier.logarithmic_probe", "C~n Coxeter element, up to 60", 4),
     ("cyclic.is_cyclically_reduced_element", "C~n Coxeter element to the 4th", 3),
     ("cyclic.is_cyclically_reduced_element", "C~n Coxeter element to the 4th", 4),
     ("cyclic.is_cyclically_reduced_element", "C~n Coxeter element to the 4th", 5),
@@ -279,6 +305,7 @@ def _git(*args):
 
 
 def _timed(call):
+    gc.collect()
     start = time.perf_counter()
     result = call()
     return time.perf_counter() - start, result

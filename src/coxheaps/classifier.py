@@ -55,7 +55,6 @@ from .words import (
     DEFAULT_ORBIT_CAP,
     is_fc,
     is_reduced,
-    normal_form,
 )
 
 __all__ = [
@@ -235,19 +234,20 @@ class LogProbe(Record):
 def logarithmic_probe(g: CoxeterGraph, w: Word, up_to: int) -> LogProbe:
     """First k <= up_to with l(w^k) < k*l(w), if any.
 
+    l(w^k) is the size of the inversion set of w folded onto w^(k-1)
+    (``roots.RootSystem.fold``), l(w) root steps a k.
     Partial verification only: "holds" means no violation below the bound.
     """
     if not is_reduced(g, w):
         raise NotReduced(f"{g.format(w)} is not reduced")
     if up_to < 1:
         raise ValueError("up_to must be >= 1")
-    word = g.check_word(w)
-    lengths: list[int] = []
-    cur: Word = ()
+    word, rs = g.check_word(w), g.root_system()
+    cols, negated, lengths = list(rs.identity), set(), []
     for k in range(1, up_to + 1):
-        cur = normal_form(g, cur + word).word  # w^k from the running w^(k-1)
-        lengths.append(len(cur))
-        if len(cur) < k * len(word):
+        rs.fold(cols, negated, word)
+        lengths.append(len(negated))
+        if len(negated) < k * len(word):
             return LogProbe(word, up_to, tuple(lengths), k)
     return LogProbe(word, up_to, tuple(lengths), None)
 

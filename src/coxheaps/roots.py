@@ -6,14 +6,15 @@ c(s, t) = 2 cos(pi / m(s, t)): 0 for commuting pairs and 2 for infinite
 bonds.  For a word s_1 ... s_k put beta_j = s_1 ... s_{j-1}(alpha_{s_j}).
 The word is reduced iff no beta_j equals -beta_i with i < j, and at the
 first such pair deleting letters i and j leaves the same element (the
-exchange condition).  The left descents of the element w of a reduced word
-are the s whose simple root alpha_s is among its betas, and its right
-descents the s with w(alpha_s) among the -beta_j (Björner–Brenti,
-*Combinatorics of Coxeter Groups*, §1.3–1.4 and §4.2).  So one pass over
-the word gives both, and the columns w(alpha_t), an exact and faithful
-key for w (``descents``).  The shortlex normal form of w is read off the
-right descents of w^-1: right-multiplying by a right descent t removes
-just -w^-1(alpha_t) from the -beta_j, so each letter costs one root step
+exchange condition), so a root pass stops there (``is_reduced``).  The
+left descents of the element w of a reduced word are the s whose simple
+root alpha_s is among its betas, and its right descents the s with
+w(alpha_s) among the -beta_j (Björner–Brenti, *Combinatorics of Coxeter
+Groups*, §1.3–1.4 and §4.2).  So one pass over the word gives both, and
+the columns w(alpha_t), an exact and faithful key for w (``descents``).
+Any word, reduced or not, folds into its element's columns and inversion
+set, one root step a letter (``fold``), and the shortlex normal form of w
+is read off the right descents of w^-1, folded from the reversed word
 (``shortlex_form``).
 
 Coordinates lie in Z[x]/psi_M, where M is the lcm of the finite bonds
@@ -180,42 +181,38 @@ class RootSystem:
             times[s](cols)
         return negated, pairs
 
+    def fold(self, cols: list, negated: set, word: Word) -> None:
+        """Right-multiply y, held as its columns and the -beta of its
+        inversion set N(y), by each letter s of word in place, one root step
+        a letter: a right descent s has y(alpha_s) = -beta for a beta of
+        N(y), which leaves, and any other s adds beta = y(alpha_s), held as
+        -beta = y s(alpha_s) (Björner–Brenti ch. 4).  |N(y)| is the length
+        of y."""
+        times = self._times
+        for s in word:
+            c = cols[s]
+            times[s](cols)
+            if c in negated:
+                negated.remove(c)
+            else:
+                negated.add(cols[s])
+
     def shortlex_form(self, word: Word) -> Word:
         """The shortlex-least reduced word for the element x of word.
 
-        The word is read reversed, as a word for y = x^-1, and letters i
-        and j are deleted at the first beta_j = -beta_i until it is reduced.
-        The least left descent of x is the least right descent t of y, the
-        least t with y(alpha_t) among the -beta_j.  It is emitted, y(alpha_t)
-        is dropped from them and y becomes y t: the betas of y t are those
-        of y but -y(alpha_t), so none is reflected.
+        The word is folded reversed, as a word for y = x^-1 (``fold``).  The
+        least left descent of x is the least right descent t of y, the least
+        t with y(alpha_t) among the -beta.  It is emitted, y(alpha_t) is
+        dropped from them and y becomes y t, until y is the identity.
         """
-        letters = list(reversed(word))
-        states = [self.identity]  # states[j]: columns of the element of letters[:j]
-        negated: dict[tuple, int] = {}  # -beta_i -> i
-        times = self._times
-        j = 0
-        while j < len(letters):
-            s, cols = letters[j], states[j]
-            i = negated.get(cols[s])
-            if i is not None:
-                del letters[j], letters[i]
-                del states[i + 1 :]
-                negated = {b: k for b, k in negated.items() if k < i}
-                j = i
-                continue
-            cols = list(cols)
-            times[s](cols)
-            negated[cols[s]] = j
-            states.append(tuple(cols))
-            j += 1
-
-        cols, out, gens = list(states[-1]), [], range(len(states[-1]))
-        for _ in letters:
+        cols, negated = list(self.identity), set()
+        self.fold(cols, negated, reversed(word))
+        out, times, gens = [], self._times, range(len(cols))
+        while negated:
             for t in gens:
                 if cols[t] in negated:
                     break
-            del negated[cols[t]]
+            negated.remove(cols[t])
             times[t](cols)
             out.append(t)
         return tuple(out)

@@ -106,9 +106,9 @@ def is_reduced(g: CoxeterGraph, w: Word) -> bool:
 def normal_form(g: CoxeterGraph, w: Word) -> NormalForm:
     """Shortlex-least reduced word for the element of w.
 
-    Letters are deleted in pairs by the exchange condition until the word is
-    reduced, and the least left descent is then taken greedily, read off the
-    right descents of the inverse (``roots.RootSystem.shortlex_form``).
+    The reversed word is folded into the inverse's columns and inversion
+    set, one root step a letter, and the least left descent is then taken
+    greedily off the inverse's right descents (``roots.RootSystem.shortlex_form``).
     """
     least = g.root_system().shortlex_form(g.check_word(w))
     return NormalForm(len(least), least)

@@ -155,8 +155,41 @@ def test_logarithmic_probe(affine_c2, affine_a2):
     assert probe.holds and probe.up_to == 4
     with pytest.raises(NotReduced):
         CL.logarithmic_probe(affine_a2, affine_a2.word("s0 s0"), 2)
+    with pytest.raises(NotReduced):  # reducedness is checked before the bound
+        CL.logarithmic_probe(affine_a2, affine_a2.word("s0 s0"), 0)
     with pytest.raises(ValueError, match="up_to must be >= 1"):
         CL.logarithmic_probe(affine_a2, cox, 0)
+
+
+_PROBE_SYSTEMS = {
+    **{name: lambda name=name: catalog.coxeter_graph(name) for name in ("B3", "H3", "A~2", "C~2", "A~3", "C~4", "E~6")},
+    "paw": lambda: load_coxeter_graph(os.path.join(GRAPHS, "paw4.json")),
+}
+
+
+@pytest.mark.parametrize("name", list(_PROBE_SYSTEMS))
+def test_logarithmic_probe_matches_normal_forms_of_powers(name):
+    # the lengths of w^k folded onto w^(k-1) against the normal form of the
+    # word w^k, k <= 8, on seeded random reduced words, some of which violate
+    g = _PROBE_SYSTEMS[name]()
+    rng = random.Random(name)
+    verdicts = []
+    for _ in range(30):
+        w = ()
+        for _ in range(rng.randrange(1, 9)):
+            s = rng.randrange(g.rank)
+            if W.is_reduced(g, w + (s,)):
+                w += (s,)
+        lengths, at = [], None
+        for k in range(1, 9):
+            lengths.append(W.normal_form(g, w * k).length)
+            if lengths[-1] < k * len(w):
+                at = k
+                break
+        probe = CL.logarithmic_probe(g, w, 8)
+        assert (probe.word, probe.up_to, probe.lengths, probe.violation_at) == (w, 8, tuple(lengths), at), g.format(w)
+        verdicts.append(probe.holds)
+    assert not all(verdicts)
 
 
 def test_coxeter_orientation_bijection(affine_a3):

@@ -130,19 +130,21 @@ def test_bench_writes_report(tmp_path):
     assert report["python"] == platform.python_version() and report["cpus"] == os.cpu_count()
     assert set(report) == {"python", "cpus", "dont_write_bytecode", "git_sha", "git_dirty", "repeats", "cases"}
     assert report["dont_write_bytecode"] == bool(sys.flags.dont_write_bytecode)
-    # the 10 letters of the normal form of the longest element of A4, its
-    # 768 reduced words and none under cap 100, which they exceed, 4!
-    # linear extensions, 3! cyclic words, 260 cyclic words in R_tor of
-    # (s0 s2 s4 s1 s3)^2 over C~4, verdicts of cyclic reducedness on
-    # (s0 s2 s4 s1 s3)^4 and the free 4-letter word (true) and the longest
-    # element of A4 (false), the JSON of classify on (s0 s2 s4 s1 s3)^3
-    # over C~4, on the longest element of A4, on a b a t1 t2 t3 t4 and on
-    # the free 4-letter word, and on every element up to 4 letters of B3,
-    # H3 and A~3 and of E~6, the 62 commutativity classes of the longest
-    # element of A4 and the 89 of the 69 elements of A~3 up to 4 letters
-    # (both counted by the tests' braid search), (4-1)! classes on K4, 4-1
-    # on C4, and what the two CLI calls print
-    want = [10, 768, 0, 24, 6, 260, 1, 1, 0]
+    # the 10 letters of the normal form of the longest element of A4 and
+    # the 0 of that of its square, its 768 reduced words and none under cap
+    # 100, which they exceed, 4! linear extensions, 3! cyclic words, 260
+    # cyclic words in R_tor of (s0 s2 s4 s1 s3)^2 over C~4, the 300 letters
+    # of (s0 s2 s4 s1 s3)^60, the last length of its logarithmic probe,
+    # verdicts of cyclic reducedness on (s0 s2 s4 s1 s3)^4 and the free
+    # 4-letter word (true) and the longest element of A4 (false), the JSON
+    # of classify on (s0 s2 s4 s1 s3)^3 over C~4, on the longest element of
+    # A4, on a b a t1 t2 t3 t4 and on the free 4-letter word, and on every
+    # element up to 4 letters of B3, H3 and A~3 and of E~6, the 62
+    # commutativity classes of the longest element of A4 and the 89 of the
+    # 69 elements of A~3 up to 4 letters (both counted by the tests' braid
+    # search), (4-1)! classes on K4, 4-1 on C4, and what the two CLI calls
+    # print
+    want = [10, 0, 768, 0, 24, 6, 260, 300, 1, 1, 0]
     bonded = CoxeterGraph(["a", "b", "t1", "t2", "t3", "t4"], [("a", "b", 3)])
     free = CoxeterGraph(["s1", "s2", "s3", "s4"])
     for g, text in ((catalog.coxeter_graph("C~4"), "s0 s2 s4 s1 s3 " * 3),

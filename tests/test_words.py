@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from conftest import small_system
-from coxheaps import catalog
+from coxheaps import catalog, roots
 from coxheaps import words as W
 from coxheaps.coxgraph import INF, CoxeterGraph, support
 from coxheaps.errors import NotReduced, OrbitCapExceeded, UnknownGenerator
@@ -362,13 +362,31 @@ _NORMAL_FORM_SYSTEMS = {
 }
 
 
+def _counted_root_steps(monkeypatch, g):
+    """Give g a fresh root system whose root steps are counted, and return
+    the one-entry list that holds the count."""
+    rs, count = roots.RootSystem(g), [0]
+
+    def counted(step):
+        def times(cols):
+            count[0] += 1
+            step(cols)
+        return times
+
+    rs._times = tuple(map(counted, rs._times))
+    monkeypatch.setattr(g, "_roots", rs)
+    return count
+
+
 @pytest.mark.parametrize("name", list(_NORMAL_FORM_SYSTEMS))
-def test_normal_form_matches_the_greedy_oracle(name):
+def test_normal_form_matches_the_greedy_oracle(name, monkeypatch):
     # seeded words of 0-60 letters, half of them with a factor u u^-1 that
     # cancels, against the greedy that reflects the later betas; the matrix
     # oracle checks the element too, where its quadratic rings reach (not
-    # I2(7), nor the 4-5 ring's Z[2cos(pi/20)])
+    # I2(7), nor the 4-5 ring's Z[2cos(pi/20)]); one root step a letter
+    # read and one a letter written
     g = _NORMAL_FORM_SYSTEMS[name]
+    steps = _counted_root_steps(monkeypatch, g)
     try:
         oracle = GroupOracle(g, 0)
     except ValueError:
@@ -380,11 +398,28 @@ def test_normal_form_matches_the_greedy_oracle(name):
             cut = rng.randrange(len(w) + 1)
             u = w[cut : cut + rng.randrange(16)]
             w = w[:cut] + u + W.inverse(u) + w[cut:]
+        steps[0] = 0
         nf = W.normal_form(g, w)
+        assert steps[0] <= len(w) + nf.length, g.format(w)
         assert nf.word == greedy_normal_form(g, w), g.format(w)
         assert nf.length == len(nf.word) and W.is_reduced(g, nf.word)
         if oracle is not None:
             assert oracle.element(nf.word) == oracle.element(w), g.format(w)
+
+
+@pytest.mark.parametrize("n", [6, 14])
+def test_normal_form_of_cancelling_factors_takes_a_root_step_a_letter(n, monkeypatch):
+    # w0 w0 and u u^-1 for u = w0 are the identity: at most len(word) +
+    # l(result) root steps, where a reduction that deletes the letters of
+    # each beta_j = -beta_i and restarts pays about l^2 on w0 w0
+    g = catalog.chain([f"s{i}" for i in range(1, n + 1)], [3] * (n - 1))
+    w0 = tuple(j for i in range(n) for j in range(i, -1, -1))
+    steps = _counted_root_steps(monkeypatch, g)
+    for w in (w0 + w0, w0 + W.inverse(w0), w0):
+        steps[0] = 0
+        nf = W.normal_form(g, w)
+        assert nf.length == (len(w0) if w == w0 else 0)
+        assert steps[0] <= len(w) + nf.length, g.format(w)
 
 
 @pytest.mark.parametrize("m", [7, 8, 12, 128])
