@@ -25,8 +25,11 @@ walk of [e, w]_R, ``classify`` (sized by the characters of its report's
 JSON) of the cube of the Coxeter element of C~3 and C~4, of the longest
 element of A5 and A6, of a b a t1 ... tk for k = 8 and 10 (an a-b
 3-bond, each t bonded to nothing) and of the free word on 8 and 9
-letters, and, in one call each looping over the elements listed
-beforehand (sized by the characters of all their reports' JSON), of
+letters, of the cube of the Coxeter element s0 s1 ... s6 of E~6 with its
+cap at 10^(n-1) for n = 5 (sized 0 when it raises OrbitCapExceeded, so
+the case times the way to exit 3 at cap 10,000), and, in one call each
+looping over the elements listed beforehand (sized by the characters of
+all their reports' JSON), of
 every element of B3, H3 and A~3 up to 7 letters and of E~6 up to 6
 letters, the commutativity classes (sized by their number) of the
 longest element of A5 and of every element of A~3 up to 8 letters, one
@@ -52,7 +55,11 @@ first (a CLI case runs ``python -m coxheaps_against`` on that side).  So
 both sides meet the same host state, which two sequential runs do not.
 Each case then also records REV's runs, their median and result size,
 the ratio of this checkout's median to REV's, and the pairs this
-checkout won, its call the faster of the two.
+checkout won, its call the faster of the two.  The report's ``control``
+row is the A/A control: one fixed case, CONTROL, timed in PAIRS pairs
+with this checkout's package on both sides.  Its ratio and pairs won are
+the run's noise floor, which a case's ratio and pairs won are read
+against.
 
 Each timed call is preceded by a garbage collection, outside the timing,
 on both sides of a pair: otherwise a collection that the previous call's
@@ -82,6 +89,7 @@ SRC = ROOT / "src"
 REPEATS = 5
 PAIRS = 10
 AGAINST = "coxheaps_against"  # the package name REV's tree is imported under
+CONTROL = ("heaps.linear_extensions", "free word", 8)  # the A/A case of a run --against REV
 
 
 def _package(name, path):
@@ -158,9 +166,18 @@ def _sized(call):
     return lambda: (True,) if call() else ()
 
 
-def _classify(pkg, g, w):
-    """The call of ``classify`` on w, its result the JSON text of the report."""
-    return lambda: json.dumps(pkg.classifier.classify(g, w).to_json(g))
+def _classify(pkg, g, w, cap=None):
+    """The call of ``classify`` on w, its result the JSON text of the report;
+    with a cap, an empty result when it raises OrbitCapExceeded."""
+    if cap is None:
+        return lambda: json.dumps(pkg.classifier.classify(g, w).to_json(g))
+
+    def call():
+        try:
+            return json.dumps(pkg.classifier.classify(g, w, cap).to_json(g))
+        except pkg.errors.OrbitCapExceeded:
+            return ""
+    return call
 
 
 def _complete(pkg, n):
@@ -235,6 +252,9 @@ BUILDERS = {
     ("classifier.classify", "A_n longest element"): lambda pkg, n: _classify(pkg, *_a_longest(pkg, n)),
     ("classifier.classify", "a b a t1 ... tk"): lambda pkg, k: _classify(pkg, *_braid_among_free(pkg, k)),
     ("classifier.classify", "free word"): lambda pkg, n: _classify(pkg, *_free_word(pkg, n)),
+    # sized by the cap, not the power: every power past the first lists R_tor up to the cap
+    ("classifier.classify", "E~6 Coxeter element cubed, cap 10^(n-1)"):
+        lambda pkg, n: _classify(pkg, pkg.catalog.coxeter_graph("E~6"), tuple(range(7)) * 3, 10 ** (n - 1)),
     ("classifier.classify", "B3, H3 and A~3 elements up to n letters"):
         lambda pkg, n: _classify_up_to(pkg, ("B3", "H3", "A~3"), n),
     ("classifier.classify", "E~6 elements up to n letters"): lambda pkg, n: _classify_up_to(pkg, ("E~6",), n),
@@ -280,6 +300,7 @@ CASES = (
     ("classifier.classify", "a b a t1 ... tk", 10),
     ("classifier.classify", "free word", 8),
     ("classifier.classify", "free word", 9),
+    ("classifier.classify", "E~6 Coxeter element cubed, cap 10^(n-1)", 5),
     ("classifier.classify", "B3, H3 and A~3 elements up to n letters", 7),
     ("classifier.classify", "E~6 elements up to n letters", 6),
     ("words.commutativity_classes", "A_n longest element", 5),
@@ -359,6 +380,8 @@ def main(argv, cases=CASES, repeats=None):
             report["against"] = {"rev": rev, "git_sha": _git("rev-parse", "--verify", f"{rev}^{{commit}}")}
             _extract(rev, scratch)
             against = _package(AGAINST, scratch)
+            report["control"] = row = measure(pkg, *CONTROL, report["repeats"], pkg)
+            print(f"A/A control {' '.join(map(str, CONTROL))}: x{row['ratio']:.2f}  won {row['pairs_won']}")
         for layer, family, size in cases:
             row = measure(pkg, layer, family, size, report["repeats"], against)
             report["cases"].append(row)

@@ -12,15 +12,16 @@ decided on the convex <s,t>_m windows of the rotations of w, read off the
 one heap of w w: CFC has none, and TFC keeps its toric heap under each
 one's braid move.  ``classify`` lists no reduced word: for every reduced
 w it reads |R(w)|, the count c(w) of least words of the classes and
-cyclic reducedness off one walk of [e, w]_R (``cyclic._interval_census``),
-and w is FC iff c(w) = 1.  It lists R_tor([w]) once, under its cap, and
-counts its cyclic words and classes off that listing; a listing that
-meets a cyclic repeat names the chain of moves from w, the toric witness.  A
-listing of R_tor([w]) past its cap is settled in ``cyclic``, as for
-every caller: the cap error stands for a torically reduced w, and any
-other w is reported not torically reduced with no chain.  The probes
-(logarithmic, braid-shortening) are partial: they report evidence
-bounded by their inputs, never theorems.
+cyclic reducedness off one pass over [e, w]_R that carries all three
+along its edges (``cyclic._interval_census``), and w is FC iff c(w) = 1.
+It lists R_tor([w]) once, under its cap, and counts its cyclic words and
+classes off that listing; a listing that meets a cyclic repeat names the
+chain of moves from w, the toric witness.  A listing of R_tor([w]) past
+its cap is settled in ``cyclic``, as for every caller: the cap error
+stands for a torically reduced w, and any other w is reported not
+torically reduced with no chain.  The probes (logarithmic,
+braid-shortening) are partial: they report evidence bounded by their
+inputs, never theorems.
 """
 
 from __future__ import annotations
@@ -172,10 +173,10 @@ class ClassificationReport(Record):
 
 def classify(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> ClassificationReport:
     """The verdict sheet of w.  |R(w)|, its class count and cyclic
-    reducedness come off one walk of [e, w]_R with no cap
-    (``_interval_census``), and w is FC iff R(w) is one class.  The cap
-    bounds only the listing of R_tor([w]), whose words and classes are
-    counted as listed (``_rtor_listing``)."""
+    reducedness come off one pass over [e, w]_R with no cap, carried along
+    its edges (``_interval_census``), and w is FC iff R(w) is one class.
+    The cap bounds only the listing of R_tor([w]), whose words and classes
+    are counted as listed (``_rtor_listing``)."""
     word = g.check_word(w)
     if (found := _rotation_pass(g, word)) is None:
         return ClassificationReport(

@@ -30,8 +30,9 @@ a word are windows of the doubled word, which one root-sequence pass
 decides (``roots.rotation_pass``).  For FC w those of every word of R(w)
 move down-sets of w's heap to the end, which the heap order decides in
 one look at each rotation pair; for any other w they are settled over
-the prefixes of R(w), the elements of [e, w]_R, on the same walk that
-counts R(w) and its commutativity classes (``_interval_census``).
+the prefixes of R(w), the elements of [e, w]_R, on the one pass that
+carries |R(x)| and the least words of the commutativity classes of R(x)
+up the interval (``_interval_census``).
 
 The toric heap of a word is the toric poset of its dependency graph with
 the position-increasing orientation, labeled by the letters; its total
@@ -59,9 +60,8 @@ from .heaps import _is_fc, heap_of_word, word_orientation
 from .records import Record
 from .words import (
     NormalForm,
-    _lex_forms,
+    _census_walk,
     _moves,
-    _weak_order_levels,
     has_adjacent_repeat,
     normal_form,
 )
@@ -155,37 +155,21 @@ def is_cyclically_reduced_element(g: CoxeterGraph, w: Word) -> bool:
 
 def _interval_census(g: CoxeterGraph, n: int, negated: dict, pairs: list[tuple[int, int]]) -> tuple[int, int, bool]:
     """|R(w)|, the number c(w) of commutativity classes of R(w), and whether
-    every word of R(w) is cyclically reduced, off one walk of [e, w]_R
-    (``words._weak_order_levels``) from w's root pass (``_rotation_pass``),
-    with no word listed; w is FC exactly when it counts one class.
-
-    * |R(x)| is the sum of |R(x s)| over the right descents s of x.
-    * c(x) counts the lexicographically least words of the classes, which
-      a test on one state of a word decides letter by letter (Anisimov-Knuth
-      1979), carried up from the x s by state (``words._lex_forms``).
-    * Rotation k of a word u of R(w) is reduced iff no pair (i, j) has
-      beta_i among the betas of u's prefix y of length k and beta_j not
-      (``roots.rotation_pass``), and the prefixes are the y in [e, w]_R,
-      keyed by the mask of their betas.  An x holds the bits of the x s
-      it is first reached from and one more, the only one to check.
+    every word of R(w) is cyclically reduced, off one walk of [e, w]_R from
+    w's root pass (``_rotation_pass``) that carries them along its edges
+    (``words._census_walk``), with no word listed; w is FC exactly when it
+    counts one class.  Rotation k of a word u of R(w) is reduced iff no
+    pair (i, j) has beta_i among the betas of u's prefix y of length k and
+    beta_j not (``roots.rotation_pass``), and the prefixes are the y in
+    [e, w]_R, keyed by the mask of their betas, so no x of the walk may hold
+    bit i of a pair without its bit j.
     """
     need = [0] * n  # need[i]: the j of the pairs (i, j), i != j
     for i, j in pairs:
         if i != j:
             need[i] |= 1 << j
-    commuting = g.root_system().commuting
-    words, forms = {0: 1}, {0: {0: 1}}
-    cyclically_reduced = True
-    for level in _weak_order_levels(g, n, negated):
-        get, words = words.__getitem__, {}
-        for x, down in level.items():
-            y = next(iter(down.values()))
-            if cyclically_reduced and need[(x ^ y).bit_length() - 1] & ~x:
-                cyclically_reduced = False
-            words[x] = sum(map(get, down.values()))
-        forms = _lex_forms(level, forms, commuting, False)
-    top = (1 << n) - 1
-    return words[top], sum(forms[top].values()), cyclically_reduced
+    count, forms, cyclically_reduced = _census_walk(g, n, negated, need)
+    return count, sum(forms.values()), cyclically_reduced
 
 
 def toric_reduction_witness(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Word, ...] | None:

@@ -127,7 +127,7 @@ class RootSystem:
         self.identity = tuple(columns)
         self.negative = tuple(tuple(map(neg, col)) for col in columns)  # -alpha_t
         # commuting[s]: the mask of the t with m(s, t) = 2, kept for the
-        # least words of classes on the walks of [e, w]_R (``words._lex_forms``)
+        # least words of classes on the walk of [e, w]_R (``words._census_walk``)
         self.commuting = tuple(sum(1 << t for t, m in enumerate(row) if m == 2) for row in g.bond_table)
         self._times = tuple(
             _step_maker(n * d, d, tuple(tuple(terms) for _, terms in row))(s, *(t for t, _ in row))

@@ -19,14 +19,16 @@ element: up to a length for ``elements_up_to``, which lists the normal
 form of each element, and over the interval [e, w]_R for
 ``reduced_words``, which joins R(w) from both ends of it with no braid
 search, the R(x) of each x of the middle level with the words from x up to
-w, and for the counts that ``cyclic._interval_census`` reads off
-it, with the least word of each commutativity class (``_lex_forms``).
-``commutativity_class`` lists the linear extensions of w's heap, which
-are its words (Cartier-Foata 1969), and ``commutativity_classes`` takes
-the class of each least word.  Past a cap each listing raises
-``OrbitCapExceeded``, an inconclusive outcome, never a guess; the default
-cap, ``DEFAULT_ORBIT_CAP``, lives in ``errors``.  ``heaps`` is imported
-when a heap is first needed (``_heaps``), so the word problem loads no heap code.
+w.  ``_census_walk`` walks [e, w]_R once, carrying |R(x)|, the least word
+of each commutativity class of R(x) and the test of
+``cyclic._interval_census`` along its edges as it makes them; it counts
+the least words for that census and lists them for
+``commutativity_classes``, which takes the class of each, the linear
+extensions of its heap (``commutativity_class``, Cartier-Foata 1969).
+Past a cap each listing raises ``OrbitCapExceeded``, an inconclusive
+outcome, never a guess; the default cap, ``DEFAULT_ORBIT_CAP``, lives in
+``errors``.  ``heaps`` is imported when a heap is first needed
+(``_heaps``), so the word problem loads no heap code.
 
 All functions are pure; words are tuples of generator indices.
 """
@@ -149,13 +151,16 @@ def reduced_words(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> fro
 
 def commutativity_classes(g: CoxeterGraph, w: Word, cap: int = DEFAULT_ORBIT_CAP) -> tuple[frozenset[Word], ...]:
     """Partition of R(w) under short braid moves, ordered by least member:
-    the ``commutativity_class`` of each least word, read off the walk of
-    [e, w]_R under the cap of ``reduced_words`` (``_lex_forms``)."""
-    forms: dict[int, dict] = {0: {0: [()]}}
-    commuting = g.root_system().commuting
-    for level in _capped_levels(g, g.check_word(w), cap):
-        forms = _lex_forms(level, forms, commuting, True)
-    least = sorted(u for by_state in forms.values() for us in by_state.values() for u in us)
+    the ``commutativity_class`` of each least word, listed on the walk of
+    [e, w]_R, which stops as soon as the prefixes of one length of the
+    words of R(w) pass the cap, so it raises iff |R(w)| exceeds max(cap, 1),
+    as ``reduced_words`` (``_census_walk``)."""
+    word = g.check_word(w)
+    if (found := g.root_system()._pass(word)) is None:
+        raise NotReduced(f"{g.format(word)} is not reduced")
+    if (top := _census_walk(g, len(word), found[1], [0] * len(word), listing=True, cap=cap)) is None:
+        raise OrbitCapExceeded(f"reduced-word set of {g.format(word)} exceeds cap {cap}")
+    least = sorted(u for us in top[1].values() for u in us)
     return tuple(commutativity_class(g, u, cap) for u in least)
 
 
@@ -246,27 +251,61 @@ def _capped_levels(g: CoxeterGraph, word: Word, cap: int) -> Iterator[dict[int, 
         yield level
 
 
-def _lex_forms(level: dict[int, dict], forms: dict[int, dict], commuting: tuple, listing: bool) -> dict[int, dict]:
-    """For each x of a level, the least words of the commutativity classes
-    of R(x) by state, counted, or listed with ``listing``, from the level
-    below.  A word is least in its class iff it has no factor b v a with
-    a < b and a commuting with b and every letter of v (Anisimov-Knuth
-    1979), so the least words of R(x) are the u s, u least for x s, that
-    pass at s.  Bit t of u's state is set iff the longest suffix of u whose
-    letters commute with t holds a letter above t: s may follow iff bit s
-    is clear, and u s keeps the bits of the t commuting with s, set if t < s."""
-    out: dict[int, dict] = {}
-    for x, down in level.items():
-        here = out[x] = {}
-        for s, y in down.items():
-            low, keep = (1 << s) - 1, commuting[s]
-            for state, value in forms[y].items():
-                if not state >> s & 1:
-                    t = (state | low) & keep
-                    if listing:
-                        value = [u + (s,) for u in value]
-                    here[t] = here[t] + value if t in here else value
-    return out
+def _census_walk(g: CoxeterGraph, n: int, negated: dict, need: list[int], listing: bool = False, cap: int | None = None) -> tuple[int, dict, bool] | None:
+    """|R(w)|, the least words of the commutativity classes of R(w) by state,
+    counted, or listed with ``listing``, and whether no x of [e, w]_R holds
+    a bit i but not every bit of need[i], off one walk of the interval from
+    w's root pass (the map -beta_j -> j of ``roots``, keys and steps as in
+    ``_weak_order_levels``); or None once the prefixes of one length of the
+    words of R(w), which never fall in number and end at |R(w)|, pass
+    max(cap, 1).  Each x holds its columns, made from the first edge into
+    it, the mask of its right descents, |R(x)| and its least words by
+    state, and each edge x s -> x pushes them up as it is made:
+
+    * |R(x)| is the sum of |R(x s)| over the right descents s of x.
+    * A word is least in its class iff it has no factor b v a with a < b
+      and a commuting with b and every letter of v (Anisimov-Knuth 1979),
+      so the least words of R(x) are the u s, u least for x s, that pass
+      at s.  Bit t of u's state is set iff the longest suffix of u whose
+      letters commute with t holds a letter above t: s may follow iff bit
+      s is clear, and u s keeps the bits of the t commuting with s, set if
+      t < s.
+    * x holds the bits of the x s it is first reached from and one more,
+      the only one whose need is tested.
+    """
+    rs = g.root_system()
+    commuting, times, letters, bit = rs.commuting, rs._times, range(g.rank), negated.get
+    level = {0: [rs.negative, 0, 1, {0: [()] if listing else 1}]}
+    met = True
+    for more in reversed(range(n)):  # levels still to come after the next
+        longer: dict[int, list] = {}
+        for y, (cols, right, count, forms) in level.items():
+            for s in letters:
+                if right >> s & 1 or (j := bit(cols[s])) is None:
+                    continue
+                x = y | 1 << j
+                if (up := longer.get(x)) is None:
+                    if met and need[j] & ~x:
+                        met = False
+                    up = longer[x] = [None, 1 << s, count, {}]
+                    if more:
+                        up[0] = c = list(cols)
+                        times[s](c)
+                else:
+                    up[1] |= 1 << s
+                    up[2] += count
+                here, low, keep = up[3], (1 << s) - 1, commuting[s]
+                for state, value in forms.items():
+                    if not state >> s & 1:
+                        t = (state | low) & keep
+                        if listing:
+                            value = [u + (s,) for u in value]
+                        here[t] = here[t] + value if t in here else value
+        if cap is not None and sum(up[2] for up in longer.values()) > max(cap, 1):
+            return None
+        level = longer
+    _, _, count, forms = next(iter(level.values()))
+    return count, forms, met
 
 
 def elements_up_to(g: CoxeterGraph, max_len: int) -> list[Word]:

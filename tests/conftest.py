@@ -2,7 +2,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from coxheaps import catalog
+from coxheaps import catalog, roots
 from coxheaps.coxgraph import INF, CoxeterGraph
 
 hypothesis.settings.register_profile(
@@ -10,6 +10,22 @@ hypothesis.settings.register_profile(
 )
 hypothesis.settings.register_profile("thorough", max_examples=300, deadline=None)
 hypothesis.settings.load_profile("default")
+
+
+def counted_root_steps(monkeypatch, g):
+    """Give g a fresh root system whose root steps are counted, and return
+    the one-entry list that holds the count."""
+    rs, count = roots.RootSystem(g), [0]
+
+    def counted(step):
+        def times(cols):
+            count[0] += 1
+            step(cols)
+        return times
+
+    rs._times = tuple(map(counted, rs._times))
+    monkeypatch.setattr(g, "_roots", rs)
+    return count
 
 
 @pytest.fixture(scope="session")

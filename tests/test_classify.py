@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import small_system
+from conftest import counted_root_steps, small_system
 from coxheaps import catalog
 from coxheaps import classifier as CL
 from coxheaps import cyclic as CY
@@ -561,6 +561,26 @@ def test_interval_census_of_a_braid_among_free_letters():
         w = (0, 1, 0) + tuple(range(2, k + 2))
         want = (math.factorial(k + 3) // 3, 2, False)
         assert CY._interval_census(g, k + 3, *g.root_system().rotation_pass(w)) == want, k
+
+
+@pytest.mark.parametrize("name, max_len", [("B3", 9), ("A~3", 7)])
+def test_classify_walks_the_interval_once(name, max_len, monkeypatch):
+    # w's root pass and its rotation pairs take l(w) root steps each and the
+    # census one for each element of [e, w]_R it makes, so a second walk of
+    # the interval fails; its elements are the prefixes of the words of
+    # R(w), listed by the tests' braid search and told apart by the matrix
+    # oracle
+    from oracles import GroupOracle
+
+    g = catalog.coxeter_graph(name)
+    oracle = GroupOracle(g, 0)
+    sizes = {w: len({oracle.element(u[:k]) for u in braid_closure(g, w) for k in range(len(w) + 1)})
+             for w in W.elements_up_to(g, max_len)}
+    steps = counted_root_steps(monkeypatch, g)
+    for w, size in sizes.items():
+        steps[0] = 0
+        CL.classify(g, w)
+        assert steps[0] <= 2 * len(w) + size, g.format(w)
 
 
 @pytest.mark.parametrize("name", ["B3", "H3", "A~2", "A4", "C~3"])

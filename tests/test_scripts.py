@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import platform
 import subprocess
@@ -138,12 +139,13 @@ def test_bench_writes_report(tmp_path):
     # verdicts of cyclic reducedness on (s0 s2 s4 s1 s3)^4 and the free
     # 4-letter word (true) and the longest element of A4 (false), the JSON
     # of classify on (s0 s2 s4 s1 s3)^3 over C~4, on the longest element of
-    # A4, on a b a t1 t2 t3 t4 and on the free 4-letter word, and on every
-    # element up to 4 letters of B3, H3 and A~3 and of E~6, the 62
-    # commutativity classes of the longest element of A4 and the 89 of the
-    # 69 elements of A~3 up to 4 letters (both counted by the tests' braid
-    # search), (4-1)! classes on K4, 4-1 on C4, and what the two CLI calls
-    # print
+    # A4, on a b a t1 t2 t3 t4 and on the free 4-letter word, none for that
+    # of (s0 ... s6)^3 over E~6, whose R_tor passes cap 1,000, and the JSON
+    # of classify on every element up to 4 letters of B3, H3 and A~3 and of
+    # E~6, the 62 commutativity classes of the longest element of A4 and the
+    # 89 of the 69 elements of A~3 up to 4 letters (both counted by the
+    # tests' braid search), (4-1)! classes on K4, 4-1 on C4, and what the
+    # two CLI calls print
     want = [10, 0, 768, 0, 24, 6, 260, 300, 1, 1, 0]
     bonded = CoxeterGraph(["a", "b", "t1", "t2", "t3", "t4"], [("a", "b", 3)])
     free = CoxeterGraph(["s1", "s2", "s3", "s4"])
@@ -151,6 +153,7 @@ def test_bench_writes_report(tmp_path):
                     (catalog.coxeter_graph("A4"), "s1 s2 s1 s3 s2 s1 s4 s3 s2 s1"),
                     (bonded, "a b a t1 t2 t3 t4"), (free, "s1 s2 s3 s4")):
         want.append(len(json.dumps(CL.classify(g, g.word(text)).to_json(g))))
+    want.append(0)
     for names in (("B3", "H3", "A~3"), ("E~6",)):
         graphs = [catalog.coxeter_graph(name) for name in names]
         want.append(sum(len(json.dumps(CL.classify(g, w).to_json(g))) for g in graphs for w in elements_up_to(g, 4)))
@@ -177,7 +180,12 @@ def test_bench_against_a_revision(tmp_path):
     assert bench.main(["--against", "HEAD", str(out)], cases=cases, repeats=2) == 0
     report = json.loads(out.read_text())
     assert report["against"] == {"rev": "HEAD", "git_sha": head.stdout.strip()}
-    for row in report["cases"]:
+    # the A/A control, this checkout on both sides: the 8! linear extensions
+    # of the free 8-letter heap, paired as the cases are
+    control = report["control"]
+    assert (control["layer"], control["input"], control["size"]) == bench.CONTROL
+    assert control["result_size"] == control["against_result_size"] == math.factorial(8)
+    for row in report["cases"] + [control]:
         assert len(row["runs_s"]) == len(row["against_runs_s"]) == report["repeats"] == 2
         assert row["against_result_size"] == row["result_size"] > 0
         assert row["ratio"] == row["median_s"] / row["against_median_s"]

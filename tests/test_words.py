@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import small_system
-from coxheaps import catalog, roots
+from conftest import counted_root_steps, small_system
+from coxheaps import catalog
 from coxheaps import words as W
 from coxheaps.coxgraph import INF, CoxeterGraph, support
 from coxheaps.errors import NotReduced, OrbitCapExceeded, UnknownGenerator
@@ -249,6 +249,20 @@ def test_reduced_words_cap_stops_the_walk(monkeypatch):
     assert len(walked) == 2 and walked[0] == 8
 
 
+def test_commutativity_classes_cap_stops_the_walk(monkeypatch):
+    # the same cap on the same w0 through the walk that carries the least
+    # words: w0's root pass takes 36 root steps, and the walk one for each
+    # of the 8 elements of length 1 and the 35 of length 2, whose 56
+    # prefixes pass the cap; the whole interval would take 9! - 1
+    g = catalog.chain([f"s{i}" for i in range(1, 9)], [3] * 7)
+    w0 = tuple(j for i in range(8) for j in range(i, -1, -1))
+    steps = counted_root_steps(monkeypatch, g)
+    with pytest.raises(OrbitCapExceeded) as err:
+        W.commutativity_classes(g, w0, 10)
+    assert str(err.value) == f"reduced-word set of {g.format(w0)} exceeds cap 10"
+    assert steps[0] <= 36 + 8 + 35
+
+
 def _classes_over_rw(g, w, cap):
     """The R(w) route: the commutativity class of the least word of R(w)
     not yet placed, repeatedly, with R(w) listed first."""
@@ -362,22 +376,6 @@ _NORMAL_FORM_SYSTEMS = {
 }
 
 
-def _counted_root_steps(monkeypatch, g):
-    """Give g a fresh root system whose root steps are counted, and return
-    the one-entry list that holds the count."""
-    rs, count = roots.RootSystem(g), [0]
-
-    def counted(step):
-        def times(cols):
-            count[0] += 1
-            step(cols)
-        return times
-
-    rs._times = tuple(map(counted, rs._times))
-    monkeypatch.setattr(g, "_roots", rs)
-    return count
-
-
 @pytest.mark.parametrize("name", list(_NORMAL_FORM_SYSTEMS))
 def test_normal_form_matches_the_greedy_oracle(name, monkeypatch):
     # seeded words of 0-60 letters, half of them with a factor u u^-1 that
@@ -386,7 +384,7 @@ def test_normal_form_matches_the_greedy_oracle(name, monkeypatch):
     # I2(7), nor the 4-5 ring's Z[2cos(pi/20)]); one root step a letter
     # read and one a letter written
     g = _NORMAL_FORM_SYSTEMS[name]
-    steps = _counted_root_steps(monkeypatch, g)
+    steps = counted_root_steps(monkeypatch, g)
     try:
         oracle = GroupOracle(g, 0)
     except ValueError:
@@ -414,7 +412,7 @@ def test_normal_form_of_cancelling_factors_takes_a_root_step_a_letter(n, monkeyp
     # each beta_j = -beta_i and restarts pays about l^2 on w0 w0
     g = catalog.chain([f"s{i}" for i in range(1, n + 1)], [3] * (n - 1))
     w0 = tuple(j for i in range(n) for j in range(i, -1, -1))
-    steps = _counted_root_steps(monkeypatch, g)
+    steps = counted_root_steps(monkeypatch, g)
     for w in (w0 + w0, w0 + W.inverse(w0), w0):
         steps[0] = 0
         nf = W.normal_form(g, w)
